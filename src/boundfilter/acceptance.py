@@ -116,28 +116,24 @@ def check_choi_window(neg_tol: float = TOL_NEG) -> CheckResult:
     t = 0.05
     f = catalog.choi_example_filter()
     w = Witness(WitnessKind.CHOI_PHI, Side.A, 3)
-    xs = np.linspace(WINDOW_LO, WINDOW_HI, 52)[1:-1]
-    unf_floor = np.inf
-    fil_ceil = -np.inf
-    for x in xs:
-        rho = catalog.rho_xt(float(x), t)
-        unf = linalg.min_eigenvalue(apply_witness(w, rho))
-        fil = linalg.min_eigenvalue(
-            apply_witness(w, apply_filter(f, rho)[0])
-        )
-        unf_floor = min(unf_floor, unf)
-        fil_ceil = max(fil_ceil, fil)
-    window_ok = unf_floor >= -neg_tol and fil_ceil < -neg_tol
+
+    def minima(xs):
+        # unfiltered and filtered witness minima, one block of points at a time
+        unf, fil = [], []
+        for start in range(0, xs.size, catalog.SWEEP_BLOCK):
+            rho = catalog.rho_xt(xs[start : start + catalog.SWEEP_BLOCK], t)
+            unf.append(linalg.min_eigenvalue(apply_witness(w, rho)))
+            filtered, _ = apply_filter(f, rho)
+            fil.append(linalg.min_eigenvalue(apply_witness(w, filtered)))
+        return np.concatenate(unf), np.concatenate(fil)
+
+    unf_vals, fil_vals = minima(np.linspace(WINDOW_LO, WINDOW_HI, 52)[1:-1])
+    unf_floor = unf_vals.min()
+    fil_ceil = fil_vals.max()
+    window_ok = bool(unf_floor >= -neg_tol and fil_ceil < -neg_tol)
 
     grid = np.linspace(0.58, 0.68, 1000)
-    unf_vals = np.empty(grid.size)
-    fil_vals = np.empty(grid.size)
-    for i, x in enumerate(grid):
-        rho = catalog.rho_xt(float(x), t)
-        unf_vals[i] = linalg.min_eigenvalue(apply_witness(w, rho))
-        fil_vals[i] = linalg.min_eigenvalue(
-            apply_witness(w, apply_filter(f, rho)[0])
-        )
+    unf_vals, fil_vals = minima(grid)
 
     def crossings(vals):
         s = np.sign(vals)
@@ -183,7 +179,7 @@ def check_upb(neg_tol: float = TOL_NEG) -> CheckResult:
     after = detect(w, filtered, "rho-upb-filtered", tol_neg=neg_tol)
     regression_ok = abs(after.min_eigenvalue - UPB_FILTERED_MIN_EIG) <= 1e-10
     passed = (
-        verdict.ppt
+        bool(verdict)
         and not before.detected
         and after.detected
         and regression_ok
@@ -414,7 +410,7 @@ def check_positive_not_cp(neg_tol: float = TOL_NEG) -> CheckResult:
             f"entangled-state min eigs {fmt_num(negs[0])} / "
             f"{fmt_num(negs[1])}, PSD floor {fmt_num(worst)}"
         ),
-        passed=entangled_seen and positivity_ok,
+        passed=bool(entangled_seen and positivity_ok),
     )
 
 

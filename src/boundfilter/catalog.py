@@ -18,27 +18,38 @@ from .states import DensityOperator, PureState, pure
 SQ2 = 1.0 / np.sqrt(2.0)
 
 
-def rho_xt(x: float, t: float) -> DensityOperator:
+# family sweeps (scan, the choi-window check) evaluate their grid this many
+# points at a time: big enough to amortize per-call overhead, small enough
+# that peak memory does not grow with the grid
+SWEEP_BLOCK = 64
+
+
+def rho_xt(x, t) -> DensityOperator:
     """Two-parameter 3x3-system family, normalization 1/(4 + 3/t + 4t).
 
     Diagonal pattern (1+t, t, 1/t | 1/t, 1+t, t | 1, 1/t, 1) and six
     symmetric off-diagonal couplings of strength x.  Requires t > 0 and
     0 <= x <= 1; positivity additionally needs x^2 <= min(1, 1/t), which
-    the DensityOperator invariants enforce.
+    the DensityOperator invariants enforce.  x and t may be arrays: they
+    broadcast together and give a stack with one state per (x, t) pair.
     """
-    if not np.isfinite(t) or t <= 0:
-        raise BadParamError(f"t must be positive, got {t!r}")
-    if not np.isfinite(x) or x < 0 or x > 1:
-        raise BadParamError(f"x must lie in [0, 1], got {x!r}")
+    x, t = np.asarray(x), np.asarray(t)
+    bad = ~np.isfinite(t) | (t <= 0)
+    if bad.any():
+        raise BadParamError(f"t must be positive, got {t[bad][0].item()!r}")
+    bad = ~np.isfinite(x) | (x < 0) | (x > 1)
+    if bad.any():
+        raise BadParamError(f"x must lie in [0, 1], got {x[bad][0].item()!r}")
+    x, t = np.broadcast_arrays(x.astype(float), t.astype(float))
     k = 1.0 / (4.0 + 3.0 / t + 4.0 * t)
-    m = np.zeros((9, 9))
+    m = np.zeros(x.shape + (9, 9))
     diag = [1 + t, t, 1 / t, 1 / t, 1 + t, t, 1, 1 / t, 1]
     for i, d in enumerate(diag):
-        m[i, i] = d
+        m[..., i, i] = d
     for i, j in [(0, 4), (0, 8), (1, 3), (2, 6), (4, 8), (5, 7)]:
-        m[i, j] = x
-        m[j, i] = x
-    return DensityOperator(3, 3, k * m)
+        m[..., i, j] = x
+        m[..., j, i] = x
+    return DensityOperator(3, 3, k[..., None, None] * m)
 
 
 def tiles_vectors() -> list:

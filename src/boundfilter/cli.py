@@ -27,6 +27,7 @@ from .formats import fmt_num
 from .measure import protocol_analytic
 from .states import is_ppt, state_from_json_dict, state_to_json_dict
 from .witness import (
+    Witness,
     apply_witness,
     detect,
     parse_witness_spec,
@@ -138,6 +139,20 @@ def _resolve_seed(explicit):
 # ---------------------------------------------------------------------------
 
 
+def _scan_rows(xs, t, w, filt) -> str:
+    """CSV rows for the grid points xs, evaluated as one stack."""
+    rho = catalog.rho_xt(xs, t)
+    unf = linalg.min_eigenvalue(apply_witness(w, rho))
+    ppt = is_ppt(rho).ppt
+    cols = [[fmt_num(x) for x in xs], [fmt_num(v) for v in unf]]
+    if filt is not None:
+        filtered, _ = apply_filter(filt, rho)
+        wmin = linalg.min_eigenvalue(apply_witness(w, filtered))
+        cols.append([fmt_num(v) for v in wmin])
+    cols.append(["true" if p else "false" for p in ppt])
+    return "".join(",".join(row) + "\n" for row in zip(*cols))
+
+
 def cmd_scan(args) -> int:
     if not args.x_max > args.x_min:
         raise BadParamError(
@@ -150,6 +165,7 @@ def cmd_scan(args) -> int:
             "scan range outside the family domain (x in [0, 1], t > 0)"
         )
     kind, side = parse_witness_spec(args.witness)
+    w = Witness(kind, side, local_dim=3)
     filt = None
     if args.filter is not None:
         filt = parse_filter_arg(args.filter, (3, 3))
@@ -158,17 +174,17 @@ def cmd_scan(args) -> int:
         out.write("x,min_eig_unfiltered,ppt\n")
     else:
         out.write("x,min_eig_unfiltered,min_eig_filtered,ppt\n")
-    for x in np.linspace(args.x_min, args.x_max, args.steps):
-        rho = catalog.rho_xt(float(x), args.t)
-        w = witness_for_state(kind, side, rho)
-        unf = linalg.min_eigenvalue(apply_witness(w, rho))
-        ppt = "true" if is_ppt(rho) else "false"
-        cols = [fmt_num(x), fmt_num(unf)]
-        if filt is not None:
-            filtered, _ = apply_filter(filt, rho)
-            cols.append(fmt_num(linalg.min_eigenvalue(apply_witness(w, filtered))))
-        cols.append(ppt)
-        out.write(",".join(cols) + "\n")
+    grid = np.linspace(args.x_min, args.x_max, args.steps)
+    for start in range(0, grid.size, catalog.SWEEP_BLOCK):
+        xs = grid[start : start + catalog.SWEEP_BLOCK]
+        try:
+            out.write(_scan_rows(xs, args.t, w, filt))
+        except BoundFilterError:
+            # some point of the block is invalid: redo the block point by
+            # point, so the rows before that point are written and its own
+            # error propagates
+            for i in range(xs.size):
+                out.write(_scan_rows(xs[i : i + 1], args.t, w, filt))
     return 0
 
 

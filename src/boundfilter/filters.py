@@ -12,7 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, ParseError, SingularFilterError
+from .errors import (
+    BadParamError,
+    DimensionMismatchError,
+    ParseError,
+    SingularFilterError,
+)
 from .formats import matrix_to_pairs, pairs_to_matrix, require_key
 from .states import DensityOperator, PureState, normalize, pure
 from .tolerances import TOL_RANK
@@ -38,14 +43,20 @@ class LocalFilter:
 def make_filter(l, m) -> LocalFilter:
     """Validate and package the two local factors.
 
-    Raises SingularFilterError if either factor has a singular value at or
-    below TOL_RANK: filters must be invertible so they never change the
+    Raises BadParamError if a factor has a NaN or infinite entry, and
+    SingularFilterError if either factor has a singular value at or below
+    TOL_RANK: filters must be invertible so they never change the
     entanglement class of the state they act on.
     """
     lm = linalg.as_matrix(l)
     mm = linalg.as_matrix(m)
     linalg.require_square(lm, "filter factor L")
     linalg.require_square(mm, "filter factor M")
+    for name, factor in (("L", lm), ("M", mm)):
+        if not np.isfinite(factor).all():
+            raise BadParamError(
+                f"filter factor {name} has NaN or infinite entries"
+            )
     svd_l = linalg.svd(lm)
     svd_m = linalg.svd(mm)
     for name, s in (("L", svd_l), ("M", svd_m)):
@@ -77,7 +88,8 @@ def compose(outer: LocalFilter, inner: LocalFilter) -> LocalFilter:
 def apply_filter(f: LocalFilter, rho: DensityOperator):
     """Filter a state; returns (filtered DensityOperator, yield).
 
-    yield = tr[(L x M) rho (L x M)^dag], the pre-normalization weight.
+    yield = tr[(L x M) rho (L x M)^dag], the pre-normalization weight.  A
+    stack of states gives a stack of filtered states and one yield each.
     """
     if f.dims != rho.dims:
         raise DimensionMismatchError(

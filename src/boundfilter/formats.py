@@ -6,6 +6,8 @@ witness eigenvalues stay readable.  Matrices travel as nested [re, im]
 pairs.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ParseError
@@ -29,7 +31,11 @@ def matrix_to_pairs(m: np.ndarray):
 
 
 def pairs_to_matrix(obj, what: str = "matrix") -> np.ndarray:
-    """Decode the [re, im] nested-list encoding, validating shape as we go."""
+    """Decode the [re, im] nested-list encoding, validating shape as we go.
+
+    Non-finite numbers (the NaN and Infinity literals Python's json module
+    accepts) are rejected.
+    """
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{what}: expected a non-empty list of rows")
     ncols = None
@@ -52,6 +58,10 @@ def pairs_to_matrix(obj, what: str = "matrix") -> np.ndarray:
             ):
                 raise ParseError(
                     f"{what} row {r} col {c}: expected a [re, im] pair"
+                )
+            if not all(math.isfinite(x) for x in cell):
+                raise ParseError(
+                    f"{what} row {r} col {c}: entry is NaN or infinite"
                 )
             vals.append(complex(cell[0], cell[1]))
         rows.append(vals)

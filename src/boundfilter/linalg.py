@@ -1,9 +1,12 @@
 """Dense complex matrix layer shared by everything above it.
 
-Matrices are plain numpy arrays of complex128.  The eigensolver dispatches
-between the JIT Jacobi kernel and LAPACK depending on BF_DISABLE_NUMBA; the
-SVD is built on top of the eigensolver (positive-semidefinite route via
-a^dag a) so both backends honor the same reconstruction contracts.
+Matrices are plain numpy arrays of complex128.  The Hermitian routines take
+one matrix of shape (n, n) or a stack of shape (N, n, n) and work on each
+matrix of a stack independently, so a stack gives the same numbers, bit for
+bit, as its matrices taken one at a time.  The eigensolver dispatches between
+the JIT Jacobi kernel and LAPACK depending on BF_DISABLE_NUMBA; the SVD is
+LAPACK's, so small singular values are resolved to machine precision and
+rank decisions at TOL_RANK are sound.
 """
 
 from dataclasses import dataclass
@@ -12,7 +15,10 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonSquareError, NotHermitianError
 from .kernels import jacobi_eigh, numba_enabled
-from .tolerances import TOL_HERM, TOL_RANK
+from .tolerances import TOL_HERM
+
+# the Jacobi kernel takes one matrix; this maps it over any leading axes
+_jacobi_stack = np.vectorize(jacobi_eigh, signature="(n,n)->(n),(n,n)")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -23,19 +29,31 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_stack(a) -> np.ndarray:
+    """Coerce to complex128 of shape (n, n) or (N, n, n)."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim not in (2, 3):
+        raise DimensionMismatchError(
+            f"expected a matrix or a stack of matrices, got ndim={m.ndim}"
+        )
+    return m
+
+
 def require_square(a: np.ndarray, what: str = "matrix") -> int:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """Side length of a square matrix or of each matrix in a stack."""
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise NonSquareError(f"{what} must be square, got shape {a.shape}")
-    return a.shape[0]
+    return a.shape[-1]
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
-def herm_defect(a: np.ndarray) -> float:
-    """Max absolute entrywise deviation from a == a^dag."""
-    return float(np.abs(a - a.conj().T).max())
+def herm_defect(a: np.ndarray):
+    """Max absolute entrywise deviation from a == a^dag, per matrix."""
+    return np.abs(a - adjoint(a)).max(axis=(-2, -1))
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -57,39 +75,40 @@ def trace(a: np.ndarray) -> complex:
 
 
 def sandwich(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """s @ rho @ s^dag."""
+    """s @ rho @ s^dag; rho may be a stack."""
     return s @ rho @ s.conj().T
 
 
 def eigh(h: np.ndarray, tol_herm: float = TOL_HERM):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or of each matrix in a stack.
 
-    Returns (w, v), w real ascending, columns of v orthonormal with
-    h @ v ~= v @ diag(w).  Raises NotHermitianError when the Hermiticity
-    defect exceeds tol_herm; the (sub-tolerance) skew part is discarded by
-    symmetrizing before factorization so both backends see the same input.
+    Returns (w, v), w real ascending along the last axis, columns of v
+    orthonormal with h @ v ~= v @ diag(w).  Raises NotHermitianError when
+    the Hermiticity defect of any matrix exceeds tol_herm, naming the first
+    such defect; the (sub-tolerance) skew part is discarded by symmetrizing
+    before factorization so both backends see the same input.
     """
-    h = as_matrix(h)
+    h = as_stack(h)
     require_square(h, "eigh argument")
     defect = herm_defect(h)
-    if defect > tol_herm:
+    bad = defect > tol_herm
+    if bad.any():
         raise NotHermitianError(
-            f"matrix is not Hermitian: max |a - a^dag| = {defect:.3e}"
+            f"matrix is not Hermitian: max |a - a^dag| = {defect[bad][0]:.3e}"
         )
-    hs = 0.5 * (h + h.conj().T)
+    hs = 0.5 * (h + adjoint(h))
     if numba_enabled():
-        w, v = jacobi_eigh(hs)
-    else:
-        w, v = np.linalg.eigh(hs)
-    return w, v
+        return _jacobi_stack(hs)
+    return np.linalg.eigh(hs)
 
 
 def eigvalsh(h: np.ndarray) -> np.ndarray:
     return eigh(h)[0]
 
 
-def min_eigenvalue(h: np.ndarray) -> float:
-    return float(eigh(h)[0][0])
+def min_eigenvalue(h: np.ndarray):
+    """Smallest eigenvalue: a float64 for one matrix, (N,) for a stack."""
+    return np.take(eigh(h)[0], 0, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,36 +137,10 @@ class SVDResult:
 
 
 def svd(a: np.ndarray) -> SVDResult:
-    """Singular value decomposition of a square matrix.
-
-    Route: eigendecompose a^dag a (Hermitian PSD), take d = sqrt(spectrum)
-    descending, u columns a v_i / d_i.  Columns belonging to singular values
-    at or below TOL_RANK cannot be recovered that way and are completed to an
-    orthonormal basis by Gram-Schmidt against the ones already placed.
-    """
+    """Singular value decomposition of a square matrix (LAPACK)."""
     a = as_matrix(a)
-    n = require_square(a, "svd argument")
-    w, vecs = eigh(a.conj().T @ a)
-    order = np.argsort(w)[::-1]
-    d = np.sqrt(np.clip(w[order], 0.0, None))
-    vh = vecs[:, order].conj().T
-    u = np.zeros((n, n), dtype=np.complex128)
-    deficient = []
-    for i in range(n):
-        if d[i] > TOL_RANK:
-            u[:, i] = (a @ vecs[:, order[i]]) / d[i]
-        else:
-            deficient.append(i)
-    # complete the deficient columns from the canonical basis
-    for i in deficient:
-        for k in range(n):
-            cand = np.zeros(n, dtype=np.complex128)
-            cand[k] = 1.0
-            cand -= u @ (u.conj().T @ cand)
-            nrm = np.linalg.norm(cand)
-            if nrm > 1e-6:
-                u[:, i] = cand / nrm
-                break
+    require_square(a, "svd argument")
+    u, d, vh = np.linalg.svd(a)
     return SVDResult(u=u, d=d, v=vh)
 
 

@@ -20,16 +20,20 @@ from .errors import (
     ZeroTraceError,
 )
 from .formats import matrix_to_pairs, pairs_to_matrix, require_key
-from .tolerances import TOL_HERM, TOL_NEG, TOL_RANK, TOL_RECON
+from .tolerances import TOL_HERM, TOL_NEG, TOL_RANK, TOL_RECON, TOL_TRACE
 
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """A validated bipartite density matrix.
+    """A validated bipartite density matrix, or a stack of them.
 
-    Invariants checked on construction: square with side dim_a * dim_b,
-    Hermitian within TOL_HERM, unit trace within 1e-9, and no eigenvalue
-    below -TOL_NEG.  The stored array is made read-only.
+    mat has shape (n, n) for one state or (N, n, n) for N states on the
+    same dims, n = dim_a * dim_b.  Invariants checked on construction, on
+    every matrix: finite entries, Hermitian within TOL_HERM, unit trace
+    within TOL_TRACE, and no eigenvalue below -TOL_NEG.  A failure raises
+    for the first matrix that breaks the first failing invariant, with the
+    same message a lone matrix would give.  The stored array is made
+    read-only.
     """
 
     dim_a: int
@@ -37,31 +41,42 @@ class DensityOperator:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.mat)
+        m = linalg.as_stack(self.mat)
         n = self.dim_a * self.dim_b
         if self.dim_a < 1 or self.dim_b < 1:
             raise InvariantViolationError(
                 f"invalid local dimensions ({self.dim_a}, {self.dim_b})"
             )
-        if m.shape != (n, n):
+        if m.shape[-2:] != (n, n):
             raise InvariantViolationError(
                 f"dimension invariant failed: shape {m.shape} does not match "
                 f"dim_a * dim_b = {n}"
             )
-        defect = linalg.herm_defect(m)
-        if defect > TOL_HERM:
-            raise NotHermitianError(
-                f"hermiticity invariant failed: max |a - a^dag| = {defect:.3e}"
-            )
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > 1e-9:
+        stack = m.reshape(-1, n, n)
+        if not np.isfinite(stack).all():
             raise InvariantViolationError(
-                f"trace invariant failed: trace = {tr!r}"
+                "finiteness invariant failed: matrix has NaN or infinite "
+                "entries"
             )
-        wmin = linalg.min_eigenvalue(m)
-        if wmin < -TOL_NEG:
+        defect = linalg.herm_defect(stack)
+        bad = defect > TOL_HERM
+        if bad.any():
+            raise NotHermitianError(
+                f"hermiticity invariant failed: max |a - a^dag| = "
+                f"{defect[bad][0]:.3e}"
+            )
+        tr = np.trace(stack, axis1=1, axis2=2).real
+        bad = np.abs(tr - 1.0) > TOL_TRACE
+        if bad.any():
+            raise InvariantViolationError(
+                f"trace invariant failed: trace = {tr[bad][0]!r}"
+            )
+        wmin = linalg.min_eigenvalue(stack)
+        bad = wmin < -TOL_NEG
+        if bad.any():
             raise NotPSDError(
-                f"positivity invariant failed: min eigenvalue = {wmin:.6e}"
+                f"positivity invariant failed: min eigenvalue = "
+                f"{wmin[bad][0]:.6e}"
             )
         m = m.copy()
         m.setflags(write=False)
@@ -123,7 +138,7 @@ def pure(amps, dim_a: int, dim_b: int, normalize_input: bool = False) -> PureSta
 
 
 def partial_transpose_b(rho, dim_a: int = None, dim_b: int = None) -> np.ndarray:
-    """Transpose on the B factor only.
+    """Transpose on the B factor only, of one matrix or of each in a stack.
 
     Accepts a DensityOperator (dims implied) or a raw matrix with explicit
     dims.  Index shuffle: out[i*dB+l, k*dB+j] = in[i*dB+j, k*dB+l].
@@ -135,25 +150,28 @@ def partial_transpose_b(rho, dim_a: int = None, dim_b: int = None) -> np.ndarray
             raise DimensionMismatchError(
                 "partial transpose of a raw matrix needs explicit dims"
             )
-        m, da, db = linalg.as_matrix(rho), dim_a, dim_b
-        if m.shape != (da * db, da * db):
+        m, da, db = linalg.as_stack(rho), dim_a, dim_b
+        if m.shape[-2:] != (da * db, da * db):
             raise DimensionMismatchError(
                 f"shape {m.shape} does not match dims ({da}, {db})"
             )
-    return (
-        m.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
-    )
+    lead = m.shape[:-2]
+    blocks = m.reshape(lead + (da, db, da, db))
+    return np.swapaxes(blocks, -3, -1).reshape(m.shape)
 
 
 @dataclass(frozen=True)
 class PptVerdict:
-    """PPT yes/no plus the minimum eigenvalue of the partial transpose."""
+    """PPT yes/no plus the minimum eigenvalue of the partial transpose.
+
+    For a stack of states both fields are arrays with one entry per state.
+    """
 
     ppt: bool
     min_eigenvalue: float
 
     def __bool__(self):
-        return self.ppt
+        return bool(self.ppt)
 
 
 def is_ppt(rho: DensityOperator, tol_neg: float = TOL_NEG) -> PptVerdict:
@@ -165,10 +183,9 @@ def is_ppt(rho: DensityOperator, tol_neg: float = TOL_NEG) -> PptVerdict:
 def schmidt_rank(psi: PureState) -> int:
     """Number of singular values of the coefficient matrix above TOL_RANK.
 
-    Uses LAPACK's SVD directly: a rank cut at 1e-12 needs the small
-    singular values resolved to machine precision, and any route through
-    the Gram matrix floors their resolution at sqrt(eps) ~ 1e-8 (a product
-    state pushed through a dense filter would come back as rank 2).
+    A rank cut at 1e-12 needs the small singular values resolved to
+    machine precision, which LAPACK's SVD gives (a route through the Gram
+    matrix would floor them at sqrt(eps) ~ 1e-8).
     """
     sv = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False)
     return int(np.count_nonzero(sv > TOL_RANK))
@@ -178,20 +195,22 @@ def normalize(mat, dim_a: int, dim_b: int):
     """Turn an unnormalized PSD matrix into (DensityOperator, weight).
 
     weight is the trace divided out; callers use it as the filtering yield.
+    A stack of matrices gives a stack of states and one weight per matrix.
     Raises NotPSDError / ZeroTraceError when the input cannot be a state.
     """
-    m = linalg.as_matrix(mat)
+    m = linalg.as_stack(mat)
     n = dim_a * dim_b
-    if m.shape != (n, n):
+    if m.shape[-2:] != (n, n):
         raise DimensionMismatchError(
             f"shape {m.shape} does not match dims ({dim_a}, {dim_b})"
         )
-    tr = np.trace(m).real
-    if tr <= TOL_RANK:
-        raise ZeroTraceError(f"cannot normalize: trace = {tr!r}")
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    bad = tr <= TOL_RANK
+    if bad.any():
+        raise ZeroTraceError(f"cannot normalize: trace = {tr[bad][0]!r}")
     # hermiticity and positivity are re-checked by the constructor and
     # surface as NotHermitianError / NotPSDError from here
-    return DensityOperator(dim_a, dim_b, m / tr), float(tr)
+    return DensityOperator(dim_a, dim_b, m / tr[..., None, None]), tr
 
 
 # ---------------------------------------------------------------------------

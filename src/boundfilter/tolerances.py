@@ -8,6 +8,9 @@ place.
 # max absolute deviation from A == A.conj().T accepted on "Hermitian" input
 TOL_HERM = 1e-9
 
+# max absolute deviation of a density matrix's trace from 1
+TOL_TRACE = 1e-9
+
 # eigenpair residual guarantee, per column: |H v - w v| (spectral norm scale)
 TOL_RESID = 1e-8
 

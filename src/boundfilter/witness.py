@@ -3,12 +3,21 @@
 Three maps are available: two qutrit Choi-type maps (positive, not
 completely positive, so applying one to a single side of an entangled state
 can expose a negative eigenvalue even when the partial transpose cannot)
-and the plain transpose as baseline.  One-sided application expands the
-acted-on side in matrix units E_kl and maps each unit, leaving the other
-side untouched.
+and the plain transpose as baseline.  choi_phi / choi_psi define the maps.
+
+Every map is applied through its superoperator: the d^2 x d^2 matrix S with
+vec(map(X)) = S vec(X), vec flattening row by row, whose column k * d + l
+is the image of the matrix unit E_kl (the Choi-Jamiolkowski picture).  It
+is built once per (kind, d).  One-sided application of a map to a
+bipartite state (or a stack of them) regroups the density matrix so the
+acted-on side's (row, column) pair forms one axis, multiplies by S on that
+axis, and undoes the regrouping.  Each output entry of a Choi map is a sum
+of at most two exactly halved input entries, so it is correctly rounded
+whatever order the matrix product adds in.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +80,7 @@ def choi_psi(a: np.ndarray) -> np.ndarray:
 
 
 def _transpose_map(a: np.ndarray) -> np.ndarray:
-    # copy: .T alone is a view, and apply_witness mutates its input workspace
-    return np.asarray(a).T.copy()
+    return np.asarray(a).T
 
 
 _MAP_FUNCS = {
@@ -138,11 +146,41 @@ def witness_for_state(kind: WitnessKind, side: Side, rho: DensityOperator) -> Wi
     return Witness(kind=kind, side=side, local_dim=dim)
 
 
+@functools.cache
+def superoperator(kind: WitnessKind, d: int) -> np.ndarray:
+    """The d^2 x d^2 matrix of the map on d x d matrices (read-only, cached).
+
+    Column k * d + l is the row-major flattening of the image of E_kl.
+    """
+    mapf = _MAP_FUNCS[kind]
+    s = np.empty((d * d, d * d), dtype=np.complex128)
+    for k in range(d * d):
+        unit = np.zeros(d * d, dtype=np.complex128)
+        unit[k] = 1.0
+        s[:, k] = mapf(unit.reshape(d, d)).reshape(-1)
+    s.setflags(write=False)
+    return s
+
+
+def _regroup(m: np.ndarray, d1: int, d2: int, e1: int, e2: int) -> np.ndarray:
+    """View each matrix of m with axes (d1, d2, e1, e2), swap the middle two
+    and merge to (d1 * e1, d2 * e2).
+
+    With (da, db, da, db) this regroups a bipartite matrix from rows (i, k)
+    and columns (j, l) to rows (i, j) and columns (k, l), i, j on side A and
+    k, l on side B; (da, da, db, db) undoes it.
+    """
+    lead = m.shape[:-2]
+    r = np.swapaxes(m.reshape(lead + (d1, d2, e1, e2)), -3, -2)
+    return r.reshape(lead + (d1 * e1, d2 * e2))
+
+
 def apply_witness(w: Witness, rho: DensityOperator) -> np.ndarray:
     """The matrix (map x id) rho or (id x map) rho, depending on side.
 
-    Not a state in general: the interesting case is exactly when it has a
-    negative eigenvalue.
+    rho may hold a stack of states; the result then has one matrix per
+    state.  Not a state in general: the interesting case is exactly when it
+    has a negative eigenvalue.
     """
     da, db = rho.dim_a, rho.dim_b
     target = da if w.side is Side.A else db
@@ -151,31 +189,11 @@ def apply_witness(w: Witness, rho: DensityOperator) -> np.ndarray:
             f"witness expects local dim {w.local_dim} on side "
             f"{w.side.value}, state has {target}"
         )
-    mapf = _MAP_FUNCS[w.kind]
-    n = da * db
-    out = np.zeros((n, n), dtype=np.complex128)
-    if w.side is Side.A:
-        # rho = sum_ij E_ij x block_ij with block_ij the (i, j) tile
-        unit = np.zeros((da, da), dtype=np.complex128)
-        for i in range(da):
-            for j in range(da):
-                unit[i, j] = 1.0
-                mapped = mapf(unit)
-                unit[i, j] = 0.0
-                block = rho.mat[i * db : (i + 1) * db, j * db : (j + 1) * db]
-                out += np.kron(mapped, block)
-    else:
-        # rho = sum_kl A_kl x E_kl with A_kl the side-A matrix seen through
-        # the (k, l) entries of each tile
-        unit = np.zeros((db, db), dtype=np.complex128)
-        for k in range(db):
-            for l in range(db):
-                unit[k, l] = 1.0
-                mapped = mapf(unit)
-                unit[k, l] = 0.0
-                a_kl = rho.mat[k::db, l::db]
-                out += np.kron(a_kl, mapped)
-    return out
+    s = superoperator(w.kind, w.local_dim)
+    # rows index side A's (i, j) pair, columns side B's (k, l) pair
+    r = _regroup(rho.mat, da, db, da, db)
+    r = s @ r if w.side is Side.A else r @ s.T
+    return _regroup(r, da, da, db, db)
 
 
 @dataclass(frozen=True)
@@ -214,7 +232,7 @@ def detect(
     tol_neg: float = TOL_NEG,
 ) -> DetectionReport:
     """Apply the witness and report whether the result dips below -tol_neg."""
-    wmin = linalg.min_eigenvalue(apply_witness(w, rho))
+    wmin = float(linalg.min_eigenvalue(apply_witness(w, rho)))
     return DetectionReport(
         state_label=state_label,
         kind=w.kind,

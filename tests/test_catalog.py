@@ -60,6 +60,26 @@ def test_rho_xt_param_guards():
         catalog.rho_xt(float("nan"), 0.05)
 
 
+def test_rho_xt_stack_matches_points():
+    xs = np.linspace(0.0, 1.0, 7)
+    for t in (0.05, np.full(7, 0.5)):
+        stack = catalog.rho_xt(xs, t)
+        assert stack.mat.shape == (7, 9, 9)
+        ts = np.broadcast_to(t, xs.shape)
+        for k in range(xs.size):
+            one = catalog.rho_xt(float(xs[k]), float(ts[k]))
+            assert np.array_equal(stack.mat[k], one.mat)
+
+
+def test_rho_xt_stack_guards_name_first_bad_value():
+    with pytest.raises(BadParamError, match=r"got 1\.5$"):
+        catalog.rho_xt(np.array([0.2, 1.5, 2.5]), 0.05)
+    with pytest.raises(BadParamError, match=r"got -2\.0$"):
+        catalog.rho_xt(0.5, np.array([1.0, -2.0, 0.0]))
+    with pytest.raises(NotPSDError):
+        catalog.rho_xt(np.array([0.5, 0.75]), 2.0)
+
+
 def test_rho_xt_positivity_boundary():
     # x^2 <= 1/t is the binding constraint for t > 1
     catalog.rho_xt(0.7, 2.0)

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from boundfilter import catalog
+from boundfilter import catalog, linalg
 from boundfilter.cli import main
+from boundfilter.errors import BoundFilterError
 from boundfilter.filters import apply_filter, filter_to_json_dict
-from boundfilter.states import state_from_json_dict, state_to_json_dict
+from boundfilter.formats import fmt_num
+from boundfilter.states import is_ppt, state_from_json_dict, state_to_json_dict
+from boundfilter.witness import Witness, apply_witness, parse_witness_spec
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +94,77 @@ def test_scan_bad_witness_spec(capsys):
     assert "<kind>:<side>" in err
 
 
+def per_point_scan(t, x_min, x_max, steps, spec, filt_label):
+    """scan's CSV built one DensityOperator at a time; stops at the first
+    invalid point and returns (csv text, that point's error message)."""
+    kind, side = parse_witness_spec(spec)
+    w = Witness(kind, side, 3)
+    filt = filt_label and catalog.resolve_filter(filt_label)
+    text = "x,min_eig_unfiltered,"
+    text += "min_eig_filtered,ppt\n" if filt else "ppt\n"
+    for x in np.linspace(x_min, x_max, steps):
+        try:
+            rho = catalog.rho_xt(float(x), t)
+            wmin = linalg.min_eigenvalue(apply_witness(w, rho))
+            cols = [fmt_num(x), fmt_num(wmin)]
+            if filt:
+                filtered, _ = apply_filter(filt, rho)
+                wmin = linalg.min_eigenvalue(apply_witness(w, filtered))
+                cols.append(fmt_num(wmin))
+            cols.append("true" if is_ppt(rho) else "false")
+        except BoundFilterError as e:
+            return text, str(e)
+        text += ",".join(cols) + "\n"
+    return text, None
+
+
+@pytest.mark.parametrize("filt", [None, "choi-example", "upb-rotation"])
+@pytest.mark.parametrize(
+    "spec",
+    [f"{k}:{s}" for k in ("choi-phi", "choi-psi", "transpose") for s in "AB"],
+)
+def test_scan_blocks_match_per_point_reference(capsys, spec, filt):
+    # 130 points: two full blocks and a partial third
+    argv = [
+        "scan", "--t", "0.2", "--x-min", "0.02", "--x-max", "0.98",
+        "--steps", "130", "--witness", spec,
+    ]
+    if filt:
+        argv += ["--filter", filt]
+    code, out, err = run_cli(capsys, *argv)
+    ref, ref_err = per_point_scan(0.2, 0.02, 0.98, 130, spec, filt)
+    assert ref_err is None
+    assert (code, err) == (0, "")
+    assert out == ref
+
+
+def test_scan_error_keeps_rows_before_first_invalid_point(capsys):
+    # at t = 2 positivity needs x^2 <= 1/2: grid point 144 (x = 0.709...)
+    # is the first outside, in the middle of the third block
+    code, out, err = run_cli(
+        capsys,
+        "scan",
+        "--t", "2.0",
+        "--x-min", "0.0",
+        "--x-max", "0.98",
+        "--steps", "200",
+        "--witness", "choi-phi:A",
+        "--filter", "choi-example",
+    )
+    ref, ref_err = per_point_scan(
+        2.0, 0.0, 0.98, 200, "choi-phi:A", "choi-example"
+    )
+    assert code == 2
+    assert out == ref
+    rows = out.split("\n")[1:-1]
+    assert len(rows) == 144
+    assert rows[-1].startswith("0.704221105527638,")
+    assert err == (
+        "error: positivity invariant failed: min eigenvalue = -1.424182e-04\n"
+    )
+    assert err == f"error: {ref_err}\n"
+
+
 # ---------------------------------------------------------------------------
 # detect
 # ---------------------------------------------------------------------------
@@ -172,6 +246,25 @@ def test_detect_errors(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "detect", str(bad), "choi-phi:A")
     assert code == 2 and "line 1" in err
+
+
+@pytest.mark.parametrize("which", ["state", "filter"])
+def test_non_finite_json_input_exits_2(capsys, tmp_path, which):
+    state = state_to_json_dict(catalog.rho_xt(0.63, 0.05))
+    filt = filter_to_json_dict(catalog.choi_example_filter())
+    target = state["matrix"] if which == "state" else filt["L"]
+    target[1][1][0] = float("nan")
+    state_path = tmp_path / "state.json"
+    filt_path = tmp_path / "filter.json"
+    state_path.write_text(json.dumps(state))  # writes the NaN literal
+    filt_path.write_text(json.dumps(filt))
+    assert "NaN" in (state_path if which == "state" else filt_path).read_text()
+    code, out, err = run_cli(
+        capsys,
+        "detect", str(state_path), "choi-phi:A", "--filter", str(filt_path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "NaN or infinite" in err
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from boundfilter import catalog, filters, linalg
 from boundfilter.errors import (
+    BadParamError,
     DimensionMismatchError,
     NonSquareError,
     ParseError,
@@ -44,6 +45,35 @@ def test_make_filter_rejects_singular_factor():
         filters.make_filter(np.diag([1.0, 0.0, 1.0]), np.eye(3))
     with pytest.raises(SingularFilterError):
         filters.make_filter(np.eye(2), np.zeros((2, 2)))
+
+
+def test_make_filter_rejects_exactly_rank_two_factors():
+    # third row = first + second in small integers, so the factor is exactly
+    # singular; a singular value resolved only to ~1e-8 (the Gram-matrix
+    # route to the SVD) let about half of these through as invertible
+    rng = np.random.default_rng(2024)
+    accepted = 0
+    for _ in range(200):
+        r = rng.integers(-4, 5, size=(2, 3)) + 1j * rng.integers(
+            -4, 5, size=(2, 3)
+        )
+        factor = np.vstack([r, r[0] + r[1]])
+        try:
+            filters.make_filter(factor, np.eye(3))
+            accepted += 1
+        except SingularFilterError:
+            pass
+    assert accepted == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_filter_rejects_non_finite(bad):
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(BadParamError, match="factor M"):
+        filters.make_filter(np.eye(3), m)
+    with pytest.raises(BadParamError, match="factor L"):
+        filters.make_filter(m, np.eye(3))
 
 
 def test_make_filter_rejects_nonsquare():
@@ -215,6 +245,23 @@ def test_filter_json_rejects_nonsquare():
         filters.filter_from_json_dict(
             {"L": [[[1.0, 0.0], [0.0, 0.0]]], "M": [[[1.0, 0.0]]]}
         )
+
+
+def test_filter_json_rejects_non_finite():
+    obj = filters.filter_to_json_dict(catalog.choi_example_filter())
+    obj["M"][0][2][1] = float("inf")
+    with pytest.raises(ParseError, match="filter M row 0 col 2"):
+        filters.filter_from_json_dict(obj)
+
+
+def test_apply_filter_on_a_stack():
+    f = catalog.choi_example_filter()
+    xs = np.array([0.3, 0.63, 0.9])
+    filtered, yields = filters.apply_filter(f, catalog.rho_xt(xs, 0.05))
+    assert filtered.mat.shape == (3, 9, 9) and yields.shape == (3,)
+    for k, x in enumerate(xs):
+        one, y = filters.apply_filter(f, catalog.rho_xt(float(x), 0.05))
+        assert np.array_equal(filtered.mat[k], one.mat) and yields[k] == y
 
 
 def test_filter_json_rejects_singular():

@@ -68,6 +68,48 @@ def test_density_operator_rejects_negative():
         states.DensityOperator(2, 2, m)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_operator_rejects_non_finite(bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[2, 2] = bad
+    with pytest.raises(InvariantViolationError, match="finiteness"):
+        states.DensityOperator(2, 2, m)
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 3] = m[3, 0] = complex(0, bad)
+    with pytest.raises(InvariantViolationError, match="finiteness"):
+        states.DensityOperator(2, 2, m)
+
+
+def test_density_operator_stack():
+    rng = np.random.default_rng(25)
+    mats = np.stack([random_density_mat(rng, 6) for _ in range(4)])
+    rho = states.DensityOperator(2, 3, mats)
+    assert rho.mat.shape == (4, 6, 6) and rho.dims == (2, 3)
+    assert not rho.mat.flags.writeable
+    verdict = states.is_ppt(rho)
+    for k in range(4):
+        one = states.is_ppt(states.DensityOperator(2, 3, mats[k]))
+        assert verdict.min_eigenvalue[k] == one.min_eigenvalue
+        assert verdict.ppt[k] == one.ppt
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.diag([0.75, 0.75, -0.25, -0.25]), NotPSDError),
+        (np.eye(4) / 2, InvariantViolationError),
+        (np.eye(4) / 4 + 0.1 * np.eye(4, k=1), NotHermitianError),
+    ],
+)
+def test_density_operator_stack_reports_like_a_lone_matrix(bad, error):
+    with pytest.raises(error) as lone:
+        states.DensityOperator(2, 2, bad)
+    stack = np.stack([np.eye(4) / 4, bad, np.eye(4) / 4, bad])
+    with pytest.raises(error) as stacked:
+        states.DensityOperator(2, 2, stack)
+    assert str(stacked.value) == str(lone.value)
+
+
 def test_pure_state_validation():
     psi = states.pure([1, 0, 0, 0], 2, 2)
     assert psi.dims == (2, 2)
@@ -213,6 +255,15 @@ def test_normalize_unscaled_family_weight():
     assert np.abs(rho.mat - catalog.rho_xt(x, t).mat).max() < 1e-14
 
 
+def test_normalize_stack_weights():
+    mats = np.stack([2 * np.eye(4) / 4, 3 * bell_mat()])
+    rho, weights = states.normalize(mats, 2, 2)
+    assert np.allclose(weights, [2.0, 3.0])
+    assert np.abs(rho.mat[1] - bell_mat()).max() < 1e-15
+    with pytest.raises(ZeroTraceError):
+        states.normalize(np.stack([np.eye(4), np.zeros((4, 4))]), 2, 2)
+
+
 def test_normalize_rejects_zero_trace():
     with pytest.raises(ZeroTraceError):
         states.normalize(np.zeros((4, 4)), 2, 2)
@@ -279,6 +330,13 @@ def test_state_json_rejects_dim_mismatch():
     obj = states.state_to_json_dict(catalog.bell_state())
     obj["dimB"] = 3
     with pytest.raises(ParseError):
+        states.state_from_json_dict(obj)
+
+
+def test_state_json_rejects_non_finite():
+    obj = states.state_to_json_dict(catalog.bell_state())
+    obj["matrix"][3][0][0] = float("nan")
+    with pytest.raises(ParseError, match="row 3 col 0"):
         states.state_from_json_dict(obj)
 
 

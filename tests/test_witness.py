@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boundfilter import catalog, linalg, witness
 from boundfilter.errors import (
@@ -14,6 +16,7 @@ from boundfilter.witness import Side, Witness, WitnessKind
 from .oracles import (
     one_sided_phi_loops,
     one_sided_psi_loops,
+    pt_b_loops,
     random_density_mat,
     random_herm,
     random_psd,
@@ -137,6 +140,52 @@ def test_one_sided_choi_matches_kraus_oracle():
             out = witness.apply_witness(Witness(kind, side, 3), rho)
             ref = oracle(m, side.value, 3)
             assert np.abs(out - ref).max() < 1e-13
+
+
+def kraus_oracle(kind, side, m, da, db):
+    other = db if side is Side.A else da
+    if kind is WitnessKind.CHOI_PHI:
+        return one_sided_phi_loops(m, side.value, other)
+    if kind is WitnessKind.CHOI_PSI:
+        return one_sided_psi_loops(m, side.value, other)
+    # the full transpose is the product of the two partial transposes
+    pt_b = pt_b_loops(m, da, db)
+    return pt_b if side is Side.B else pt_b.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 5),
+    other=st.integers(2, 3),
+    kind=st.sampled_from(list(WitnessKind)),
+    side=st.sampled_from(list(Side)),
+)
+def test_stacked_apply_witness_matches_kraus_oracle(
+    seed, count, other, kind, side
+):
+    rng = np.random.default_rng(seed)
+    da, db = (3, other) if side is Side.A else (other, 3)
+    mats = np.stack([random_density_mat(rng, da * db) for _ in range(count)])
+    out = witness.apply_witness(
+        Witness(kind, side, 3), DensityOperator(da, db, mats)
+    )
+    assert out.shape == mats.shape
+    for m, got in zip(mats, out):
+        assert np.abs(got - kraus_oracle(kind, side, m, da, db)).max() < 1e-13
+
+
+def test_superoperator_columns_are_mapped_units():
+    for kind in WitnessKind:
+        s = witness.superoperator(kind, 3)
+        assert s is witness.superoperator(kind, 3)
+        assert not s.flags.writeable
+        for k in range(3):
+            for l in range(3):
+                unit = np.zeros((3, 3))
+                unit[k, l] = 1.0
+                mapped = witness._MAP_FUNCS[kind](unit)
+                assert np.array_equal(s[:, 3 * k + l], mapped.reshape(-1))
 
 
 def test_apply_witness_preserves_trace():
