@@ -1,230 +1,96 @@
-"""Hot numerical loops: JIT-compiled when numba is available, with pure
-numpy fallbacks selected by the environment flag BF_DISABLE_NUMBA=1.
+"""The shot lottery of the Monte-Carlo protocol simulator.
 
-Two kernels live here.
+Randomness comes from one counter-addressed splitmix64 stream: draw n of a
+run is mix64(seed + (n + 1) * GAMMA) mod 2^64, and shot i consumes draws
+4i .. 4i + 3, so the four uniforms of any shot depend only on (seed, shot
+index).  Runs are reproducible and the accept count over [0, N) equals the
+sum over any partition of the index range.  `uniform_block` materializes
+the stream as uniforms and is the reference the lottery is tested against.
 
-* A cyclic Jacobi eigensolver for complex Hermitian matrices.  The rotation
-  annihilating the (p, q) entry carries the phase of a[p, q], so the iterate
-  stays exactly Hermitian and eigenvalues accumulate on the real diagonal.
-  Convergence is quadratic in the off-diagonal Frobenius norm; output is
-  sorted ascending.  The numpy fallback for this one is LAPACK via
-  np.linalg.eigh (transcribing the sweep into interpreted Python would be
-  pointlessly slow, and the contract is on residuals, not on the algorithm).
-
-* The shot lottery for the Monte-Carlo protocol simulator, driven by a
-  counter-addressed splitmix64 stream: draw n of a run is
-  mix64(seed + (n + 1) * GAMMA) mod 2^64, so the four uniforms of any shot
-  depend only on (seed, shot index).  Runs are reproducible and the accept
-  count over [0, N) equals the sum over any partition of the index range.
-  The numpy fallback performs the same 64-bit integer arithmetic on arrays
-  and is bit-identical to the JIT path.
+The lottery walks the shots in blocks of LOTTERY_BLOCK, so its memory is
+bounded by the block size at any shot count.  Within a block it computes
+draw k only for the shots that passed draws 1 .. k-1.  Each draw is decided
+on the raw 64-bit word: with u = (z >> 11) * 2^-53, u < p holds exactly when
+z < ceil(p * 2^53) << 11, because p * 2^53 is exact in binary64 for p < 1.
+A probability of 1 or more passes every shot and is skipped; one that is
+zero, negative or NaN passes none.
 """
 
-import os
+import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def numba_enabled() -> bool:
-    """True when the JIT kernels should be used for this call."""
-    if not HAVE_NUMBA:
-        return False
-    return os.environ.get("BF_DISABLE_NUMBA", "0").strip() in ("", "0")
-
-
-# ---------------------------------------------------------------------------
-# Jacobi eigensolver
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def jacobi_eigh(h):
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi.
-
-    Returns (w, v) with w real ascending and v unitary, h @ v = v @ diag(w).
-    Input must already be (numerically) Hermitian; the caller symmetrizes.
-    """
-    n = h.shape[0]
-    a = h.copy()
-    v = np.eye(n, dtype=np.complex128)
-    fro = 0.0
-    for i in range(n):
-        for j in range(n):
-            fro += abs(a[i, j]) ** 2
-    fro = np.sqrt(fro)
-    if fro > 0.0:
-        for _ in range(60):
-            off = 0.0
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        off += abs(a[i, j]) ** 2
-            if np.sqrt(off) <= 1e-14 * fro:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    alpha = abs(apq)
-                    if alpha <= 1e-300:
-                        continue
-                    # factor out the phase of a[p,q]; the remaining 2x2
-                    # problem is real symmetric and the classic tangent
-                    # formula applies
-                    ph = apq / alpha
-                    app = a[p, p].real
-                    aqq = a[q, q].real
-                    tau = (aqq - app) / (2.0 * alpha)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                    c = 1.0 / np.sqrt(1.0 + t * t)
-                    s = t * c
-                    phc = np.conj(ph)
-                    for k in range(n):
-                        akp = a[k, p]
-                        akq = a[k, q]
-                        a[k, p] = c * akp - s * phc * akq
-                        a[k, q] = s * akp + c * phc * akq
-                    for k in range(n):
-                        apk = a[p, k]
-                        aqk = a[q, k]
-                        a[p, k] = c * apk - s * ph * aqk
-                        a[q, k] = s * apk + c * ph * aqk
-                    for k in range(n):
-                        vkp = v[k, p]
-                        vkq = v[k, q]
-                        v[k, p] = c * vkp - s * phc * vkq
-                        v[k, q] = s * vkp + c * phc * vkq
-    w = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        w[i] = a[i, i].real
-    # selection sort ascending, permuting eigenvector columns alongside
-    for i in range(n - 1):
-        m = i
-        for j in range(i + 1, n):
-            if w[j] < w[m]:
-                m = j
-        if m != i:
-            tmp = w[i]
-            w[i] = w[m]
-            w[m] = tmp
-            for k in range(n):
-                tv = v[k, i]
-                v[k, i] = v[k, m]
-                v[k, m] = tv
-    return w, v
-
-
-# ---------------------------------------------------------------------------
-# splitmix64 shot lottery
-# ---------------------------------------------------------------------------
-
 MASK64 = (1 << 64) - 1
 GENERATOR_NAME = "splitmix64"
+LOTTERY_BLOCK = 1 << 16
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_GAMMA = np.uint64(_GAMMA_INT)
+# one shot advances the stream by four draws
+_SHOT_STRIDE = np.uint64((4 * _GAMMA_INT) & MASK64)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
-_ONE = np.uint64(1)
 _FOUR = np.uint64(4)
 _INV53 = 1.0 / float(1 << 53)
 
 
-@njit(cache=True)
-def _accept_count_jit(seed, start, shots, p1, p2, p3, p4):
-    count = 0
-    for i in range(shots):
-        base = np.uint64(start + i) * _FOUR
-        z = seed + (base + _ONE) * _GAMMA
-        z = (z ^ (z >> _S30)) * _MIX1
-        z = (z ^ (z >> _S27)) * _MIX2
-        z = z ^ (z >> _S31)
-        if (z >> _S11) * _INV53 >= p1:
-            continue
-        z = seed + (base + np.uint64(2)) * _GAMMA
-        z = (z ^ (z >> _S30)) * _MIX1
-        z = (z ^ (z >> _S27)) * _MIX2
-        z = z ^ (z >> _S31)
-        if (z >> _S11) * _INV53 >= p2:
-            continue
-        z = seed + (base + np.uint64(3)) * _GAMMA
-        z = (z ^ (z >> _S30)) * _MIX1
-        z = (z ^ (z >> _S27)) * _MIX2
-        z = z ^ (z >> _S31)
-        if (z >> _S11) * _INV53 >= p3:
-            continue
-        z = seed + (base + _FOUR) * _GAMMA
-        z = (z ^ (z >> _S30)) * _MIX1
-        z = (z ^ (z >> _S27)) * _MIX2
-        z = z ^ (z >> _S31)
-        if (z >> _S11) * _INV53 >= p4:
-            continue
-        count += 1
-    return count
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, applied in place to a uint64 array."""
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
 
 
 def uniform_block(seed: int, start: int, shots: int) -> np.ndarray:
     """The (shots, 4) array of uniforms consumed by shots [start, start+shots).
 
-    Column k holds the k-th conditional draw of each shot.  Pure numpy; used
-    by the fallback lottery and by anything that wants to inspect the stream.
+    Column k holds the k-th conditional draw of each shot.  This is the
+    documented stream; the lottery computes the same words block by block.
     """
     n = np.arange(start, start + shots, dtype=np.uint64)[:, None] * _FOUR
     n = n + np.arange(1, 5, dtype=np.uint64)[None, :]
     z = np.uint64(seed & MASK64) + n * _GAMMA
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    z = z ^ (z >> _S31)
-    return (z >> _S11) * _INV53
-
-
-def _accept_count_numpy(seed, start, shots, probs):
-    u = uniform_block(seed, start, shots)
-    return int(np.all(u < np.asarray(probs)[None, :], axis=1).sum())
+    return (_mix64(z) >> _S11) * _INV53
 
 
 def accept_count(seed: int, probs, shots: int, start: int = 0) -> int:
     """Number of shots in [start, start+shots) that pass all four lotteries.
 
     A shot is accepted iff its k-th uniform is strictly below probs[k] for
-    every k.  Same counts on both kernel paths.
+    every k.
     """
     p = [float(x) for x in probs]
     if len(p) != 4:
         raise ValueError("expected exactly four branch probabilities")
     if shots <= 0:
         return 0
-    if numba_enabled():
-        return int(
-            _accept_count_jit(
-                np.uint64(seed & MASK64), start, shots, p[0], p[1], p[2], p[3]
-            )
+    if not all(pk > 0.0 for pk in p):  # also catches NaN
+        return 0
+    # draw k of shot i hashes 4i * GAMMA + offset_k; a draw with p >= 1
+    # passes every shot and is left out
+    draws = [
+        (
+            np.uint64((seed + (k + 1) * _GAMMA_INT) & MASK64),
+            np.uint64(math.ceil(pk * (1 << 53)) << 11),
         )
-    return _accept_count_numpy(seed, start, shots, p)
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation of both kernels (no-op on the numpy path)."""
-    if numba_enabled():
-        jacobi_eigh(np.eye(2, dtype=np.complex128))
-        _accept_count_jit(np.uint64(1), 0, 1, 0.5, 0.5, 0.5, 0.5)
+        for k, pk in enumerate(p)
+        if pk < 1.0
+    ]
+    count = 0
+    stop = start + shots
+    for lo in range(start, stop, LOTTERY_BLOCK):
+        # 4i * GAMMA mod 2^64 for every shot i still alive in this block
+        base = np.arange(lo, min(lo + LOTTERY_BLOCK, stop), dtype=np.uint64)
+        base *= _SHOT_STRIDE
+        for offset, threshold in draws:
+            z = base + offset
+            base = base[_mix64(z) < threshold]
+        count += base.size
+    return count

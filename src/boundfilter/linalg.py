@@ -3,8 +3,7 @@
 Matrices are plain numpy arrays of complex128.  The Hermitian routines take
 one matrix of shape (n, n) or a stack of shape (N, n, n) and work on each
 matrix of a stack independently, so a stack gives the same numbers, bit for
-bit, as its matrices taken one at a time.  The eigensolver dispatches between
-the JIT Jacobi kernel and LAPACK depending on BF_DISABLE_NUMBA; the SVD is
+bit, as its matrices taken one at a time.  The eigensolver and the SVD are
 LAPACK's, so small singular values are resolved to machine precision and
 rank decisions at TOL_RANK are sound.
 """
@@ -14,11 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NonSquareError, NotHermitianError
-from .kernels import jacobi_eigh, numba_enabled
 from .tolerances import TOL_HERM
-
-# the Jacobi kernel takes one matrix; this maps it over any leading axes
-_jacobi_stack = np.vectorize(jacobi_eigh, signature="(n,n)->(n),(n,n)")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -86,7 +81,7 @@ def eigh(h: np.ndarray, tol_herm: float = TOL_HERM):
     orthonormal with h @ v ~= v @ diag(w).  Raises NotHermitianError when
     the Hermiticity defect of any matrix exceeds tol_herm, naming the first
     such defect; the (sub-tolerance) skew part is discarded by symmetrizing
-    before factorization so both backends see the same input.
+    before factorization.
     """
     h = as_stack(h)
     require_square(h, "eigh argument")
@@ -96,10 +91,7 @@ def eigh(h: np.ndarray, tol_herm: float = TOL_HERM):
         raise NotHermitianError(
             f"matrix is not Hermitian: max |a - a^dag| = {defect[bad][0]:.3e}"
         )
-    hs = 0.5 * (h + adjoint(h))
-    if numba_enabled():
-        return _jacobi_stack(hs)
-    return np.linalg.eigh(hs)
+    return np.linalg.eigh(0.5 * (h + adjoint(h)))
 
 
 def eigvalsh(h: np.ndarray) -> np.ndarray:

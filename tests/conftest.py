@@ -1,19 +1,17 @@
 import pytest
 
-from boundfilter.kernels import warm_up
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the JIT kernels once so timed tests measure work, not numba
-    warm_up()
+from boundfilter import kernels
 
 
 @pytest.fixture(params=["jit", "numpy"])
 def kernel_path(request, monkeypatch):
-    """Run the decorated test on both kernel backends."""
-    if request.param == "numpy":
-        monkeypatch.setenv("BF_DISABLE_NUMBA", "1")
-    else:
-        monkeypatch.delenv("BF_DISABLE_NUMBA", raising=False)
+    """Run the decorated test on both walks of the shot lottery.
+
+    "jit" decides one shot per block, as the former compiled kernel walked
+    the shots one at a time; "numpy" uses the default LOTTERY_BLOCK.  Both
+    must give the same counts.  Tests that never reach the lottery run the
+    same code under both ids.
+    """
+    if request.param == "jit":
+        monkeypatch.setattr(kernels, "LOTTERY_BLOCK", 1)
     return request.param

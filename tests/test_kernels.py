@@ -1,9 +1,29 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boundfilter import kernels
 
-from .oracles import uniform_py
+from .oracles import splitmix64_py, uniform_py
+
+# probabilities at the edges of the integer threshold: never, the smallest
+# nonzero uniform, the largest uniform, just above 1 (skipped) and NaN
+EDGE_PROBS = [
+    0.0,
+    2.0**-53,
+    float(np.nextafter(1.0, 0.0)),
+    1.0000000000000002,
+    float("nan"),
+]
+
+
+def block_count(seed, probs, shots, start=0):
+    """The accept count read off the materialized stream."""
+    u = kernels.uniform_block(seed, start, shots)
+    return int(np.all(u < np.asarray(probs)[None, :], axis=1).sum())
 
 
 def test_uniform_block_matches_pure_python():
@@ -28,29 +48,6 @@ def test_uniforms_in_unit_interval():
         assert u.max() < 1.0
 
 
-def test_accept_count_paths_bit_identical():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        seed = int(rng.integers(0, 2**63))
-        probs = rng.uniform(0.05, 1.0, size=4)
-        shots = int(rng.integers(1, 3000))
-        jit = kernels._accept_count_jit(
-            np.uint64(seed), 0, shots, *map(float, probs)
-        )
-        fallback = kernels._accept_count_numpy(seed, 0, shots, probs)
-        assert int(jit) == fallback
-
-
-def test_accept_count_dispatch_honors_flag(monkeypatch):
-    probs = [0.3, 0.9, 0.8, 0.7]
-    monkeypatch.delenv("BF_DISABLE_NUMBA", raising=False)
-    a = kernels.accept_count(123, probs, 5000)
-    monkeypatch.setenv("BF_DISABLE_NUMBA", "1")
-    assert not kernels.numba_enabled()
-    b = kernels.accept_count(123, probs, 5000)
-    assert a == b
-
-
 def test_accept_count_partition_invariant():
     seed, probs = 2024, [0.5, 0.6, 0.7, 0.8]
     total = kernels.accept_count(seed, probs, 10_000)
@@ -64,13 +61,76 @@ def test_accept_count_extremes():
     assert kernels.accept_count(9, [1.0, 1.0, 1.0, 1.0], 500) == 500
     assert kernels.accept_count(9, [1.0, 0.0, 1.0, 1.0], 500) == 0
     assert kernels.accept_count(9, [0.5] * 4, 0) == 0
+    top, above_one, nan = EDGE_PROBS[2], EDGE_PROBS[3], EDGE_PROBS[4]
+    assert kernels.accept_count(9, [above_one] * 4, 500) == 500
+    assert kernels.accept_count(9, [top] * 4, 500) == 500
+    assert kernels.accept_count(9, [0.5, nan, 0.5, 0.5], 500) == 0
+    assert kernels.accept_count(9, [0.5, 0.5, 0.5, 0.0], 500) == 0
+    for p in EDGE_PROBS + [0.995]:
+        probs = [0.8, p, 0.9, 0.7]
+        got = kernels.accept_count(9, probs, 5000)
+        assert got == block_count(9, probs, 5000)
+    # a probability equal to a drawn uniform rejects that shot and the next
+    # double up accepts it; a word whose low 11 bits are zero lands exactly
+    # on the integer threshold
+    shots = 3000
+    u = kernels.uniform_block(9, 0, shots)
+    on_threshold = [
+        j for j in range(shots) if splitmix64_py(9, 4 * j + 2) & 0x7FF == 0
+    ]
+    assert on_threshold
+    for j in [0, 17, shots - 1] + on_threshold:
+        at = [1.0, 1.0, float(u[j, 2]), 1.0]
+        above = [1.0, 1.0, float(np.nextafter(u[j, 2], 1.0)), 1.0]
+        below = block_count(9, at, shots)
+        assert kernels.accept_count(9, at, shots) == below
+        assert kernels.accept_count(9, above, shots) == below + 1
+    # independent recount straight from the pure-python splitmix64
+    probs = [top, 0.55, above_one, 0.8]
+    expected = sum(
+        all(uniform_py(4242, 4 * shot + k) < probs[k] for k in range(4))
+        for shot in range(300)
+    )
+    assert kernels.accept_count(4242, probs, 300) == expected
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, (1 << 64) - 1),
+    start=st.integers(0, 1 << 63),
+    shots=st.integers(0, 300),
+    probs=st.lists(
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_PROBS)),
+        min_size=4,
+        max_size=4,
+    ),
+)
+def test_accept_count_blocks_match_uniform_block(
+    block, seed, start, shots, probs
+):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "LOTTERY_BLOCK", block)
+        got = kernels.accept_count(seed, probs, shots, start=start)
+    assert got == block_count(seed, probs, shots, start)
+
+
+def test_accept_count_memory_is_bounded_by_the_block():
+    # 10^6 shots materialized as a (shots, 4) stream would take > 100 MiB;
+    # the lottery's working set is a few arrays of one block
+    tracemalloc.start()
+    try:
+        kernels.accept_count(5, [0.9, 0.95, 0.99, 0.999], shots=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_accept_count_matches_uniform_block():
     seed, shots = 55, 2000
     probs = np.array([0.4, 0.9, 0.65, 0.85])
-    u = kernels.uniform_block(seed, 0, shots)
-    expected = int(np.all(u < probs[None, :], axis=1).sum())
+    expected = block_count(seed, probs, shots)
     assert kernels.accept_count(seed, probs, shots) == expected
 
 
@@ -84,17 +144,3 @@ def test_seed_wraps_modulo_64_bits():
     a = kernels.accept_count(123, probs, 1000)
     b = kernels.accept_count(123 + (1 << 64), probs, 1000)
     assert a == b
-
-
-def test_jacobi_eigh_direct():
-    rng = np.random.default_rng(3)
-    g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-    h = (g + g.conj().T) / 2
-    w, v = kernels.jacobi_eigh(h)
-    assert np.abs(np.sort(w) - w).max() == 0.0
-    assert np.abs(h @ v - v @ np.diag(w)).max() < 1e-12
-    assert np.abs(v.conj().T @ v - np.eye(9)).max() < 1e-12
-
-
-def test_warm_up_runs():
-    kernels.warm_up()

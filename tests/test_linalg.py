@@ -89,20 +89,6 @@ def test_eigh_checks_each_matrix_of_a_stack():
         linalg.eigh(np.zeros((2, 2, 2, 2)))
 
 
-def test_eigh_jacobi_branch_maps_over_stacks(monkeypatch):
-    # the JIT branch runs the one-matrix Jacobi kernel on every matrix (it
-    # runs interpreted when numba is absent, so keep the sizes small)
-    rng = np.random.default_rng(16)
-    stack = np.stack([random_herm(rng, 3) for _ in range(4)])
-    ref_w, _ = linalg.eigh(stack)
-    monkeypatch.setattr(linalg, "numba_enabled", lambda: True)
-    w, v = linalg.eigh(stack)
-    assert w.shape == (4, 3) and v.shape == (4, 3, 3)
-    assert np.abs(w - ref_w).max() < 1e-12
-    assert np.abs(stack @ v - v * w[:, None, :]).max() < 1e-12
-    assert np.abs(linalg.eigh(stack[1])[0] - ref_w[1]).max() < 1e-12
-
-
 def test_svd_identity(kernel_path):
     res = linalg.svd(np.eye(4))
     assert np.allclose(res.d, 1.0, atol=1e-14)

@@ -185,9 +185,9 @@ def test_witness_after_protocol_without_accepts():
 
 
 def test_kernel_paths_agree(kernel_path):
-    # fixture flips BF_DISABLE_NUMBA; the count is pinned by an independent
-    # pure-python recount of the counter-addressed stream, so whichever
-    # kernel runs must land on it bit for bit
+    # fixture sets the lottery block; the count is pinned by an independent
+    # pure-python recount of the counter-addressed stream, so either walk
+    # of the shots must land on it bit for bit
     rho = catalog.rho_xt(0.63, 0.05)
     f = catalog.choi_example_filter()
     run = mcsim.run_protocol(f, rho, shots=5000, seed=31337)
