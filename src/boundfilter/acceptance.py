@@ -50,54 +50,88 @@ class CheckResult:
     passed: bool
 
 
-def _random_density(rng, dim_a, dim_b) -> DensityOperator:
-    n = dim_a * dim_b
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = g @ g.conj().T
-    return normalize(m, dim_a, dim_b)[0]
+def _gaussian(rng, n) -> np.ndarray:
+    """Complex Gaussian n x n matrix.
+
+    The n * n real parts are drawn first, then the n * n imaginary parts;
+    one call fills both blocks in that order.
+    """
+    x = rng.standard_normal((2, n, n))
+    return x[0] + 1j * x[1]
 
 
-def _random_pure(rng, dim_a, dim_b, rank=None) -> PureState:
-    """Haar-ish random ket of prescribed Schmidt rank (full rank if None)."""
-    r = rank if rank is not None else min(dim_a, dim_b)
-    ua = _random_unitary(rng, dim_a)
-    ub = _random_unitary(rng, dim_b)
-    coef = np.sort(rng.uniform(0.2, 1.0, size=r))[::-1]
-    coef = coef / np.linalg.norm(coef)
-    amps = np.zeros(dim_a * dim_b, dtype=np.complex128)
-    for i in range(r):
-        amps += coef[i] * np.kron(ua[:, i], ub[:, i])
+def _random_densities(rng, dim_a, dim_b, count) -> DensityOperator:
+    """count random states g g^dag / tr, drawn one after another, as a stack."""
+    g = np.stack([_gaussian(rng, dim_a * dim_b) for _ in range(count)])
+    return normalize(g @ linalg.adjoint(g), dim_a, dim_b)[0]
+
+
+def _unitaries(g) -> np.ndarray:
+    """Haar unitaries from a stack of complex Gaussian matrices (QR with
+    the phases of R's diagonal moved into Q)."""
+    q, r = np.linalg.qr(g)
+    dr = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (dr / np.abs(dr))[..., None, :]
+
+
+def _draw_pure(rng, dim_a, dim_b, rank):
+    """Draws of one random ket of prescribed Schmidt rank.
+
+    Returns the Gaussian seeds of its two local unitaries and its Schmidt
+    coefficients, normalized and zero-padded to min(dim_a, dim_b).
+    """
+    ga = _gaussian(rng, dim_a)
+    gb = _gaussian(rng, dim_b)
+    coef = np.zeros(min(dim_a, dim_b))
+    coef[:rank] = np.sort(rng.uniform(0.2, 1.0, size=rank))[::-1]
+    return ga, gb, coef / np.linalg.norm(coef)
+
+
+def _pure_states(draws, dim_a, dim_b) -> PureState:
+    """The kets sum_i c_i ua[:, i] x ub[:, i] of drawn cases, as one stack."""
+    ua = _unitaries(np.array([a for a, _, _ in draws]))
+    ub = _unitaries(np.array([b for _, b, _ in draws]))
+    coef = np.array([c for _, _, c in draws])
+    amps = np.zeros((len(draws), dim_a * dim_b), dtype=np.complex128)
+    for i in range(coef.shape[1]):
+        # column i of every unitary as a (d, 1) matrix, paired ket by ket
+        cols = linalg.kron(ua[..., i : i + 1], ub[..., i : i + 1])[..., 0]
+        amps += coef[:, i, None] * cols
     return PureState(dim_a, dim_b, amps)
 
 
-def _random_unitary(rng, n) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _random_invertible(rng, n) -> np.ndarray:
+    """Redraw until the smallest singular value (values-only SVD) > 1e-3."""
     while True:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if linalg.svd(g).sigma_min > 1e-3:
+        g = _gaussian(rng, n)
+        if np.linalg.svd(g, compute_uv=False)[-1] > 1e-3:
             return g
 
 
-def _random_separable(rng, dim_a, dim_b, terms=4) -> DensityOperator:
-    n = dim_a * dim_b
-    m = np.zeros((n, n), dtype=np.complex128)
+def _random_separable_parts(rng, dim_a, dim_b, terms=4):
+    """Draws of one random separable state: (weights, A factors, B factors)."""
     weights = rng.uniform(0.2, 1.0, size=terms)
     weights /= weights.sum()
-    for w in weights:
-        ga = rng.standard_normal((dim_a, dim_a)) + 1j * rng.standard_normal(
-            (dim_a, dim_a)
-        )
-        gb = rng.standard_normal((dim_b, dim_b)) + 1j * rng.standard_normal(
-            (dim_b, dim_b)
-        )
-        pa = ga @ ga.conj().T
-        pb = gb @ gb.conj().T
-        m += w * np.kron(pa / np.trace(pa).real, pb / np.trace(pb).real)
+    ga, gb = [], []
+    for _ in range(terms):
+        ga.append(_gaussian(rng, dim_a))
+        gb.append(_gaussian(rng, dim_b))
+    return weights, ga, gb
+
+
+def _separable_states(parts, dim_a, dim_b) -> DensityOperator:
+    """sum_k w_k pa_k / tr x pb_k / tr with p = g g^dag, as one stack."""
+    weights = np.array([w for w, _, _ in parts])
+    ga = np.array([a for _, a, _ in parts])
+    gb = np.array([b for _, _, b in parts])
+    pa = ga @ linalg.adjoint(ga)
+    pb = gb @ linalg.adjoint(gb)
+    pa = pa / np.trace(pa, axis1=-2, axis2=-1).real[..., None, None]
+    pb = pb / np.trace(pb, axis1=-2, axis2=-1).real[..., None, None]
+    n = dim_a * dim_b
+    m = np.zeros((len(parts), n, n), dtype=np.complex128)
+    for k in range(weights.shape[1]):
+        m += weights[:, k, None, None] * linalg.kron(pa[:, k], pb[:, k])
     return normalize(m, dim_a, dim_b)[0]
 
 
@@ -201,22 +235,27 @@ def check_upb(neg_tol: float = TOL_NEG) -> CheckResult:
 
 
 def check_schmidt_invariance() -> CheckResult:
-    """Filtering never changes the Schmidt rank of a pure state."""
+    """Filtering never changes the Schmidt rank of a pure state.
+
+    Each dims group draws its 100 cases first, then ranks them as stacks.
+    """
     rng = np.random.default_rng(20240811)
     bad = 0
     cases = 0
     for da, db in ((2, 2), (3, 3)):
+        ranks, kets, ls, ms = [], [], [], []
         for _ in range(100):
             rank = int(rng.integers(1, min(da, db) + 1))
-            psi = _random_pure(rng, da, db, rank=rank)
-            f = make_filter(
-                _random_invertible(rng, da), _random_invertible(rng, db)
-            )
-            before = schmidt_rank(psi)
-            after = schmidt_rank(filtered_pure(f, psi))
-            cases += 1
-            if before != rank or after != before:
-                bad += 1
+            ranks.append(rank)
+            kets.append(_draw_pure(rng, da, db, rank))
+            ls.append(_random_invertible(rng, da))
+            ms.append(_random_invertible(rng, db))
+        psi = _pure_states(kets, da, db)
+        f = make_filter(np.array(ls), np.array(ms))
+        before = schmidt_rank(psi)
+        after = schmidt_rank(filtered_pure(f, psi))
+        cases += len(ranks)
+        bad += int(np.count_nonzero((before != ranks) | (after != before)))
     return CheckResult(
         name="schmidt-invariance",
         expected="rank preserved in 200/200 filtered pure states",
@@ -227,28 +266,33 @@ def check_schmidt_invariance() -> CheckResult:
 
 def check_ppt_invariance() -> CheckResult:
     """Filtering preserves PPT, and the partial transpose of the filtered
-    state equals the conjugated-filter sandwich of the partial transpose."""
+    state equals the conjugated-filter sandwich of the partial transpose.
+
+    The 100 cases (a separable mixture and a filter each) are drawn first
+    and evaluated as stacks.  A case whose input is not PPT counts as one
+    bad case and nothing else; its filter is drawn all the same.
+    """
     rng = np.random.default_rng(20240812)
-    bad = 0
-    worst = 0.0
+    parts, ls, ms = [], [], []
     for _ in range(100):
-        rho = _random_separable(rng, 3, 3)
-        if not is_ppt(rho):
-            bad += 1
-            continue
-        f = make_filter(
-            _random_invertible(rng, 3), _random_invertible(rng, 3)
-        )
-        filtered, weight = apply_filter(f, rho)
-        if not is_ppt(filtered):
-            bad += 1
-        lhs = partial_transpose_b(filtered) * weight
-        conj = np.kron(f.l, f.m.conj())
-        rhs = linalg.sandwich(conj, partial_transpose_b(rho))
-        dev = float(np.abs(lhs - rhs).max())
-        worst = max(worst, dev)
-        if dev > 1e-10:
-            bad += 1
+        parts.append(_random_separable_parts(rng, 3, 3))
+        ls.append(_random_invertible(rng, 3))
+        ms.append(_random_invertible(rng, 3))
+    rho = _separable_states(parts, 3, 3)
+    f = make_filter(np.array(ls), np.array(ms))
+    ppt_in = is_ppt(rho).ppt
+    filtered, weight = apply_filter(f, rho)
+    ppt_out = is_ppt(filtered).ppt
+    lhs = partial_transpose_b(filtered) * weight[:, None, None]
+    conj = linalg.kron(f.l, f.m.conj())
+    rhs = linalg.sandwich(conj, partial_transpose_b(rho))
+    dev = np.abs(lhs - rhs).max(axis=(1, 2))[ppt_in]
+    bad = int(
+        np.count_nonzero(~ppt_in)
+        + np.count_nonzero(~ppt_out[ppt_in])
+        + np.count_nonzero(dev > 1e-10)
+    )
+    worst = float(dev.max(initial=0.0))
     return CheckResult(
         name="ppt-invariance",
         expected=(
@@ -263,33 +307,31 @@ def check_ppt_invariance() -> CheckResult:
 
 def check_measurement_equivalence() -> CheckResult:
     """Closed-form protocol output equals direct filtering; ancilla
-    postselection block equals the diagonal sandwich."""
+    postselection block equals the diagonal sandwich.
+
+    Each filter's 20 random states are drawn first and run as one stack.
+    """
     rng = np.random.default_rng(20240813)
     worst_state = 0.0
     worst_prob = 0.0
-    cases = []
-    for label, f in catalog.paper_filters().items():
-        cases.append((label, f))
+    cases = list(catalog.paper_filters().items())
     cases.append(("identity", catalog.resolve_filter("identity", (3, 3))))
     bad = 0
     for label, f in cases:
-        da, db = f.dims
-        for _ in range(20):
-            rho = _random_density(rng, da, db)
-            direct, weight = apply_filter(f, rho)
-            via_protocol, prob = measure.protocol_analytic(f, rho)
-            scale = (f.svd_l.sigma_max * f.svd_m.sigma_max) ** 2
-            dev = float(np.abs(direct.mat - via_protocol.mat).max())
-            pdev = abs(prob - weight / scale)
-            worst_state = max(worst_state, dev)
-            worst_prob = max(worst_prob, pdev)
-            if dev > 1e-10 or pdev > 1e-10:
-                bad += 1
+        rho = _random_densities(rng, *f.dims, 20)
+        direct, weight = apply_filter(f, rho)
+        via_protocol, prob = measure.protocol_analytic(f, rho)
+        scale = (f.svd_l.sigma_max * f.svd_m.sigma_max) ** 2
+        dev = np.abs(direct.mat - via_protocol.mat).max(axis=(1, 2))
+        pdev = np.abs(prob - weight / scale)
+        worst_state = max(worst_state, float(dev.max()))
+        worst_prob = max(worst_prob, float(pdev.max()))
+        bad += int(np.count_nonzero((dev > 1e-10) | (pdev > 1e-10)))
     worst_block = 0.0
     for _ in range(50):
         n = int(rng.integers(2, 5))
         d = rng.uniform(0.05, 1.0, size=n)
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = _gaussian(rng, n)
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         block, _ = measure.postselect_diag(d, rho)
@@ -393,12 +435,12 @@ def check_positive_not_cp(neg_tol: float = TOL_NEG) -> CheckResult:
         negs.append(linalg.min_eigenvalue(apply_witness(w, omega)))
     entangled_seen = all(v < -neg_tol for v in negs)
     rng = np.random.default_rng(20240815)
-    worst = np.inf
+    mapped = []
     for _ in range(200):
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        g = _gaussian(rng, 3)
         psd = g @ g.conj().T
-        for mapf in (choi_phi, choi_psi):
-            worst = min(worst, linalg.min_eigenvalue(mapf(psd)))
+        mapped += [choi_phi(psd), choi_psi(psd)]
+    worst = linalg.min_eigenvalue(np.array(mapped)).min()
     positivity_ok = worst >= -1e-10
     return CheckResult(
         name="positive-not-cp",

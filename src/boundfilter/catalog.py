@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 
+from . import linalg
 from .errors import BadParamError
 from .filters import LocalFilter, identity_filter, make_filter
 from .states import DensityOperator, PureState, pure
@@ -55,11 +56,11 @@ def rho_xt(x, t) -> DensityOperator:
 def tiles_vectors() -> list:
     """The five mutually orthogonal product vectors of the tile construction."""
     vecs = [
-        np.kron([1, 0, 0], [SQ2, -SQ2, 0]),
-        np.kron([0, 0, 1], [0, SQ2, -SQ2]),
-        np.kron([SQ2, -SQ2, 0], [0, 0, 1]),
-        np.kron([0, SQ2, -SQ2], [1, 0, 0]),
-        np.kron(
+        linalg.kron([1, 0, 0], [SQ2, -SQ2, 0]),
+        linalg.kron([0, 0, 1], [0, SQ2, -SQ2]),
+        linalg.kron([SQ2, -SQ2, 0], [0, 0, 1]),
+        linalg.kron([0, SQ2, -SQ2], [1, 0, 0]),
+        linalg.kron(
             [1 / np.sqrt(3)] * 3,
             [1 / np.sqrt(3)] * 3,
         ),

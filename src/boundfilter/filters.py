@@ -4,7 +4,9 @@ A filter maps rho to (L x M) rho (L x M)^dag, renormalized; the trace
 before renormalization is the yield, i.e. the success probability when the
 filter is realized as a local measurement.  Both factors carry their SVD
 from construction since the measurement realization consumes the factors
-U D V directly.
+U D V directly.  A LocalFilter holds one filter or a stack of N filters;
+a stack acts on a stack of N states (or kets) one to one, and on a single
+state as N different filterings of it.
 """
 
 from dataclasses import dataclass
@@ -25,51 +27,77 @@ from .tolerances import TOL_RANK
 
 @dataclass(frozen=True, eq=False)
 class LocalFilter:
-    """An invertible product operation with factors l (side A), m (side B)."""
+    """An invertible product operation with factors l (side A), m (side B).
+
+    l and m have shapes (dA, dA) and (dB, dB) for one filter, or (N, dA, dA)
+    and (N, dB, dB) for a stack; svd_l, svd_m and prod (the Kronecker
+    product L x M) follow the same leading axis.  Build one with
+    make_filter, which validates the factors and forms prod once.
+    """
 
     l: np.ndarray
     m: np.ndarray
     svd_l: linalg.SVDResult
     svd_m: linalg.SVDResult
+    prod: np.ndarray
 
     @property
     def dims(self) -> tuple:
-        return (self.l.shape[0], self.m.shape[0])
+        return (self.l.shape[-1], self.m.shape[-1])
 
     def product(self) -> np.ndarray:
-        return np.kron(self.l, self.m)
+        return self.prod
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 def make_filter(l, m) -> LocalFilter:
     """Validate and package the two local factors.
 
-    Raises BadParamError if a factor has a NaN or infinite entry, and
-    SingularFilterError if either factor has a singular value at or below
+    l and m are single square matrices, or stacks of N each.  Raises
+    BadParamError if a factor has a NaN or infinite entry, and
+    SingularFilterError if a factor has a singular value at or below
     TOL_RANK: filters must be invertible so they never change the
-    entanglement class of the state they act on.
+    entanglement class of the state they act on.  In a stack the first
+    offending factor is named by its index, e.g. L[3].
     """
-    lm = linalg.as_matrix(l)
-    mm = linalg.as_matrix(m)
+    lm = linalg.as_stack(l)
+    mm = linalg.as_stack(m)
     linalg.require_square(lm, "filter factor L")
     linalg.require_square(mm, "filter factor M")
-    for name, factor in (("L", lm), ("M", mm)):
-        if not np.isfinite(factor).all():
+    if lm.shape[:-2] != mm.shape[:-2]:
+        raise DimensionMismatchError(
+            f"filter factors must both be single matrices or stacks of one "
+            f"length, got shapes {lm.shape} and {mm.shape}"
+        )
+
+    def name(side, bad):
+        return f"{side}[{np.flatnonzero(bad)[0]}]" if lm.ndim == 3 else side
+
+    for side, factor in (("L", lm), ("M", mm)):
+        bad = ~np.isfinite(factor).all(axis=(-2, -1))
+        if bad.any():
             raise BadParamError(
-                f"filter factor {name} has NaN or infinite entries"
+                f"filter factor {name(side, bad)} has NaN or infinite entries"
             )
     svd_l = linalg.svd(lm)
     svd_m = linalg.svd(mm)
-    for name, s in (("L", svd_l), ("M", svd_m)):
-        if s.sigma_min <= TOL_RANK:
+    for side, s in (("L", svd_l), ("M", svd_m)):
+        smin = s.sigma_min
+        bad = smin <= TOL_RANK
+        if bad.any():
             raise SingularFilterError(
-                f"filter factor {name} is singular "
-                f"(smallest singular value {s.sigma_min:.3e})"
+                f"filter factor {name(side, bad)} is singular "
+                f"(smallest singular value {np.asarray(smin)[bad][0]:.3e})"
             )
-    lm = lm.copy()
-    mm = mm.copy()
-    lm.setflags(write=False)
-    mm.setflags(write=False)
-    return LocalFilter(l=lm, m=mm, svd_l=svd_l, svd_m=svd_m)
+    lm, mm = _readonly(lm), _readonly(mm)
+    prod = linalg.kron(lm, mm)
+    prod.setflags(write=False)
+    return LocalFilter(l=lm, m=mm, svd_l=svd_l, svd_m=svd_m, prod=prod)
 
 
 def identity_filter(dim_a: int, dim_b: int) -> LocalFilter:
@@ -85,27 +113,48 @@ def compose(outer: LocalFilter, inner: LocalFilter) -> LocalFilter:
     return make_filter(outer.l @ inner.l, outer.m @ inner.m)
 
 
+def check_compatible(f: LocalFilter, state) -> None:
+    """Raise DimensionMismatchError unless f can act on state.
+
+    state is a DensityOperator or a PureState.  The local dims must match,
+    and a stack of filters meets either a single state or a stack of the
+    same length.
+    """
+    if f.dims != state.dims:
+        raise DimensionMismatchError(
+            f"filter dims {f.dims} do not match state dims {state.dims}"
+        )
+    if isinstance(state, PureState):
+        n_states = state.amps.shape[:-1]
+    else:
+        n_states = state.mat.shape[:-2]
+    n_filters = f.l.shape[:-2]
+    if n_filters and n_states and n_filters != n_states:
+        raise DimensionMismatchError(
+            f"a stack of {n_filters[0]} filters cannot act on a stack of "
+            f"{n_states[0]} states"
+        )
+
+
 def apply_filter(f: LocalFilter, rho: DensityOperator):
     """Filter a state; returns (filtered DensityOperator, yield).
 
     yield = tr[(L x M) rho (L x M)^dag], the pre-normalization weight.  A
-    stack of states gives a stack of filtered states and one yield each.
+    stack of states or of filters gives a stack of filtered states and one
+    yield each.
     """
-    if f.dims != rho.dims:
-        raise DimensionMismatchError(
-            f"filter dims {f.dims} do not match state dims {rho.dims}"
-        )
+    check_compatible(f, rho)
     sandwiched = linalg.sandwich(f.product(), rho.mat)
     return normalize(sandwiched, rho.dim_a, rho.dim_b)
 
 
 def filtered_pure(f: LocalFilter, psi: PureState) -> PureState:
-    """Filter a ket and renormalize (invertibility keeps the norm nonzero)."""
-    if f.dims != psi.dims:
-        raise DimensionMismatchError(
-            f"filter dims {f.dims} do not match state dims {psi.dims}"
-        )
-    amps = f.product() @ psi.amps
+    """Filter a ket and renormalize (invertibility keeps the norm nonzero).
+
+    A stack of kets or of filters gives a stack of filtered kets.
+    """
+    check_compatible(f, psi)
+    amps = (f.product() @ psi.amps[..., None])[..., 0]
     return pure(amps, psi.dim_a, psi.dim_b, normalize_input=True)
 
 

@@ -1,11 +1,13 @@
 """Dense complex matrix layer shared by everything above it.
 
-Matrices are plain numpy arrays of complex128.  The Hermitian routines take
-one matrix of shape (n, n) or a stack of shape (N, n, n) and work on each
-matrix of a stack independently, so a stack gives the same numbers, bit for
-bit, as its matrices taken one at a time.  The eigensolver and the SVD are
-LAPACK's, so small singular values are resolved to machine precision and
-rank decisions at TOL_RANK are sound.
+Matrices are plain numpy arrays of complex128.  The Hermitian routines, the
+SVD, kron and sandwich take one matrix of shape (n, n) or a stack of shape
+(N, n, n) and work on each matrix of a stack independently, so a stack gives
+the same numbers, bit for bit, as its matrices taken one at a time.  The
+eigensolvers and the SVD are LAPACK's, so small singular values are resolved
+to machine precision and rank decisions at TOL_RANK are sound.  eigh gives
+the eigenvalues that are printed or compared against a pinned figure;
+eigvalsh is the cheaper values-only solve behind the positivity gates.
 """
 
 from dataclasses import dataclass
@@ -51,27 +53,49 @@ def herm_defect(a: np.ndarray):
     return np.abs(a - adjoint(a)).max(axis=(-2, -1))
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
+def kron(a, b) -> np.ndarray:
+    """Kronecker product of two vectors, or of two matrices.
+
+    Matrices may be stacks: the product is taken over the last two axes and
+    the leading axes broadcast.  The composite row index is
+    i * b.shape[-2] + k.  Each entry is the one product a[i, j] * b[k, l]
+    that np.kron forms, so the result equals np.kron's bit for bit.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == 1 and b.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    if a.ndim < 2 or b.ndim < 2:
         raise DimensionMismatchError(
-            f"cannot multiply shapes {a.shape} and {b.shape}"
+            f"kron needs two vectors or two matrices, got shapes "
+            f"{a.shape} and {b.shape}"
         )
-    return a @ b
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the composite row index is i * b.shape[0] + k."""
-    return np.kron(a, b)
-
-
-def trace(a: np.ndarray) -> complex:
-    require_square(a, "trace argument")
-    return complex(np.trace(a))
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(
+        lead + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+    )
 
 
 def sandwich(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """s @ rho @ s^dag; rho may be a stack."""
-    return s @ rho @ s.conj().T
+    """s @ rho @ s^dag; s and rho may be stacks."""
+    return s @ rho @ adjoint(s)
+
+
+def _hermitian_part(h, tol_herm: float, what: str) -> np.ndarray:
+    """(h + h^dag) / 2 of each matrix, after checking its Hermiticity.
+
+    Raises NotHermitianError, prefixed by `what`, for the first matrix whose
+    defect exceeds tol_herm; the sub-tolerance skew part is discarded.
+    """
+    h = as_stack(h)
+    require_square(h, "Hermitian argument")
+    defect = herm_defect(h)
+    bad = defect > tol_herm
+    if bad.any():
+        raise NotHermitianError(
+            f"{what}: max |a - a^dag| = {defect[bad][0]:.3e}"
+        )
+    return 0.5 * (h + adjoint(h))
 
 
 def eigh(h: np.ndarray, tol_herm: float = TOL_HERM):
@@ -83,19 +107,24 @@ def eigh(h: np.ndarray, tol_herm: float = TOL_HERM):
     such defect; the (sub-tolerance) skew part is discarded by symmetrizing
     before factorization.
     """
-    h = as_stack(h)
-    require_square(h, "eigh argument")
-    defect = herm_defect(h)
-    bad = defect > tol_herm
-    if bad.any():
-        raise NotHermitianError(
-            f"matrix is not Hermitian: max |a - a^dag| = {defect[bad][0]:.3e}"
-        )
-    return np.linalg.eigh(0.5 * (h + adjoint(h)))
+    return np.linalg.eigh(
+        _hermitian_part(h, tol_herm, "matrix is not Hermitian")
+    )
 
 
-def eigvalsh(h: np.ndarray) -> np.ndarray:
-    return eigh(h)[0]
+def eigvalsh(
+    h: np.ndarray,
+    tol_herm: float = TOL_HERM,
+    what: str = "matrix is not Hermitian",
+) -> np.ndarray:
+    """Ascending eigenvalues only, from LAPACK's values-only solve.
+
+    Same Hermiticity check and symmetrization as eigh (the error message
+    starts with `what`).  The values agree with eigh's to rounding, not
+    bit for bit, so they back the positivity gates and never a printed
+    figure.
+    """
+    return np.linalg.eigvalsh(_hermitian_part(h, tol_herm, what))
 
 
 def min_eigenvalue(h: np.ndarray):
@@ -109,7 +138,8 @@ class SVDResult:
 
     u, v are unitary (v is the already-conjugated right factor, i.e. what
     LAPACK calls vh) and d is real, non-negative, descending.  In protocol
-    language the rows of v act first and u acts last.
+    language the rows of v act first and u acts last.  For a stack of N
+    matrices every field gains a leading axis of length N.
     """
 
     u: np.ndarray
@@ -117,24 +147,25 @@ class SVDResult:
     v: np.ndarray
 
     @property
-    def sigma_max(self) -> float:
-        return float(self.d[0])
+    def sigma_max(self):
+        """Largest singular value: a float, or (N,) for a stack."""
+        return np.take(self.d, 0, axis=-1)
 
     @property
-    def sigma_min(self) -> float:
-        return float(self.d[-1])
+    def sigma_min(self):
+        """Smallest singular value: a float, or (N,) for a stack."""
+        return np.take(self.d, -1, axis=-1)
 
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.d) @ self.v
+        return (self.u * self.d[..., None, :]) @ self.v
 
 
 def svd(a: np.ndarray) -> SVDResult:
-    """Singular value decomposition of a square matrix (LAPACK)."""
-    a = as_matrix(a)
+    """SVD of a square matrix or of each matrix in a stack (LAPACK).
+
+    For a stack of shape (N, n, n), u and v are (N, n, n) and d is (N, n).
+    """
+    a = as_stack(a)
     require_square(a, "svd argument")
     u, d, vh = np.linalg.svd(a)
     return SVDResult(u=u, d=d, v=vh)
-
-
-def singular_values(a: np.ndarray) -> np.ndarray:
-    return svd(a).d

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import BadParamError, DimensionMismatchError, NoAcceptedShotsError
-from .filters import LocalFilter, apply_filter
+from .errors import BadParamError, NoAcceptedShotsError
+from .filters import LocalFilter, apply_filter, check_compatible
 from .kernels import GENERATOR_NAME, accept_count
 from .measure import build_projector, embed_with_ancilla, rescaled_diag
 from .states import DensityOperator, normalize
@@ -38,11 +38,11 @@ def _branch_chain(f: LocalFilter, rho: DensityOperator):
     n = da * db
     d1, _ = rescaled_diag(f.svd_l)
     d2, _ = rescaled_diag(f.svd_m)
-    state = linalg.sandwich(np.kron(f.svd_l.v, f.svd_m.v), rho.mat)
+    state = linalg.sandwich(linalg.kron(f.svd_l.v, f.svd_m.v), rho.mat)
 
     # Alice: ancilla in front of her side, so the joint order anc, A, B is
     # a plain Kronecker embedding
-    p_a = np.kron(build_projector(d1).mat, np.eye(db))
+    p_a = linalg.kron(build_projector(d1).mat, np.eye(db))
     ext = linalg.sandwich(p_a, embed_with_ancilla(state))
     p1 = float(np.trace(ext).real)
     ext /= p1
@@ -55,7 +55,7 @@ def _branch_chain(f: LocalFilter, rho: DensityOperator):
     ext = np.einsum("ab,ikjl->iakjbl", _E00.astype(complex), r4).reshape(
         2 * n, 2 * n
     )
-    p_b = np.kron(np.eye(da), build_projector(d2).mat)
+    p_b = linalg.kron(np.eye(da), build_projector(d2).mat)
     ext = linalg.sandwich(p_b, ext)
     p3 = float(np.trace(ext).real)
     ext /= p3
@@ -64,7 +64,7 @@ def _branch_chain(f: LocalFilter, rho: DensityOperator):
     p4 = float(np.trace(kept).real)
     state = kept / p4
 
-    state = linalg.sandwich(np.kron(f.svd_l.u, f.svd_m.u), state)
+    state = linalg.sandwich(linalg.kron(f.svd_l.u, f.svd_m.u), state)
     state /= np.trace(state).real
     return state, [p1, p2, p3, p4]
 
@@ -111,10 +111,7 @@ def run_protocol(
     counter-addressed uniforms 4i..4i+3 of the seeded stream and is accepted
     iff each lies below the corresponding conditional branch probability.
     """
-    if f.dims != rho.dims:
-        raise DimensionMismatchError(
-            f"filter dims {f.dims} do not match state dims {rho.dims}"
-        )
+    check_compatible(f, rho)
     if shots < 1:
         raise BadParamError(f"shots must be >= 1, got {shots}")
     final_state, probs = _branch_chain(f, rho)

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import linalg
 from .errors import BadDiagonalError, DimensionMismatchError, NotPSDError
-from .filters import LocalFilter
+from .filters import LocalFilter, check_compatible
 from .states import DensityOperator, normalize
-from .tolerances import TOL_HERM, TOL_NEG
+from .tolerances import TOL_NEG
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,16 +109,12 @@ def postselect_diag(d, rho: np.ndarray):
 
     Returns (unnormalized post-measurement block, success probability).
     The block equals D rho D; the probability is its trace.  Input must be
-    PSD Hermitian (a bare matrix, not necessarily unit trace).
+    PSD Hermitian (a bare matrix, not necessarily unit trace): raises
+    NotHermitianError or NotPSDError otherwise.
     """
     rho = linalg.as_matrix(rho)
     n = linalg.require_square(rho, "postselection input")
-    defect = linalg.herm_defect(rho)
-    if defect > TOL_HERM:
-        raise NotPSDError(
-            f"postselection input not Hermitian: defect {defect:.3e}"
-        )
-    wmin = linalg.min_eigenvalue(rho)
+    wmin = linalg.eigvalsh(rho, what="postselection input not Hermitian")[0]
     if wmin < -TOL_NEG:
         raise NotPSDError(
             f"postselection input not PSD: min eigenvalue {wmin:.6e}"
@@ -129,11 +125,14 @@ def postselect_diag(d, rho: np.ndarray):
 
 
 def rescaled_diag(svdres: linalg.SVDResult):
-    """Singular values scaled into (0, 1] by sigma_max; returns (d, scale)."""
+    """Singular values scaled into (0, 1] by sigma_max; returns (d, scale).
+
+    For a stacked SVD both are stacked: d is (N, n) and scale is (N,).
+    """
     smax = svdres.sigma_max
-    if smax <= 0.0:
+    if np.any(smax <= 0.0):
         raise BadDiagonalError("cannot rescale an all-zero singular spectrum")
-    return svdres.d / smax, smax
+    return svdres.d / svdres.d[..., :1], smax
 
 
 def protocol_analytic(f: LocalFilter, rho: DensityOperator, bob_first: bool = False):
@@ -143,26 +142,26 @@ def protocol_analytic(f: LocalFilter, rho: DensityOperator, bob_first: bool = Fa
     postselections with rescaled singular values, local unitaries U1 x U2.
     Returns (output DensityOperator, total success probability); the output
     equals the filtered state and the probability is
-    yield / (sigma_max(L) sigma_max(M))^2.  bob_first only changes the
-    order in which the two commuting postselections are applied.
+    yield / (sigma_max(L) sigma_max(M))^2.  A stack of states or of filters
+    gives a stack of outputs and a float array of probabilities.  bob_first
+    only changes the order in which the two commuting postselections are
+    applied.
     """
-    if f.dims != rho.dims:
-        raise DimensionMismatchError(
-            f"filter dims {f.dims} do not match state dims {rho.dims}"
-        )
+    check_compatible(f, rho)
     da, db = rho.dims
     d1, _ = rescaled_diag(f.svd_l)
     d2, _ = rescaled_diag(f.svd_m)
-    state = linalg.sandwich(np.kron(f.svd_l.v, f.svd_m.v), rho.mat)
+    state = linalg.sandwich(linalg.kron(f.svd_l.v, f.svd_m.v), rho.mat)
+    # np.eye(k) * d[..., None, :] is diag(d), for each d of a stack
     steps = [
-        np.kron(np.diag(d1), np.eye(db)),
-        np.kron(np.eye(da), np.diag(d2)),
+        linalg.kron(np.eye(da) * d1[..., None, :], np.eye(db)),
+        linalg.kron(np.eye(da), np.eye(db) * d2[..., None, :]),
     ]
     if bob_first:
         steps.reverse()
     for s in steps:
         state = linalg.sandwich(s, state)
-    prob = float(np.trace(state).real)
-    state = linalg.sandwich(np.kron(f.svd_l.u, f.svd_m.u), state)
+    prob = np.trace(state, axis1=-2, axis2=-1).real
+    state = linalg.sandwich(linalg.kron(f.svd_l.u, f.svd_m.u), state)
     out, _ = normalize(state, da, db)
-    return out, prob
+    return out, (float(prob) if prob.ndim == 0 else prob)

@@ -14,13 +14,12 @@ from . import linalg
 from .errors import (
     DimensionMismatchError,
     InvariantViolationError,
-    NotHermitianError,
     NotPSDError,
     ParseError,
     ZeroTraceError,
 )
 from .formats import matrix_to_pairs, pairs_to_matrix, require_key
-from .tolerances import TOL_HERM, TOL_NEG, TOL_RANK, TOL_RECON, TOL_TRACE
+from .tolerances import TOL_NEG, TOL_RANK, TOL_RECON, TOL_TRACE
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,10 +29,10 @@ class DensityOperator:
     mat has shape (n, n) for one state or (N, n, n) for N states on the
     same dims, n = dim_a * dim_b.  Invariants checked on construction, on
     every matrix: finite entries, Hermitian within TOL_HERM, unit trace
-    within TOL_TRACE, and no eigenvalue below -TOL_NEG.  A failure raises
-    for the first matrix that breaks the first failing invariant, with the
-    same message a lone matrix would give.  The stored array is made
-    read-only.
+    within TOL_TRACE, and no eigenvalue below -TOL_NEG (from one values-only
+    solve of the whole stack).  A failure raises for the first matrix that
+    breaks the first failing invariant, with the same message a lone matrix
+    would give.  The stored array is made read-only.
     """
 
     dim_a: int
@@ -58,20 +57,15 @@ class DensityOperator:
                 "finiteness invariant failed: matrix has NaN or infinite "
                 "entries"
             )
-        defect = linalg.herm_defect(stack)
-        bad = defect > TOL_HERM
-        if bad.any():
-            raise NotHermitianError(
-                f"hermiticity invariant failed: max |a - a^dag| = "
-                f"{defect[bad][0]:.3e}"
-            )
+        # values-only solve; it raises first if a matrix is not Hermitian
+        w = linalg.eigvalsh(stack, what="hermiticity invariant failed")
         tr = np.trace(stack, axis1=1, axis2=2).real
         bad = np.abs(tr - 1.0) > TOL_TRACE
         if bad.any():
             raise InvariantViolationError(
                 f"trace invariant failed: trace = {tr[bad][0]!r}"
             )
-        wmin = linalg.min_eigenvalue(stack)
+        wmin = w[:, 0]
         bad = wmin < -TOL_NEG
         if bad.any():
             raise NotPSDError(
@@ -93,23 +87,31 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A normalized ket on dimA x dimB (unit norm within TOL_RECON)."""
+    """A normalized ket on dimA x dimB, or a stack of them.
+
+    amps has shape (n,) for one ket or (N, n) for N kets on the same dims,
+    n = dim_a * dim_b; every ket must have unit norm within TOL_RECON.  A
+    stack that breaks the norm invariant raises for its first offending
+    ket, named by its index.  The stored array is made read-only.
+    """
 
     dim_a: int
     dim_b: int
     amps: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amps, dtype=np.complex128).reshape(-1)
+        a = np.asarray(self.amps, dtype=np.complex128)
         n = self.dim_a * self.dim_b
-        if a.shape != (n,):
+        if a.ndim not in (1, 2) or a.shape[-1] != n:
             raise InvariantViolationError(
-                f"amplitude vector has length {a.shape[0]}, expected {n}"
+                f"amplitudes have shape {a.shape}, expected ({n},) or (N, {n})"
             )
-        nrm = float(np.linalg.norm(a))
-        if abs(nrm - 1.0) > TOL_RECON:
+        nrm = np.linalg.norm(a, axis=-1)
+        bad = np.abs(nrm - 1.0) > TOL_RECON
+        if bad.any():
+            which = f"[{np.flatnonzero(bad)[0]}]" if a.ndim == 2 else ""
             raise InvariantViolationError(
-                f"norm invariant failed: |psi| = {nrm!r}"
+                f"norm invariant failed: |psi{which}| = {nrm[bad][0]!r}"
             )
         a = a.copy()
         a.setflags(write=False)
@@ -120,18 +122,27 @@ class PureState:
         return (self.dim_a, self.dim_b)
 
     def projector(self) -> DensityOperator:
-        return DensityOperator(self.dim_a, self.dim_b, np.outer(self.amps, self.amps.conj()))
+        a = self.amps
+        return DensityOperator(
+            self.dim_a, self.dim_b, a[..., :, None] * a.conj()[..., None, :]
+        )
 
     def coefficient_matrix(self) -> np.ndarray:
-        """Amplitudes reshaped to (dim_a, dim_b): row e, column f of |ef>."""
-        return self.amps.reshape(self.dim_a, self.dim_b)
+        """Amplitudes reshaped to (dim_a, dim_b): row e, column f of |ef>.
+
+        A stack gives (N, dim_a, dim_b).
+        """
+        return self.amps.reshape(self.amps.shape[:-1] + (self.dim_a, self.dim_b))
 
 
 def pure(amps, dim_a: int, dim_b: int, normalize_input: bool = False) -> PureState:
-    a = np.asarray(amps, dtype=np.complex128).reshape(-1)
+    """A PureState from amplitudes (n,) or a stack (N, n); normalize_input
+    divides each ket by its norm first."""
+    a = np.asarray(amps, dtype=np.complex128)
     if normalize_input:
-        nrm = np.linalg.norm(a)
-        if nrm <= TOL_RANK:
+        nrm = np.linalg.norm(a, axis=-1, keepdims=True)
+        bad = nrm <= TOL_RANK
+        if bad.any():
             raise ZeroTraceError("cannot normalize a ~zero amplitude vector")
         a = a / nrm
     return PureState(dim_a, dim_b, a)
@@ -180,15 +191,17 @@ def is_ppt(rho: DensityOperator, tol_neg: float = TOL_NEG) -> PptVerdict:
     return PptVerdict(ppt=wmin >= -tol_neg, min_eigenvalue=wmin)
 
 
-def schmidt_rank(psi: PureState) -> int:
+def schmidt_rank(psi: PureState):
     """Number of singular values of the coefficient matrix above TOL_RANK.
 
-    A rank cut at 1e-12 needs the small singular values resolved to
-    machine precision, which LAPACK's SVD gives (a route through the Gram
-    matrix would floor them at sqrt(eps) ~ 1e-8).
+    An int for one ket, an int array with one rank per ket for a stack.  A
+    rank cut at 1e-12 needs the small singular values resolved to machine
+    precision, which LAPACK's SVD gives (a route through the Gram matrix
+    would floor them at sqrt(eps) ~ 1e-8).
     """
     sv = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False)
-    return int(np.count_nonzero(sv > TOL_RANK))
+    rank = np.count_nonzero(sv > TOL_RANK, axis=-1)
+    return int(rank) if psi.amps.ndim == 1 else rank
 
 
 def normalize(mat, dim_a: int, dim_b: int):

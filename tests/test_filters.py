@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boundfilter import catalog, filters, linalg
+from boundfilter import catalog, filters, linalg, measure
 from boundfilter.errors import (
     BadParamError,
     DimensionMismatchError,
@@ -271,3 +271,100 @@ def test_filter_json_rejects_singular():
     }
     with pytest.raises(SingularFilterError):
         filters.filter_from_json_dict(obj)
+
+
+# ---------------------------------------------------------------------------
+# filter stacks: bit for bit what the filters give one at a time
+# ---------------------------------------------------------------------------
+
+
+def test_make_filter_stack_matches_one_at_a_time():
+    rng = np.random.default_rng(70)
+    ls = np.stack([random_invertible(rng, 3) for _ in range(6)])
+    ms = np.stack([random_invertible(rng, 3) for _ in range(6)])
+    f = filters.make_filter(ls, ms)
+    assert f.dims == (3, 3) and f.product().shape == (6, 9, 9)
+    assert not f.product().flags.writeable
+    rho = DensityOperator(
+        3, 3, np.stack([random_density_mat(rng, 9) for _ in range(6)])
+    )
+    filtered, yields = filters.apply_filter(f, rho)
+    for k in range(6):
+        one = filters.make_filter(ls[k], ms[k])
+        for stacked, single in ((f.svd_l, one.svd_l), (f.svd_m, one.svd_m)):
+            for field in ("u", "d", "v"):
+                assert np.array_equal(
+                    getattr(stacked, field)[k], getattr(single, field)
+                )
+        assert np.array_equal(f.product()[k], one.product())
+        out, y = filters.apply_filter(one, DensityOperator(3, 3, rho.mat[k]))
+        assert np.array_equal(filtered.mat[k], out.mat) and yields[k] == y
+
+
+def test_filter_stack_acts_on_one_state():
+    rng = np.random.default_rng(71)
+    f = filters.make_filter(
+        np.stack([random_invertible(rng, 3) for _ in range(3)]),
+        np.stack([np.eye(3)] * 3),
+    )
+    rho = catalog.rho_xt(0.63, 0.05)
+    filtered, yields = filters.apply_filter(f, rho)
+    for k in range(3):
+        one = filters.make_filter(f.l[k], f.m[k])
+        out, y = filters.apply_filter(one, rho)
+        assert np.array_equal(filtered.mat[k], out.mat) and yields[k] == y
+
+
+def test_filtered_pure_stack_matches_one_at_a_time():
+    rng = np.random.default_rng(72)
+    amps = rng.normal(size=(8, 9)) + 1j * rng.normal(size=(8, 9))
+    # ranks 1, 2 and 3 among the kets
+    amps[0] = np.kron(amps[0, :3], amps[0, 3:6])
+    amps[1] = np.kron(amps[1, :3], [1, 0, 0]) + np.kron(amps[1, 3:6], [0, 1, 0])
+    psi = pure(amps, 3, 3, normalize_input=True)
+    f = filters.make_filter(
+        np.stack([random_invertible(rng, 3) for _ in range(8)]),
+        np.stack([random_invertible(rng, 3) for _ in range(8)]),
+    )
+    ranks = schmidt_rank(psi)
+    out = filters.filtered_pure(f, psi)
+    after = schmidt_rank(out)
+    assert ranks.dtype.kind == "i" and list(ranks[:3]) == [1, 2, 3]
+    assert np.array_equal(after, ranks)
+    for k in range(8):
+        one = pure(amps[k], 3, 3, normalize_input=True)
+        assert np.array_equal(psi.amps[k], one.amps)
+        assert schmidt_rank(one) == ranks[k]
+        ket = filters.filtered_pure(filters.make_filter(f.l[k], f.m[k]), one)
+        assert np.array_equal(out.amps[k], ket.amps)
+        assert schmidt_rank(ket) == after[k]
+
+
+def test_make_filter_stack_names_first_offending_factor():
+    rng = np.random.default_rng(73)
+    ls = np.stack([random_invertible(rng, 3) for _ in range(5)])
+    ms = np.stack([random_invertible(rng, 3) for _ in range(5)])
+    ms[2] = np.diag([1.0, 0.0, 1.0])
+    ms[4] = np.zeros((3, 3))
+    with pytest.raises(SingularFilterError) as err:
+        filters.make_filter(ls, ms)
+    assert str(err.value) == (
+        "filter factor M[2] is singular (smallest singular value 0.000e+00)"
+    )
+    ls[3, 1, 1] = np.nan
+    with pytest.raises(BadParamError, match=r"^filter factor L\[3\] has NaN"):
+        filters.make_filter(ls, ms)
+    with pytest.raises(DimensionMismatchError):
+        filters.make_filter(ls, ms[:4])
+
+
+def test_filter_stack_length_must_match_state_stack():
+    f = filters.make_filter(np.stack([np.eye(3)] * 2), np.stack([np.eye(3)] * 2))
+    rho = catalog.rho_xt(np.array([0.1, 0.2, 0.3]), 0.05)
+    with pytest.raises(DimensionMismatchError, match="stack of 2 filters"):
+        filters.apply_filter(f, rho)
+    with pytest.raises(DimensionMismatchError, match="stack of 2 filters"):
+        measure.protocol_analytic(f, rho)
+    psi = pure(np.eye(9)[:3], 3, 3)
+    with pytest.raises(DimensionMismatchError, match="stack of 3 states"):
+        filters.filtered_pure(f, psi)

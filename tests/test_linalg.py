@@ -168,17 +168,52 @@ def test_kron_mixed_product_property(seed, na, nb):
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
-def test_matmul_shape_guard():
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_kron_bit_identical_to_numpy():
+    rng = np.random.default_rng(15)
+    # vectors, including an integer x float pair as the tile vectors use
+    _assert_same_bits(linalg.kron([1, 0, 0], [0.5, -0.5, 0.0]),
+                      np.kron([1, 0, 0], [0.5, -0.5, 0.0]))
+    u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    _assert_same_bits(linalg.kron(u, v), np.kron(u, v))
+    # matrices, rectangular, complex x complex, real x complex, real x real
+    a = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    b = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    r = rng.standard_normal((3, 3))
+    for x, y in ((a, b), (r, b), (b, r), (r, r), (np.eye(2), r)):
+        _assert_same_bits(linalg.kron(x, y), np.kron(x, y))
+
+
+def test_kron_stacks_match_one_at_a_time():
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    b = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    r = rng.standard_normal((2, 2))
+    want = np.stack([np.kron(a[k], b[k]) for k in range(5)])
+    _assert_same_bits(linalg.kron(a, b), want)
+    # a single matrix broadcasts against a stack, on either side
+    _assert_same_bits(
+        linalg.kron(a, r), np.stack([np.kron(a[k], r) for k in range(5)])
+    )
+    _assert_same_bits(
+        linalg.kron(r, a), np.stack([np.kron(r, a[k]) for k in range(5)])
+    )
+
+
+def test_kron_rejects_vector_with_matrix():
     with pytest.raises(DimensionMismatchError):
-        linalg.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+        linalg.kron(np.ones(2), np.eye(2))
 
 
-def test_trace_and_adjoint():
+def test_adjoint():
     m = np.array([[1 + 2j, 3], [4, 5 - 1j]])
-    assert linalg.trace(m) == pytest.approx(6 + 1j)
     assert np.array_equal(linalg.adjoint(m), m.conj().T)
-    with pytest.raises(NonSquareError):
-        linalg.trace(np.zeros((2, 3)))
 
 
 def test_herm_defect():

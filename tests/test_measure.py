@@ -5,6 +5,7 @@ from boundfilter import catalog, linalg, measure
 from boundfilter.errors import (
     BadDiagonalError,
     DimensionMismatchError,
+    NotHermitianError,
     NotPSDError,
 )
 from boundfilter.filters import apply_filter, make_filter
@@ -112,7 +113,7 @@ def test_postselect_diag_rejects_bad_input():
     with pytest.raises(NotPSDError):
         measure.postselect_diag([0.5, 0.5, 0.5], herm_not_psd)
     non_herm = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    with pytest.raises(NotPSDError):
+    with pytest.raises(NotHermitianError, match="not Hermitian"):
         measure.postselect_diag([0.5, 0.5, 0.5], non_herm)
     with pytest.raises(DimensionMismatchError):
         measure.postselect_intermediate([0.5, 0.5], np.eye(3))
@@ -154,6 +155,46 @@ def test_protocol_matches_direct_filtering():
         assert np.abs(out.mat - direct.mat).max() < 1e-10
         scale = (f.svd_l.sigma_max * f.svd_m.sigma_max) ** 2
         assert prob == pytest.approx(weight / scale, rel=1e-10)
+
+
+def test_protocol_on_a_stack_matches_one_at_a_time():
+    rng = np.random.default_rng(61)
+    mats = np.stack([random_density_mat(rng, 9) for _ in range(5)])
+    rho = DensityOperator(3, 3, mats)
+    for f in list(catalog.paper_filters().values()) + [
+        make_filter(random_unitary(rng, 3) * 2, np.diag([1.0, 0.3, 0.7]))
+    ]:
+        if f.dims != rho.dims:
+            continue
+        for bob_first in (False, True):
+            out, prob = measure.protocol_analytic(f, rho, bob_first=bob_first)
+            assert out.mat.shape == (5, 9, 9) and prob.shape == (5,)
+            for k in range(5):
+                one, p = measure.protocol_analytic(
+                    f, DensityOperator(3, 3, mats[k]), bob_first=bob_first
+                )
+                assert isinstance(p, float)
+                assert np.array_equal(out.mat[k], one.mat) and prob[k] == p
+
+
+def test_protocol_with_a_filter_stack():
+    rng = np.random.default_rng(62)
+    ls = np.stack([random_unitary(rng, 3) * s for s in (1.0, 2.0, 0.5)])
+    ms = np.stack([np.diag([1.0, 0.2, 0.6])] * 3)
+    f = make_filter(ls, ms)
+    rho = DensityOperator(
+        3, 3, np.stack([random_density_mat(rng, 9) for _ in range(3)])
+    )
+    out, prob = measure.protocol_analytic(f, rho)
+    direct, weight = apply_filter(f, rho)
+    scale = (f.svd_l.sigma_max * f.svd_m.sigma_max) ** 2
+    assert np.abs(out.mat - direct.mat).max() < 1e-10
+    assert np.allclose(prob, weight / scale, rtol=1e-10)
+    for k in range(3):
+        one, p = measure.protocol_analytic(
+            make_filter(ls[k], ms[k]), DensityOperator(3, 3, rho.mat[k])
+        )
+        assert np.array_equal(out.mat[k], one.mat) and prob[k] == p
 
 
 def test_protocol_order_independence():

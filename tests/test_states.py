@@ -12,6 +12,7 @@ from boundfilter.errors import (
     ParseError,
     ZeroTraceError,
 )
+from boundfilter.tolerances import TOL_NEG
 
 from .oracles import (
     brute_eigvals,
@@ -110,6 +111,49 @@ def test_density_operator_stack_reports_like_a_lone_matrix(bad, error):
     assert str(stacked.value) == str(lone.value)
 
 
+def _spectrum_with_min(rng, n, wmin):
+    """A random unit-trace Hermitian n x n matrix whose smallest eigenvalue
+    is wmin."""
+    w = rng.uniform(0.1, 1.0, size=n)
+    w[0] = wmin
+    w[1:] *= (1.0 - wmin) / w[1:].sum()
+    u = random_unitary(rng, n)
+    return (u * w) @ u.conj().T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([4, 9]),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=1, max_size=6),
+)
+def test_values_only_positivity_gate_matches_eigh(seed, n, signs):
+    # the minimum eigenvalue sits at -TOL_NEG (1 +- 1e-3), nudged by k * 1e-4
+    # so that every offender prints a different figure
+    rng = np.random.default_rng(seed)
+    mats = np.stack(
+        [
+            _spectrum_with_min(rng, n, -TOL_NEG * (1 + s * 1e-3) * (1 + k * 1e-4))
+            for k, s in enumerate(signs)
+        ]
+    )
+    ref = np.linalg.eigh(0.5 * (mats + mats.conj().transpose(0, 2, 1)))[0][:, 0]
+    offenders = np.flatnonzero(ref < -TOL_NEG)
+    assert list(offenders) == [k for k, s in enumerate(signs) if s > 0]
+    dims = (2, 2) if n == 4 else (3, 3)
+    if offenders.size == 0:
+        states.DensityOperator(*dims, mats)
+        return
+    with pytest.raises(NotPSDError) as stacked:
+        states.DensityOperator(*dims, mats)
+    first = offenders[0]
+    with pytest.raises(NotPSDError) as lone:
+        states.DensityOperator(*dims, mats[first])
+    assert str(stacked.value) == str(lone.value)
+    printed = float(str(stacked.value).rsplit("= ", 1)[1])
+    assert abs(printed - ref[first]) < 1e-15
+
+
 def test_pure_state_validation():
     psi = states.pure([1, 0, 0, 0], 2, 2)
     assert psi.dims == (2, 2)
@@ -121,6 +165,34 @@ def test_pure_state_validation():
     assert abs(np.linalg.norm(renorm.amps) - 1) < 1e-14
     with pytest.raises(ZeroTraceError):
         states.pure([0, 0, 0, 0], 2, 2, normalize_input=True)
+
+
+def test_pure_state_stack_names_first_non_unit_ket():
+    amps = np.zeros((4, 4))
+    amps[:, 0] = 1.0
+    amps[2, 1] = 1e-3
+    amps[3, 1] = 1.0
+    with pytest.raises(InvariantViolationError) as err:
+        states.PureState(2, 2, amps)
+    assert str(err.value) == (
+        f"norm invariant failed: |psi[2]| = {np.sqrt(1 + 1e-6)!r}"
+    )
+    with pytest.raises(InvariantViolationError):
+        states.PureState(2, 2, np.ones((3, 3)) / np.sqrt(3))
+
+
+def test_pure_state_stack_projector_and_rank():
+    kets = np.array([[1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 1, 0]]) / np.array(
+        [[np.sqrt(2)], [1.0], [np.sqrt(2)]]
+    )
+    psi = states.PureState(2, 2, kets)
+    rho = psi.projector()
+    assert rho.mat.shape == (3, 4, 4)
+    assert list(states.schmidt_rank(psi)) == [2, 1, 2]
+    for k in range(3):
+        one = states.PureState(2, 2, kets[k])
+        assert np.array_equal(rho.mat[k], one.projector().mat)
+        assert np.array_equal(psi.coefficient_matrix()[k], one.coefficient_matrix())
 
 
 def test_projector_of_pure_state():
