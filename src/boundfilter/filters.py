@@ -9,7 +9,7 @@ a stack acts on a stack of N states (or kets) one to one, and on a single
 state as N different filterings of it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,23 +30,28 @@ class LocalFilter:
     """An invertible product operation with factors l (side A), m (side B).
 
     l and m have shapes (dA, dA) and (dB, dB) for one filter, or (N, dA, dA)
-    and (N, dB, dB) for a stack; svd_l, svd_m and prod (the Kronecker
-    product L x M) follow the same leading axis.  Build one with
-    make_filter, which validates the factors and forms prod once.
+    and (N, dB, dB) for a stack; svd_l, svd_m and product() (the Kronecker
+    product L x M, formed once at construction) follow the same leading
+    axis.  Build one with make_filter, which validates the factors.
     """
 
     l: np.ndarray
     m: np.ndarray
     svd_l: linalg.SVDResult
     svd_m: linalg.SVDResult
-    prod: np.ndarray
+    _prod: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        prod = linalg.kron(self.l, self.m)
+        prod.setflags(write=False)
+        object.__setattr__(self, "_prod", prod)
 
     @property
     def dims(self) -> tuple:
         return (self.l.shape[-1], self.m.shape[-1])
 
     def product(self) -> np.ndarray:
-        return self.prod
+        return self._prod
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -94,10 +99,9 @@ def make_filter(l, m) -> LocalFilter:
                 f"filter factor {name(side, bad)} is singular "
                 f"(smallest singular value {np.asarray(smin)[bad][0]:.3e})"
             )
-    lm, mm = _readonly(lm), _readonly(mm)
-    prod = linalg.kron(lm, mm)
-    prod.setflags(write=False)
-    return LocalFilter(l=lm, m=mm, svd_l=svd_l, svd_m=svd_m, prod=prod)
+    return LocalFilter(
+        l=_readonly(lm), m=_readonly(mm), svd_l=svd_l, svd_m=svd_m
+    )
 
 
 def identity_filter(dim_a: int, dim_b: int) -> LocalFilter:

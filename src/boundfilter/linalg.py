@@ -6,8 +6,9 @@ SVD, kron and sandwich take one matrix of shape (n, n) or a stack of shape
 the same numbers, bit for bit, as its matrices taken one at a time.  The
 eigensolvers and the SVD are LAPACK's, so small singular values are resolved
 to machine precision and rank decisions at TOL_RANK are sound.  eigh gives
-the eigenvalues that are printed or compared against a pinned figure;
-eigvalsh is the cheaper values-only solve behind the positivity gates.
+the eigenvalues that reports print or compare against a pinned figure;
+eigvalsh is the cheaper values-only solve behind the positivity gates and
+their error messages.
 """
 
 from dataclasses import dataclass
@@ -112,19 +113,15 @@ def eigh(h: np.ndarray, tol_herm: float = TOL_HERM):
     )
 
 
-def eigvalsh(
-    h: np.ndarray,
-    tol_herm: float = TOL_HERM,
-    what: str = "matrix is not Hermitian",
-) -> np.ndarray:
+def eigvalsh(h: np.ndarray, what: str = "matrix is not Hermitian"):
     """Ascending eigenvalues only, from LAPACK's values-only solve.
 
-    Same Hermiticity check and symmetrization as eigh (the error message
-    starts with `what`).  The values agree with eigh's to rounding, not
-    bit for bit, so they back the positivity gates and never a printed
-    figure.
+    Same Hermiticity check (at TOL_HERM) and symmetrization as eigh; the
+    error message starts with `what`.  The values agree with eigh's to
+    rounding, not bit for bit: they back the positivity gates and the
+    messages of the errors those gates raise, never a reported figure.
     """
-    return np.linalg.eigvalsh(_hermitian_part(h, tol_herm, what))
+    return np.linalg.eigvalsh(_hermitian_part(h, TOL_HERM, what))
 
 
 def min_eigenvalue(h: np.ndarray):

@@ -16,7 +16,11 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import BadParamError, NoAcceptedShotsError
+from .errors import (
+    BadParamError,
+    DimensionMismatchError,
+    NoAcceptedShotsError,
+)
 from .filters import LocalFilter, apply_filter, check_compatible
 from .kernels import GENERATOR_NAME, accept_count
 from .measure import build_projector, embed_with_ancilla, rescaled_diag
@@ -110,7 +114,17 @@ def run_protocol(
     Bit-identical for identical arguments: shot i consumes the four
     counter-addressed uniforms 4i..4i+3 of the seeded stream and is accepted
     iff each lies below the corresponding conditional branch probability.
+    The simulator takes one filter and one state, not stacks.
     """
+    if f.l.ndim != 2:
+        raise DimensionMismatchError(
+            f"the simulator takes one filter, got a stack of {f.l.shape[0]}"
+        )
+    if rho.mat.ndim != 2:
+        raise DimensionMismatchError(
+            f"the simulator takes one state, got a stack of "
+            f"{rho.mat.shape[0]}"
+        )
     check_compatible(f, rho)
     if shots < 1:
         raise BadParamError(f"shots must be >= 1, got {shots}")

@@ -118,6 +118,17 @@ def test_run_validations():
         mcsim.run_protocol(catalog.gisin_filter(0.5), rho, shots=10, seed=1)
 
 
+def test_run_rejects_stacks():
+    one = catalog.choi_example_filter()
+    pair = make_filter(np.stack([one.l, one.l]), np.stack([one.m, one.m]))
+    rho = catalog.rho_xt(0.63, 0.05)
+    with pytest.raises(DimensionMismatchError, match="one filter.*stack of 2"):
+        mcsim.run_protocol(pair, rho, shots=10, seed=1)
+    rhos = catalog.rho_xt(np.array([0.6, 0.63, 0.66]), 0.05)
+    with pytest.raises(DimensionMismatchError, match="one state.*stack of 3"):
+        mcsim.run_protocol(one, rhos, shots=10, seed=1)
+
+
 def test_run_json_payload():
     rho = catalog.rho_xt(0.63, 0.05)
     run = mcsim.run_protocol(
