@@ -315,7 +315,7 @@ def check_measurement_equivalence() -> CheckResult:
     worst_state = 0.0
     worst_prob = 0.0
     cases = list(catalog.paper_filters().items())
-    cases.append(("identity", catalog.resolve_filter("identity", (3, 3))))
+    cases.append(("identity", catalog.from_label("filter", "identity")))
     bad = 0
     for label, f in cases:
         rho = _random_densities(rng, *f.dims, 20)

@@ -5,6 +5,10 @@ The two-parameter qutrit family rho_xt(x, t) is PPT for every admissible
 suitable diagonal filter on one side.  The tile construction gives a 3x3
 bound entangled state from the complement of five product vectors.  The
 filters are small, explicit, and carry their SVD from construction.
+
+LABELS is the one table of catalog labels: kind, parameters with their
+defaults, and builder.  from_label parses a label with its parameters
+(rho-xt:0.63:0.05) through it, and catalog_entries lists it for export.
 """
 
 import warnings
@@ -12,7 +16,7 @@ import warnings
 import numpy as np
 
 from . import linalg
-from .errors import BadParamError
+from .errors import BadParamError, ParseError
 from .filters import LocalFilter, identity_filter, make_filter
 from .states import DensityOperator, PureState, pure
 
@@ -140,48 +144,70 @@ def paper_filters(kappa: float = 0.6) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# catalog listing (used by the CLI export)
+# the label table (CLI arguments, export, error messages)
 # ---------------------------------------------------------------------------
+
+# label -> (kind, {parameter: default}, builder), in export order.  A builder
+# takes the dims of the state a filter will act on (only identity uses them)
+# and the parameters in table order.  The lambdas look their catalog function
+# up when called, so a rebinding of it on this module (a tracing wrapper, a
+# test double) is honoured.
+LABELS = {
+    "rho-xt": (
+        "state", {"x": 0.63, "t": 0.05}, lambda dims, x, t: rho_xt(x, t)
+    ),
+    "rho-upb": ("state", {}, lambda dims: rho_upb()),
+    "bell": ("state", {}, lambda dims: bell_state()),
+    "max-mixed": ("state", {}, lambda dims: max_mixed()),
+    "choi-example": ("filter", {}, lambda dims: choi_example_filter()),
+    "upb-rotation": ("filter", {}, lambda dims: upb_rotation_filter()),
+    "gisin": (
+        "filter", {"kappa": 0.6}, lambda dims, kappa: gisin_filter(kappa)
+    ),
+    "identity": ("filter", {}, lambda dims: identity_filter(*dims)),
+}
+
+
+def _usage(label: str) -> str:
+    return ":".join([label] + [f"<{p}>" for p in LABELS[label][1]])
 
 
 def catalog_entries() -> list:
-    """Label, kind and default parameters of everything named above."""
-    entries = [
-        {"label": "rho-xt", "kind": "state", "params": {"x": 0.63, "t": 0.05}},
-        {"label": "rho-upb", "kind": "state", "params": {}},
-        {"label": "bell", "kind": "state", "params": {}},
-        {"label": "max-mixed", "kind": "state", "params": {}},
-        {"label": "choi-example", "kind": "filter", "params": {}},
-        {"label": "upb-rotation", "kind": "filter", "params": {}},
-        {"label": "gisin", "kind": "filter", "params": {"kappa": 0.6}},
-        {"label": "identity", "kind": "filter", "params": {}},
+    """Label, kind and default parameters of every catalog label."""
+    return [
+        {"label": label, "kind": kind, "params": dict(defaults)}
+        for label, (kind, defaults, _) in LABELS.items()
     ]
-    labels = [e["label"] for e in entries]
-    assert len(labels) == len(set(labels))
-    return entries
 
 
-def resolve_state(label: str, **params) -> DensityOperator:
-    """Build a catalog state from its label and parameters."""
-    if label == "rho-xt":
-        return rho_xt(params.get("x", 0.63), params.get("t", 0.05))
-    if label == "rho-upb":
-        return rho_upb()
-    if label == "bell":
-        return bell_state()
-    if label == "max-mixed":
-        return max_mixed()
-    raise BadParamError(f"unknown catalog state '{label}'")
+def from_label(kind: str, text: str, dims=(3, 3)):
+    """Build the catalog state or filter (`kind`) named by `text`.
 
-
-def resolve_filter(label: str, dims=(3, 3), **params) -> LocalFilter:
-    """Build a catalog filter from its label and parameters."""
-    if label == "choi-example":
-        return choi_example_filter()
-    if label == "upb-rotation":
-        return upb_rotation_filter()
-    if label == "gisin":
-        return gisin_filter(params.get("kappa", 0.6))
-    if label == "identity":
-        return identity_filter(*dims)
-    raise BadParamError(f"unknown catalog filter '{label}'")
+    `text` is a label, alone or followed by all of its parameters, colon
+    separated (rho-xt, rho-xt:0.63:0.05, gisin:0.6); a label alone takes
+    the table's defaults.  `dims` sizes the identity filter.  Raises
+    ParseError for a label that is not a catalog `kind`, a wrong number of
+    parameters or a parameter that is not a number.
+    """
+    label, *parts = text.split(":")
+    entry = LABELS.get(label)
+    if entry is None or entry[0] != kind:
+        known = ", ".join(_usage(k) for k, e in LABELS.items() if e[0] == kind)
+        raise ParseError(
+            f"unknown {kind} '{text}' (try {known}, or a JSON file)"
+        )
+    _, defaults, builder = entry
+    values = list(defaults.values())
+    if parts and len(parts) != len(values):
+        if not values:
+            raise ParseError(f"{kind} '{label}' takes no parameters")
+        count = ("one parameter", "two parameters")[len(values) - 1]
+        raise ParseError(f"{label} takes {count}: {_usage(label)}")
+    for i, part in enumerate(parts):
+        try:
+            values[i] = float(part)
+        except ValueError:
+            raise ParseError(
+                f"{label}: cannot parse parameter {part!r}"
+            ) from None
+    return builder(dims, *values)

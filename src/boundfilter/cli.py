@@ -6,9 +6,10 @@ verify-paper (the acceptance suite as a pass/fail table) and export
 (catalog listing, JSON).
 
 Grammar: witnesses are <kind>:<side> with kinds choi-phi / choi-psi /
-transpose and sides A / B.  States and filters are catalog labels with
-colon-separated parameters (rho-xt:0.63:0.05, gisin:0.6); anything with a
-path separator or a .json suffix is read as a JSON file.  BF_SEED overrides
+transpose and sides A / B.  States and filters are labels of the catalog
+table (catalog.LABELS), parsed with their colon-separated parameters by
+catalog.from_label; anything with a path separator or a .json suffix is
+read as a JSON file.  BF_SEED overrides
 the default simulation seed; an explicit --seed beats both.  Exit codes:
 0 success, 1 failed verification, 2 usage or parse errors.
 """
@@ -53,71 +54,19 @@ def _load_json(path: str):
         ) from None
 
 
-def _parse_params(parts, kinds, what):
-    vals = []
-    for p, kind in zip(parts, kinds):
-        try:
-            vals.append(kind(p))
-        except ValueError:
-            raise ParseError(
-                f"{what}: cannot parse parameter {p!r}"
-            ) from None
-    return vals
-
-
 def parse_state_arg(text: str):
-    """Returns (label, DensityOperator)."""
+    """Returns (label, DensityOperator) for a JSON path or a catalog label."""
     if _is_path(text):
         return text, state_from_json_dict(_load_json(text))
-    parts = text.split(":")
-    label, params = parts[0], parts[1:]
-    if label == "rho-xt":
-        if params:
-            if len(params) != 2:
-                raise ParseError(
-                    "rho-xt takes two parameters: rho-xt:<x>:<t>"
-                )
-            x, t = _parse_params(params, (float, float), "rho-xt")
-        else:
-            x, t = 0.63, 0.05
-        return text, catalog.rho_xt(x, t)
-    if params:
-        raise ParseError(f"state '{label}' takes no parameters")
-    if label == "rho-upb":
-        return text, catalog.rho_upb()
-    if label == "bell":
-        return text, catalog.bell_state()
-    if label == "max-mixed":
-        return text, catalog.max_mixed()
-    raise ParseError(
-        f"unknown state '{text}' (try rho-xt:<x>:<t>, rho-upb, bell, "
-        f"max-mixed, or a JSON file)"
-    )
+    return text, catalog.from_label("state", text)
 
 
 def parse_filter_arg(text: str, dims):
-    """Returns a LocalFilter; `dims` resolves the identity label."""
+    """Returns a LocalFilter for a JSON path or a catalog label; `dims`
+    sizes a filter whose dims follow the state's."""
     if _is_path(text):
         return filter_from_json_dict(_load_json(text))
-    parts = text.split(":")
-    label, params = parts[0], parts[1:]
-    if label == "gisin":
-        if len(params) > 1:
-            raise ParseError("gisin takes one parameter: gisin:<kappa>")
-        kappa = (
-            _parse_params(params, (float,), "gisin")[0] if params else 0.6
-        )
-        return catalog.gisin_filter(kappa)
-    if params:
-        raise ParseError(f"filter '{label}' takes no parameters")
-    if label in ("choi-example", "upb-rotation"):
-        return catalog.resolve_filter(label)
-    if label == "identity":
-        return catalog.resolve_filter("identity", dims)
-    raise ParseError(
-        f"unknown filter '{text}' (try choi-example, upb-rotation, "
-        f"gisin:<kappa>, identity, or a JSON file)"
-    )
+    return catalog.from_label("filter", text, dims)
 
 
 def _resolve_seed(explicit):

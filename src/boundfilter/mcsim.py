@@ -3,10 +3,11 @@
 Every shot starts from the same shared state, so the only randomness is the
 four-outcome acceptance lottery: Alice's doubled-dimension projector, her
 ancilla readout, then Bob's pair.  The conditional state after each
-projection is the same for every shot, which means the simulator can
-compute the branch chain once, derive the four conditional probabilities,
-and run the per-shot lottery in a tight kernel.  Accepted shots all leave
-the identical final state; rejected shots contribute nothing.
+projection is the same for every shot, so the simulator walks the protocol
+once with measure.protocol_walk, divides its successive cumulative weights
+into the four conditional probabilities, and runs the per-shot lottery in a
+tight kernel.  Accepted shots all leave the walk's final state; rejected
+shots contribute nothing.
 """
 
 import math
@@ -15,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
 from .errors import (
     BadParamError,
     DimensionMismatchError,
@@ -23,54 +23,9 @@ from .errors import (
 )
 from .filters import LocalFilter, apply_filter, check_compatible
 from .kernels import GENERATOR_NAME, accept_count
-from .measure import build_projector, embed_with_ancilla, rescaled_diag
+from .measure import protocol_walk
 from .states import DensityOperator, normalize
 from .witness import DetectionReport, Witness, detect
-
-_E00 = np.array([[1.0, 0.0], [0.0, 0.0]])
-
-
-def _branch_chain(f: LocalFilter, rho: DensityOperator):
-    """Walk the protocol once with the projection postulate.
-
-    Returns (final_state_matrix, [p1, p2, p3, p4]) where the probabilities
-    are conditional on all earlier outcomes being positive and the final
-    state is normalized with both ancillas discarded and the closing
-    unitaries applied.
-    """
-    da, db = rho.dims
-    n = da * db
-    d1, _ = rescaled_diag(f.svd_l)
-    d2, _ = rescaled_diag(f.svd_m)
-    state = linalg.sandwich(linalg.kron(f.svd_l.v, f.svd_m.v), rho.mat)
-
-    # Alice: ancilla in front of her side, so the joint order anc, A, B is
-    # a plain Kronecker embedding
-    p_a = linalg.kron(build_projector(d1).mat, np.eye(db))
-    ext = linalg.sandwich(p_a, embed_with_ancilla(state))
-    p1 = float(np.trace(ext).real)
-    ext /= p1
-    # ancilla readout |0>: keep the top-left n x n block
-    p2 = float(np.trace(ext[:n, :n]).real)
-    state = ext[:n, :n] / p2
-
-    # Bob: his ancilla sits between A and B, composite order A, anc, B
-    r4 = state.reshape(da, db, da, db)
-    ext = np.einsum("ab,ikjl->iakjbl", _E00.astype(complex), r4).reshape(
-        2 * n, 2 * n
-    )
-    p_b = linalg.kron(np.eye(da), build_projector(d2).mat)
-    ext = linalg.sandwich(p_b, ext)
-    p3 = float(np.trace(ext).real)
-    ext /= p3
-    blocks = ext.reshape(da, 2, db, da, 2, db)
-    kept = blocks[:, 0, :, :, 0, :].reshape(n, n)
-    p4 = float(np.trace(kept).real)
-    state = kept / p4
-
-    state = linalg.sandwich(linalg.kron(f.svd_l.u, f.svd_m.u), state)
-    state /= np.trace(state).real
-    return state, [p1, p2, p3, p4]
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +83,9 @@ def run_protocol(
     check_compatible(f, rho)
     if shots < 1:
         raise BadParamError(f"shots must be >= 1, got {shots}")
-    final_state, probs = _branch_chain(f, rho)
+    final_state, weights = protocol_walk(f, rho)
+    # each outcome's probability conditional on the earlier ones passing
+    probs = weights / np.concatenate(([1.0], weights[:-1]))
     accepted = accept_count(seed, probs, shots)
     reference, _ = apply_filter(f, rho)
     return ProtocolRun(
@@ -136,9 +93,9 @@ def run_protocol(
         seed=seed,
         accepted=accepted,
         acceptance_rate=accepted / shots,
-        branch_probs=tuple(probs),
-        total_prob=float(np.prod(probs)),
-        estimated_state=final_state if accepted > 0 else None,
+        branch_probs=tuple(probs.tolist()),
+        total_prob=float(weights[-1]),
+        estimated_state=final_state.mat if accepted > 0 else None,
         reference=reference,
     )
 

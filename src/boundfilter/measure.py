@@ -11,6 +11,16 @@ the ancilla on |0> leaves D rho D up to normalization; the success
 probability is tr(D rho D).  A general invertible filter L = U D V runs V
 first, then the rescaled diagonal measurement with d = diag(D)/sigma_max,
 then U, so the whole protocol implements L/sigma_max.
+
+protocol_walk is the one walk through that protocol: it returns the output
+state and the cumulative weight after each of the four outcomes, in step
+order (by default Alice's projector and readout, then Bob's).  The
+projector outcome weighs tr(P (|0><0| x rho) P) = tr(D rho), since
+D^2 + Delta^2 = D, and the readout tr(D rho D), so the walk never builds
+the doubled space; build_projector and postselect_diag keep it explicit
+for the checks.  protocol_analytic keeps the last weight, the total
+success probability; the simulator divides successive weights into
+conditional branch probabilities.
 """
 
 from dataclasses import dataclass
@@ -135,17 +145,20 @@ def rescaled_diag(svdres: linalg.SVDResult):
     return svdres.d / svdres.d[..., :1], smax
 
 
-def protocol_analytic(f: LocalFilter, rho: DensityOperator, bob_first: bool = False):
-    """Run the three-step measurement protocol in closed form.
+def protocol_walk(
+    f: LocalFilter, rho: DensityOperator, bob_first: bool = False
+):
+    """Walk the three-step measurement protocol in closed form.
 
     Steps: local unitaries V1 x V2 from the filter SVDs, both diagonal
-    postselections with rescaled singular values, local unitaries U1 x U2.
-    Returns (output DensityOperator, total success probability); the output
-    equals the filtered state and the probability is
-    yield / (sigma_max(L) sigma_max(M))^2.  A stack of states or of filters
-    gives a stack of outputs and a float array of probabilities.  bob_first
-    only changes the order in which the two commuting postselections are
-    applied.
+    postselections with rescaled singular values (each a projector outcome,
+    then an ancilla readout), local unitaries U1 x U2.  Returns (output
+    DensityOperator, weights), where weights[..., k] is the probability
+    that outcomes 0..k all pass, in step order.  The output equals the
+    filtered state and the last weight is yield / (sigma_max(L)
+    sigma_max(M))^2.  A stack of states or of filters gives a stack of
+    outputs and (N, 4) weights.  bob_first only changes the order in which
+    the two commuting postselections are applied.
     """
     check_compatible(f, rho)
     da, db = rho.dims
@@ -159,9 +172,22 @@ def protocol_analytic(f: LocalFilter, rho: DensityOperator, bob_first: bool = Fa
     ]
     if bob_first:
         steps.reverse()
+    weights = []
     for s in steps:
+        weights.append(np.trace(s @ state, axis1=-2, axis2=-1).real)
         state = linalg.sandwich(s, state)
-    prob = np.trace(state, axis1=-2, axis2=-1).real
+        weights.append(np.trace(state, axis1=-2, axis2=-1).real)
     state = linalg.sandwich(linalg.kron(f.svd_l.u, f.svd_m.u), state)
     out, _ = normalize(state, da, db)
+    return out, np.stack(weights, axis=-1)
+
+
+def protocol_analytic(f: LocalFilter, rho: DensityOperator, bob_first: bool = False):
+    """The protocol's output state and total success probability.
+
+    Returns (output DensityOperator, last weight of protocol_walk); for a
+    stack the probability is a float array, for one state a float.
+    """
+    out, weights = protocol_walk(f, rho, bob_first)
+    prob = weights[..., -1]
     return out, (float(prob) if prob.ndim == 0 else prob)

@@ -90,6 +90,49 @@ def _one_sided_choi(rho, side, other_dim, shift):
     return 0.5 * acc
 
 
+def _ancilla_projector(d):
+    """[[D, Delta], [Delta, I - D]] with the ancilla coordinate first."""
+    dm = np.diag(d)
+    delta = np.diag(np.sqrt(d * (1.0 - d)))
+    return np.block([[dm, delta], [delta, np.eye(d.size) - dm]])
+
+
+def ancilla_protocol(l, m, rho, bob_first=False):
+    """The filter L x M run as the two-ancilla measurement protocol, with the
+    projection postulate on the extended spaces.
+
+    Alice's qubit ancilla sits in front of her side (order anc, A, B) and
+    Bob's between the two sides (order A, anc, B); each starts in |0>, is
+    measured with the projector of its side's rescaled singular values and
+    then read out in |0>.  Returns (final state, the four probabilities of
+    those outcomes, each conditional on the earlier ones, in step order).
+    """
+    ul, sl, vl = np.linalg.svd(l)
+    um, sm, vm = np.linalg.svd(m)
+    da, db = l.shape[0], m.shape[0]
+    ket0 = np.array([[1.0], [0.0]])
+    alice = (
+        np.kron(_ancilla_projector(sl / sl[0]), np.eye(db)),
+        np.kron(ket0, np.eye(da * db)),
+    )
+    bob = (
+        np.kron(np.eye(da), _ancilla_projector(sm / sm[0])),
+        np.kron(np.kron(np.eye(da), ket0), np.eye(db)),
+    )
+    v = np.kron(vl, vm)
+    state = v @ rho @ v.conj().T
+    probs = []
+    for proj, embed in (bob, alice) if bob_first else (alice, bob):
+        ext = proj @ embed @ state @ embed.conj().T @ proj
+        probs.append(np.trace(ext).real)
+        kept = embed.conj().T @ (ext / probs[-1]) @ embed
+        probs.append(np.trace(kept).real)
+        state = kept / probs[-1]
+    u = np.kron(ul, um)
+    state = u @ state @ u.conj().T
+    return state / np.trace(state).real, probs
+
+
 def raw_density(mat, da, db) -> DensityOperator:
     """DensityOperator without invariant validation (tests only)."""
     obj = object.__new__(DensityOperator)

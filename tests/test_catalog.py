@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from boundfilter import catalog
-from boundfilter.errors import BadParamError, NotPSDError
+from boundfilter.errors import BadParamError, NotPSDError, ParseError
 from boundfilter.states import is_ppt, schmidt_rank
 
 from .oracles import pt_b_loops
@@ -185,29 +185,46 @@ def test_paper_filters_labels():
 # ---------------------------------------------------------------------------
 
 
+def _matrices(obj):
+    return (obj.mat,) if hasattr(obj, "mat") else (obj.l, obj.m)
+
+
 def test_catalog_entries_cover_resolvers():
     entries = catalog.catalog_entries()
     assert len(entries) == 8
+    assert [e["label"] for e in entries] == list(catalog.LABELS)
     for e in entries:
-        if e["kind"] == "state":
-            catalog.resolve_state(e["label"], **e["params"])
-        else:
-            catalog.resolve_filter(e["label"], dims=(3, 3), **e["params"])
+        built = catalog.from_label(e["kind"], e["label"], dims=(3, 3))
+        explicit = ":".join([e["label"], *map(repr, e["params"].values())])
+        again = catalog.from_label(e["kind"], explicit, dims=(3, 3))
+        for x, y in zip(_matrices(built), _matrices(again), strict=True):
+            assert np.array_equal(x, y)
 
 
 def test_resolve_state_defaults_and_params():
-    rho = catalog.resolve_state("rho-xt")
+    rho = catalog.from_label("state", "rho-xt")
     assert np.abs(rho.mat - catalog.rho_xt(0.63, 0.05).mat).max() == 0.0
-    rho2 = catalog.resolve_state("rho-xt", x=0.2, t=0.1)
+    rho2 = catalog.from_label("state", "rho-xt:0.2:0.1")
     assert np.abs(rho2.mat - catalog.rho_xt(0.2, 0.1).mat).max() == 0.0
-    with pytest.raises(BadParamError):
-        catalog.resolve_state("nope")
+    with pytest.raises(ParseError, match="^unknown state 'nope' "):
+        catalog.from_label("state", "nope")
 
 
 def test_resolve_filter_defaults_and_params():
-    f = catalog.resolve_filter("gisin", kappa=0.3)
+    f = catalog.from_label("filter", "gisin:0.3")
     assert f.l[0, 0] == pytest.approx(0.3)
-    ident = catalog.resolve_filter("identity", dims=(2, 3))
+    assert catalog.from_label("filter", "gisin").l[0, 0] == 0.6
+    ident = catalog.from_label("filter", "identity", dims=(2, 3))
     assert ident.dims == (2, 3)
-    with pytest.raises(BadParamError):
-        catalog.resolve_filter("nope")
+    with pytest.raises(ParseError, match="^unknown filter 'nope' "):
+        catalog.from_label("filter", "nope")
+
+
+def test_label_builders_look_up_their_function_when_called(monkeypatch):
+    # a tracer or a test double rebinds catalog functions on the module;
+    # the table must reach the rebound object, not a captured original
+    calls = []
+    real = catalog.rho_upb
+    monkeypatch.setattr(catalog, "rho_upb", lambda: calls.append(1) or real())
+    catalog.from_label("state", "rho-upb")
+    assert calls == [1]

@@ -99,7 +99,7 @@ def per_point_scan(t, x_min, x_max, steps, spec, filt_label):
     invalid point and returns (csv text, that point's error message)."""
     kind, side = parse_witness_spec(spec)
     w = Witness(kind, side, 3)
-    filt = filt_label and catalog.resolve_filter(filt_label)
+    filt = filt_label and catalog.from_label("filter", filt_label)
     text = "x,min_eig_unfiltered,"
     text += "min_eig_filtered,ppt\n" if filt else "ppt\n"
     for x in np.linspace(x_min, x_max, steps):
@@ -246,6 +246,72 @@ def test_detect_errors(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run_cli(capsys, "detect", str(bad), "choi-phi:A")
     assert code == 2 and "line 1" in err
+
+
+TRY_STATE = "(try rho-xt:<x>:<t>, rho-upb, bell, max-mixed, or a JSON file)"
+TRY_FILTER = (
+    "(try choi-example, upb-rotation, gisin:<kappa>, identity, or a JSON file)"
+)
+
+# every catalog label x {unknown label with parameters, wrong parameter
+# count, unparsable parameter, label of the other kind}: (kind the argument
+# is read as, argument, the whole stderr)
+LABEL_ERRORS = [
+    ("state", "rho-xt-2:0.6:0.1",
+     f"unknown state 'rho-xt-2:0.6:0.1' {TRY_STATE}"),
+    ("state", "rho-xt:0.6", "rho-xt takes two parameters: rho-xt:<x>:<t>"),
+    ("state", "rho-xt:0.6:abc", "rho-xt: cannot parse parameter 'abc'"),
+    ("filter", "rho-xt:0.6:0.1",
+     f"unknown filter 'rho-xt:0.6:0.1' {TRY_FILTER}"),
+    ("state", "rho-upb-2:1", f"unknown state 'rho-upb-2:1' {TRY_STATE}"),
+    ("state", "rho-upb:1", "state 'rho-upb' takes no parameters"),
+    ("state", "rho-upb:abc", "state 'rho-upb' takes no parameters"),
+    ("filter", "rho-upb", f"unknown filter 'rho-upb' {TRY_FILTER}"),
+    ("state", "bell-2:1", f"unknown state 'bell-2:1' {TRY_STATE}"),
+    ("state", "bell:1:2", "state 'bell' takes no parameters"),
+    ("state", "bell:abc", "state 'bell' takes no parameters"),
+    ("filter", "bell", f"unknown filter 'bell' {TRY_FILTER}"),
+    ("state", "max-mixed-2:1", f"unknown state 'max-mixed-2:1' {TRY_STATE}"),
+    ("state", "max-mixed:9", "state 'max-mixed' takes no parameters"),
+    ("state", "max-mixed:abc", "state 'max-mixed' takes no parameters"),
+    ("filter", "max-mixed", f"unknown filter 'max-mixed' {TRY_FILTER}"),
+    ("filter", "choi-example-2:1",
+     f"unknown filter 'choi-example-2:1' {TRY_FILTER}"),
+    ("filter", "choi-example:1", "filter 'choi-example' takes no parameters"),
+    ("filter", "choi-example:abc",
+     "filter 'choi-example' takes no parameters"),
+    ("state", "choi-example", f"unknown state 'choi-example' {TRY_STATE}"),
+    ("filter", "upb-rotation-2:1",
+     f"unknown filter 'upb-rotation-2:1' {TRY_FILTER}"),
+    ("filter", "upb-rotation:1", "filter 'upb-rotation' takes no parameters"),
+    ("filter", "upb-rotation:abc",
+     "filter 'upb-rotation' takes no parameters"),
+    ("state", "upb-rotation", f"unknown state 'upb-rotation' {TRY_STATE}"),
+    ("filter", "gisin-2:0.5", f"unknown filter 'gisin-2:0.5' {TRY_FILTER}"),
+    ("filter", "gisin:0.5:0.5", "gisin takes one parameter: gisin:<kappa>"),
+    ("filter", "gisin:abc", "gisin: cannot parse parameter 'abc'"),
+    ("state", "gisin:0.5", f"unknown state 'gisin:0.5' {TRY_STATE}"),
+    ("filter", "identity-2:3", f"unknown filter 'identity-2:3' {TRY_FILTER}"),
+    ("filter", "identity:3", "filter 'identity' takes no parameters"),
+    ("filter", "identity:abc", "filter 'identity' takes no parameters"),
+    ("state", "identity", f"unknown state 'identity' {TRY_STATE}"),
+]
+
+
+@pytest.mark.parametrize("kind,arg,message", LABEL_ERRORS)
+def test_label_error_messages(capsys, kind, arg, message):
+    if kind == "state":
+        argv = ["detect", arg, "choi-phi:A"]
+    else:
+        argv = ["simulate", "max-mixed", arg, "--analytic"]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_label_errors_cover_every_label():
+    heads = [arg.split(":")[0] for _, arg, _ in LABEL_ERRORS]
+    for label in catalog.LABELS:
+        # wrong count, unparsable, other kind; plus one unknown near-miss
+        assert heads.count(label) == 3 and heads.count(f"{label}-2") == 1
 
 
 @pytest.mark.parametrize("which", ["state", "filter"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boundfilter import catalog, linalg, measure
+from boundfilter import catalog, linalg, measure, mcsim
 from boundfilter.errors import (
     BadDiagonalError,
     DimensionMismatchError,
@@ -11,7 +11,12 @@ from boundfilter.errors import (
 from boundfilter.filters import apply_filter, make_filter
 from boundfilter.states import DensityOperator
 
-from .oracles import random_density_mat, random_psd, random_unitary
+from .oracles import (
+    ancilla_protocol,
+    random_density_mat,
+    random_psd,
+    random_unitary,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +228,62 @@ def test_protocol_example_probability():
     _, prob = measure.protocol_analytic(catalog.choi_example_filter(), rho)
     # sigma_max = 1 for both factors, so the probability is the yield itself
     assert prob == pytest.approx(37.9359375 / 64.2, rel=1e-12)
+
+
+def walk_cases():
+    """(filter, state) pairs: every catalog filter on every catalog state of
+    matching dims, and random invertible complex 2x2 and 3x3 filters."""
+    kinds = {label: entry[0] for label, entry in catalog.LABELS.items()}
+    cases = []
+    for state_label in [k for k, kind in kinds.items() if kind == "state"]:
+        rho = catalog.from_label("state", state_label)
+        for label, kind in kinds.items():
+            if kind == "filter":
+                f = catalog.from_label("filter", label, rho.dims)
+                if f.dims == rho.dims:
+                    cases.append((label, f, rho))
+    rng = np.random.default_rng(63)
+    for n in (2, 3):
+        for _ in range(6):
+            g = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+            rho = DensityOperator(n, n, random_density_mat(rng, n * n))
+            cases.append(("random", make_filter(g[0], g[1]), rho))
+    return cases
+
+
+def conditional(weights):
+    return weights / np.concatenate(([1.0], weights[:-1]))
+
+
+@pytest.mark.parametrize("bob_first", [False, True])
+def test_walk_matches_ancilla_oracle(bob_first):
+    cases = walk_cases()
+    filters = {k for k, e in catalog.LABELS.items() if e[0] == "filter"}
+    assert {label for label, _, _ in cases} == filters | {"random"}
+    for _, f, rho in cases:
+        out, weights = measure.protocol_walk(f, rho, bob_first)
+        ref_state, ref_probs = ancilla_protocol(f.l, f.m, rho.mat, bob_first)
+        assert weights.shape == (4,)
+        assert np.abs(conditional(weights) - ref_probs).max() <= 1e-12
+        assert np.abs(out.mat - ref_state).max() <= 1e-12
+        if not bob_first:  # the simulator's lottery runs on the same walk
+            run = mcsim.run_protocol(f, rho, shots=1, seed=0)
+            dev = np.subtract(run.branch_probs, ref_probs)
+            assert np.abs(dev).max() <= 1e-12
+
+
+def test_walk_weights_on_a_stack():
+    rng = np.random.default_rng(64)
+    mats = np.stack([random_density_mat(rng, 9) for _ in range(4)])
+    f = make_filter(random_unitary(rng, 3) * 2, np.diag([1.0, 0.3, 0.7]))
+    out, weights = measure.protocol_walk(f, DensityOperator(3, 3, mats))
+    assert out.mat.shape == (4, 9, 9) and weights.shape == (4, 4)
+    for k in range(4):
+        one, w = measure.protocol_walk(f, DensityOperator(3, 3, mats[k]))
+        assert np.array_equal(out.mat[k], one.mat)
+        assert np.array_equal(weights[k], w)
+    # each outcome can only lower the weight
+    assert (np.diff(weights, axis=-1) <= 1e-15).all()
 
 
 def test_protocol_dim_mismatch():
