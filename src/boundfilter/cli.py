@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -253,17 +254,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning as the CLI's own stderr line, without the Python
+    source location that the default format adds."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: file not found: {e.filename or e}", file=sys.stderr)
-        return 2
-    except BoundFilterError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _plain_warning
+        try:
+            return args.func(args)
+        except FileNotFoundError as e:
+            print(
+                f"error: file not found: {e.filename or e}", file=sys.stderr
+            )
+            return 2
+        except BoundFilterError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -399,6 +399,21 @@ def test_simulate_identity_filter_dims_follow_state(capsys):
     assert payload["accepted"] == 50
 
 
+def test_identity_gisin_warns_in_one_plain_line(capsys):
+    # the warning is the CLI's own stderr line, with no Python source
+    # location, on every call; stdout is that of the identity filter
+    argv = ["simulate", "bell", "gisin:1", "--shots", "50", "--seed", "1"]
+    _, identity_out, _ = run_cli(
+        capsys, "simulate", "bell", "identity", "--shots", "50", "--seed", "1"
+    )
+    for _ in range(2):
+        assert run_cli(capsys, *argv) == (
+            0,
+            identity_out,
+            "warning: gisin filter with kappa = 1 is the identity\n",
+        )
+
+
 def test_simulate_bad_shots(capsys):
     code, _, err = run_cli(
         capsys,

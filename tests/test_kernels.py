@@ -127,6 +127,36 @@ def test_accept_count_memory_is_bounded_by_the_block():
     assert peak < 8 * 2**20
 
 
+def test_small_calls_stay_below_one_block():
+    # a 1000-shot call (the default simulate) sizes its buffers to the call,
+    # not to LOTTERY_BLOCK
+    tracemalloc.start()
+    try:
+        kernels.accept_count(5, [0.9, 0.95, 0.99, 0.999], shots=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [0.7, 1.0, 1.0, 1.0],
+        [1.0, 0.8, 1.0, 0.6],
+        [0.9, 0.8, 0.7, 0.95],
+    ],
+    ids=["one-draw", "two-draws", "four-draws"],
+)
+def test_shipped_block_partial_final_block_and_wrap(probs):
+    # two full blocks and a partial one, with shot indices that cross 2^63
+    # so 4i * GAMMA wraps modulo 2^64 inside the run
+    start = 2**63 - 5
+    shots = 2 * kernels.LOTTERY_BLOCK + 17
+    got = kernels.accept_count(77, probs, shots, start=start)
+    assert got == block_count(77, probs, shots, start)
+
+
 def test_accept_count_matches_uniform_block():
     seed, shots = 55, 2000
     probs = np.array([0.4, 0.9, 0.65, 0.85])
