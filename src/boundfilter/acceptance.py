@@ -50,19 +50,41 @@ class CheckResult:
     passed: bool
 
 
-def _gaussian(rng, n) -> np.ndarray:
-    """Complex Gaussian n x n matrix.
+# a drawn filter factor is kept when its smallest singular value exceeds this
+INVERTIBLE_FLOOR = 1e-3
 
-    The n * n real parts are drawn first, then the n * n imaginary parts;
-    one call fills both blocks in that order.
+
+def _gaussian(rng, n, count=None) -> np.ndarray:
+    """Complex Gaussian n x n matrix, or a stack of count of them.
+
+    Each matrix's n * n real parts are drawn first, then its n * n
+    imaginary parts, the matrices one after another; one call fills the
+    whole block in that order.
     """
-    x = rng.standard_normal((2, n, n))
-    return x[0] + 1j * x[1]
+    x = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
+    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+
+
+def _pair_size(dim_a, dim_b) -> int:
+    """Normals drawn for one A matrix and one B matrix."""
+    return 2 * dim_a * dim_a + 2 * dim_b * dim_b
+
+
+def _gaussian_pairs(x, dim_a, dim_b):
+    """The (A, B) pair of complex matrices, each as _gaussian draws it, from
+    each row of _pair_size(dim_a, dim_b) normals along x's last axis."""
+    na = 2 * dim_a * dim_a
+    a = x[..., :na].reshape(x.shape[:-1] + (2, dim_a, dim_a))
+    b = x[..., na:].reshape(x.shape[:-1] + (2, dim_b, dim_b))
+    return (
+        a[..., 0, :, :] + 1j * a[..., 1, :, :],
+        b[..., 0, :, :] + 1j * b[..., 1, :, :],
+    )
 
 
 def _random_densities(rng, dim_a, dim_b, count) -> DensityOperator:
     """count random states g g^dag / tr, drawn one after another, as a stack."""
-    g = np.stack([_gaussian(rng, dim_a * dim_b) for _ in range(count)])
+    g = _gaussian(rng, dim_a * dim_b, count)
     return normalize(g @ linalg.adjoint(g), dim_a, dim_b)[0]
 
 
@@ -74,6 +96,13 @@ def _unitaries(g) -> np.ndarray:
     return q * (dr / np.abs(dr))[..., None, :]
 
 
+def _schmidt_coefficients(rng, size, rank):
+    """rank drawn Schmidt coefficients, normalized, zero-padded to size."""
+    coef = np.zeros(size)
+    coef[:rank] = np.sort(rng.uniform(0.2, 1.0, size=rank))[::-1]
+    return coef / np.linalg.norm(coef)
+
+
 def _draw_pure(rng, dim_a, dim_b, rank):
     """Draws of one random ket of prescribed Schmidt rank.
 
@@ -82,17 +111,15 @@ def _draw_pure(rng, dim_a, dim_b, rank):
     """
     ga = _gaussian(rng, dim_a)
     gb = _gaussian(rng, dim_b)
-    coef = np.zeros(min(dim_a, dim_b))
-    coef[:rank] = np.sort(rng.uniform(0.2, 1.0, size=rank))[::-1]
-    return ga, gb, coef / np.linalg.norm(coef)
+    return ga, gb, _schmidt_coefficients(rng, min(dim_a, dim_b), rank)
 
 
-def _pure_states(draws, dim_a, dim_b) -> PureState:
-    """The kets sum_i c_i ua[:, i] x ub[:, i] of drawn cases, as one stack."""
-    ua = _unitaries(np.array([a for a, _, _ in draws]))
-    ub = _unitaries(np.array([b for _, b, _ in draws]))
-    coef = np.array([c for _, _, c in draws])
-    amps = np.zeros((len(draws), dim_a * dim_b), dtype=np.complex128)
+def _pure_states(ga, gb, coef, dim_a, dim_b) -> PureState:
+    """The kets sum_i c_i ua[:, i] x ub[:, i], one per row of coef, from the
+    stacked Gaussian seeds of their unitaries."""
+    ua = _unitaries(ga)
+    ub = _unitaries(gb)
+    amps = np.zeros((coef.shape[0], dim_a * dim_b), dtype=np.complex128)
     for i in range(coef.shape[1]):
         # column i of every unitary as a (d, 1) matrix, paired ket by ket
         cols = linalg.kron(ua[..., i : i + 1], ub[..., i : i + 1])[..., 0]
@@ -101,11 +128,61 @@ def _pure_states(draws, dim_a, dim_b) -> PureState:
 
 
 def _random_invertible(rng, n) -> np.ndarray:
-    """Redraw until the smallest singular value (values-only SVD) > 1e-3."""
+    """Redraw until the smallest singular value (values-only SVD) exceeds
+    INVERTIBLE_FLOOR."""
     while True:
         g = _gaussian(rng, n)
-        if np.linalg.svd(g, compute_uv=False)[-1] > 1e-3:
+        if np.linalg.svd(g, compute_uv=False)[-1] > INVERTIBLE_FLOOR:
             return g
+
+
+def _all_invertible(*stacks) -> bool:
+    """Whether every matrix passes _random_invertible's screen; stacks of
+    one matrix size share one values-only SVD."""
+    by_size = {}
+    for g in stacks:
+        by_size.setdefault(g.shape[-1], []).append(g)
+    return all(
+        (
+            np.linalg.svd(np.concatenate(gs), compute_uv=False)[:, -1]
+            > INVERTIBLE_FLOOR
+        ).all()
+        for gs in by_size.values()
+    )
+
+
+def _schmidt_cases(rng, dim_a, dim_b, count):
+    """Draws of the Schmidt check's cases for one dims group: (ranks, the
+    A and B unitary seeds, Schmidt coefficients, L factors, M factors).
+
+    Each case draws its rank, its two unitary seeds (one standard_normal
+    call), its coefficients, then its factors L and M (one call), in the
+    order _draw_pure and _random_invertible draw them.  If a factor fails
+    the invertibility screen, which _random_invertible would have redrawn,
+    the generator is rewound and the cases are drawn again that way.
+    """
+    saved = rng.bit_generator.state
+    size = min(dim_a, dim_b)
+    ranks, coefs = [], []
+    x = np.empty((count, 2, _pair_size(dim_a, dim_b)))
+    for k in range(count):
+        ranks.append(int(rng.integers(1, size + 1)))
+        rng.standard_normal(out=x[k, 0])
+        coefs.append(_schmidt_coefficients(rng, size, ranks[-1]))
+        rng.standard_normal(out=x[k, 1])
+    a, b = _gaussian_pairs(x, dim_a, dim_b)
+    ga, gb, ls, ms = a[:, 0], b[:, 0], a[:, 1], b[:, 1]
+    if not _all_invertible(ls, ms):
+        rng.bit_generator.state = saved
+        ranks, draws, ls, ms = [], [], [], []
+        for _ in range(count):
+            ranks.append(int(rng.integers(1, size + 1)))
+            draws.append(_draw_pure(rng, dim_a, dim_b, ranks[-1]))
+            ls.append(_random_invertible(rng, dim_a))
+            ms.append(_random_invertible(rng, dim_b))
+        ga, gb, coefs = (np.array(v) for v in zip(*draws))
+        ls, ms = np.array(ls), np.array(ms)
+    return np.array(ranks), ga, gb, np.array(coefs), ls, ms
 
 
 def _random_separable_parts(rng, dim_a, dim_b, terms=4):
@@ -119,17 +196,48 @@ def _random_separable_parts(rng, dim_a, dim_b, terms=4):
     return weights, ga, gb
 
 
-def _separable_states(parts, dim_a, dim_b) -> DensityOperator:
-    """sum_k w_k pa_k / tr x pb_k / tr with p = g g^dag, as one stack."""
-    weights = np.array([w for w, _, _ in parts])
-    ga = np.array([a for _, a, _ in parts])
-    gb = np.array([b for _, _, b in parts])
+def _ppt_cases(rng, dim_a, dim_b, count, terms=4):
+    """Draws of the PPT check's cases: (mixture weights, A factors, B
+    factors, L factors, M factors), the mixture factors (count, terms, d,
+    d).
+
+    Each case draws its weights, then its mixture factors and its filter
+    factors with one standard_normal call, in the order
+    _random_separable_parts and _random_invertible draw them.  If a filter
+    factor fails the invertibility screen, the generator is rewound and
+    the cases are drawn again that way.
+    """
+    saved = rng.bit_generator.state
+    weights = np.empty((count, terms))
+    x = np.empty((count, terms + 1, _pair_size(dim_a, dim_b)))
+    for k in range(count):
+        w = rng.uniform(0.2, 1.0, size=terms)
+        weights[k] = w / w.sum()
+        rng.standard_normal(out=x[k])
+    ga, gb = _gaussian_pairs(x, dim_a, dim_b)
+    ls, ms = ga[:, terms], gb[:, terms]
+    ga, gb = ga[:, :terms], gb[:, :terms]
+    if not _all_invertible(ls, ms):
+        rng.bit_generator.state = saved
+        parts, ls, ms = [], [], []
+        for _ in range(count):
+            parts.append(_random_separable_parts(rng, dim_a, dim_b, terms))
+            ls.append(_random_invertible(rng, dim_a))
+            ms.append(_random_invertible(rng, dim_b))
+        weights, ga, gb = (np.array(v) for v in zip(*parts))
+        ls, ms = np.array(ls), np.array(ms)
+    return weights, ga, gb, ls, ms
+
+
+def _separable_states(weights, ga, gb, dim_a, dim_b) -> DensityOperator:
+    """sum_k w_k pa_k / tr x pb_k / tr with p = g g^dag, one state per row
+    of weights, as one stack."""
     pa = ga @ linalg.adjoint(ga)
     pb = gb @ linalg.adjoint(gb)
     pa = pa / np.trace(pa, axis1=-2, axis2=-1).real[..., None, None]
     pb = pb / np.trace(pb, axis1=-2, axis2=-1).real[..., None, None]
     n = dim_a * dim_b
-    m = np.zeros((len(parts), n, n), dtype=np.complex128)
+    m = np.zeros((weights.shape[0], n, n), dtype=np.complex128)
     for k in range(weights.shape[1]):
         m += weights[:, k, None, None] * linalg.kron(pa[:, k], pb[:, k])
     return normalize(m, dim_a, dim_b)[0]
@@ -151,23 +259,27 @@ def check_choi_window(neg_tol: float = TOL_NEG) -> CheckResult:
     f = catalog.choi_example_filter()
     w = Witness(WitnessKind.CHOI_PHI, Side.A, 3)
 
-    def minima(xs):
+    def minima(xs, solve):
         # unfiltered and filtered witness minima, one block of points at a time
         unf, fil = [], []
         for start in range(0, xs.size, catalog.SWEEP_BLOCK):
             rho = catalog.rho_xt(xs[start : start + catalog.SWEEP_BLOCK], t)
-            unf.append(linalg.min_eigenvalue(apply_witness(w, rho)))
+            unf.append(solve(apply_witness(w, rho)))
             filtered, _ = apply_filter(f, rho)
-            fil.append(linalg.min_eigenvalue(apply_witness(w, filtered)))
+            fil.append(solve(apply_witness(w, filtered)))
         return np.concatenate(unf), np.concatenate(fil)
 
-    unf_vals, fil_vals = minima(np.linspace(WINDOW_LO, WINDOW_HI, 52)[1:-1])
+    unf_vals, fil_vals = minima(
+        np.linspace(WINDOW_LO, WINDOW_HI, 52)[1:-1], linalg.min_eigenvalue
+    )
     unf_floor = unf_vals.min()
     fil_ceil = fil_vals.max()
     window_ok = bool(unf_floor >= -neg_tol and fil_ceil < -neg_tol)
 
+    # only the signs of the grid minima are read: they come from the
+    # decision solve, which re-solves a minimum near zero with eigh
     grid = np.linspace(0.58, 0.68, 1000)
-    unf_vals, fil_vals = minima(grid)
+    unf_vals, fil_vals = minima(grid, lambda h: linalg.decision_min(h, 0.0))
 
     def crossings(vals):
         s = np.sign(vals)
@@ -206,20 +318,21 @@ def check_choi_window(neg_tol: float = TOL_NEG) -> CheckResult:
 def check_upb(neg_tol: float = TOL_NEG) -> CheckResult:
     """Tile state: PPT, invisible to choi-psi:B, visible after the rotation."""
     rho = catalog.rho_upb()
-    verdict = is_ppt(rho)
+    # printed, so from eigh; is_ppt's verdict is this value's
+    pt_min = linalg.min_eigenvalue(partial_transpose_b(rho))
     w = Witness(WitnessKind.CHOI_PSI, Side.B, 3)
     before = detect(w, rho, "rho-upb", tol_neg=neg_tol)
     filtered, _ = apply_filter(catalog.upb_rotation_filter(), rho)
     after = detect(w, filtered, "rho-upb-filtered", tol_neg=neg_tol)
     regression_ok = abs(after.min_eigenvalue - UPB_FILTERED_MIN_EIG) <= 1e-10
     passed = (
-        bool(verdict)
+        pt_min >= -TOL_NEG
         and not before.detected
         and after.detected
         and regression_ok
     )
     observed = (
-        f"pt min {fmt_num(verdict.min_eigenvalue)}, "
+        f"pt min {fmt_num(pt_min)}, "
         f"before {fmt_num(before.min_eigenvalue)}, "
         f"after {fmt_num(after.min_eigenvalue)}"
     )
@@ -243,15 +356,9 @@ def check_schmidt_invariance() -> CheckResult:
     bad = 0
     cases = 0
     for da, db in ((2, 2), (3, 3)):
-        ranks, kets, ls, ms = [], [], [], []
-        for _ in range(100):
-            rank = int(rng.integers(1, min(da, db) + 1))
-            ranks.append(rank)
-            kets.append(_draw_pure(rng, da, db, rank))
-            ls.append(_random_invertible(rng, da))
-            ms.append(_random_invertible(rng, db))
-        psi = _pure_states(kets, da, db)
-        f = make_filter(np.array(ls), np.array(ms))
+        ranks, ga, gb, coef, ls, ms = _schmidt_cases(rng, da, db, 100)
+        psi = _pure_states(ga, gb, coef, da, db)
+        f = make_filter(ls, ms)
         before = schmidt_rank(psi)
         after = schmidt_rank(filtered_pure(f, psi))
         cases += len(ranks)
@@ -273,13 +380,9 @@ def check_ppt_invariance() -> CheckResult:
     bad case and nothing else; its filter is drawn all the same.
     """
     rng = np.random.default_rng(20240812)
-    parts, ls, ms = [], [], []
-    for _ in range(100):
-        parts.append(_random_separable_parts(rng, 3, 3))
-        ls.append(_random_invertible(rng, 3))
-        ms.append(_random_invertible(rng, 3))
-    rho = _separable_states(parts, 3, 3)
-    f = make_filter(np.array(ls), np.array(ms))
+    weights, ga, gb, ls, ms = _ppt_cases(rng, 3, 3, 100)
+    rho = _separable_states(weights, ga, gb, 3, 3)
+    f = make_filter(ls, ms)
     ppt_in = is_ppt(rho).ppt
     filtered, weight = apply_filter(f, rho)
     ppt_out = is_ppt(filtered).ppt
@@ -432,10 +535,9 @@ def check_positive_not_cp(neg_tol: float = TOL_NEG) -> CheckResult:
         negs.append(linalg.min_eigenvalue(apply_witness(w, omega)))
     entangled_seen = all(v < -neg_tol for v in negs)
     rng = np.random.default_rng(20240815)
+    g = _gaussian(rng, 3, 200)
     mapped = []
-    for _ in range(200):
-        g = _gaussian(rng, 3)
-        psd = g @ g.conj().T
+    for psd in g @ linalg.adjoint(g):
         mapped += [choi_phi(psd), choi_psi(psd)]
     worst = linalg.min_eigenvalue(np.array(mapped)).min()
     positivity_ok = worst >= -1e-10

@@ -34,7 +34,7 @@ def pairs_to_matrix(obj, what: str = "matrix") -> np.ndarray:
     """Decode the [re, im] nested-list encoding, validating shape as we go.
 
     Non-finite numbers (the NaN and Infinity literals Python's json module
-    accepts) are rejected.
+    accepts) and booleans (JSON true/false) are rejected.
     """
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{what}: expected a non-empty list of rows")
@@ -54,7 +54,10 @@ def pairs_to_matrix(obj, what: str = "matrix") -> np.ndarray:
             if (
                 not isinstance(cell, (list, tuple))
                 or len(cell) != 2
-                or not all(isinstance(x, (int, float)) for x in cell)
+                or not all(
+                    isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for x in cell
+                )
             ):
                 raise ParseError(
                     f"{what} row {r} col {c}: expected a [re, im] pair"

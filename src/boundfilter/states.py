@@ -22,6 +22,12 @@ from .formats import matrix_to_pairs, pairs_to_matrix, require_key
 from .tolerances import TOL_NEG, TOL_RANK, TOL_RECON, TOL_TRACE
 
 
+def _whole_min(m):
+    """Smallest eigenvalue from the values-only solve of each whole matrix:
+    the positivity gate's reference near its edge and in its messages."""
+    return linalg.eigvalsh(m)[..., 0]
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A validated bipartite density matrix, or a stack of them.
@@ -29,10 +35,12 @@ class DensityOperator:
     mat has shape (n, n) for one state or (N, n, n) for N states on the
     same dims, n = dim_a * dim_b.  Invariants checked on construction, on
     every matrix: finite entries, Hermitian within TOL_HERM, unit trace
-    within TOL_TRACE, and no eigenvalue below -TOL_NEG (from one values-only
-    solve of the whole stack).  A failure raises for the first matrix that
-    breaks the first failing invariant, with the same message a lone matrix
-    would give.  The stored array is made read-only.
+    within TOL_TRACE, and no eigenvalue below -TOL_NEG.  The positivity
+    verdict comes from linalg.decision_min, whose edge cases are re-solved
+    by the whole-matrix values-only solve, so it is that solve's verdict.
+    A failure raises for the first matrix that breaks the first failing
+    invariant, with the same message a lone matrix would give.  The stored
+    array is made read-only.
     """
 
     dim_a: int
@@ -57,20 +65,22 @@ class DensityOperator:
                 "finiteness invariant failed: matrix has NaN or infinite "
                 "entries"
             )
-        # values-only solve; it raises first if a matrix is not Hermitian
-        w = linalg.eigvalsh(stack, what="hermiticity invariant failed")
+        # the decision solve raises first if a matrix is not Hermitian
+        wmin = linalg.decision_min(
+            stack, -TOL_NEG, _whole_min, what="hermiticity invariant failed"
+        )
         tr = np.trace(stack, axis1=1, axis2=2).real
         bad = np.abs(tr - 1.0) > TOL_TRACE
         if bad.any():
             raise InvariantViolationError(
                 f"trace invariant failed: trace = {tr[bad][0]!r}"
             )
-        wmin = w[:, 0]
         bad = wmin < -TOL_NEG
         if bad.any():
+            first = stack[np.flatnonzero(bad)[0]]
             raise NotPSDError(
                 f"positivity invariant failed: min eigenvalue = "
-                f"{wmin[bad][0]:.6e}"
+                f"{_whole_min(first):.6e}"
             )
         m = m.copy()
         m.setflags(write=False)
@@ -186,8 +196,14 @@ class PptVerdict:
 
 
 def is_ppt(rho: DensityOperator, tol_neg: float = TOL_NEG) -> PptVerdict:
-    """Whether the partial transpose has no eigenvalue below -tol_neg."""
-    wmin = linalg.min_eigenvalue(partial_transpose_b(rho))
+    """Whether the partial transpose has no eigenvalue below -tol_neg.
+
+    The verdict is eigh's: linalg.decision_min re-solves a minimum near
+    -tol_neg with eigh.  Off that edge, min_eigenvalue comes from the
+    values-only block solve and can differ from eigh's in the last bits;
+    a figure to print comes from linalg.min_eigenvalue.
+    """
+    wmin = linalg.decision_min(partial_transpose_b(rho), -tol_neg)
     return PptVerdict(ppt=wmin >= -tol_neg, min_eigenvalue=wmin)
 
 
@@ -242,7 +258,10 @@ def state_to_json_dict(rho: DensityOperator) -> dict:
 def state_from_json_dict(obj) -> DensityOperator:
     dim_a = require_key(obj, "dimA", "state")
     dim_b = require_key(obj, "dimB", "state")
-    if not isinstance(dim_a, int) or not isinstance(dim_b, int):
+    # JSON true/false decode to bool, a subclass of int
+    if not all(
+        isinstance(d, int) and not isinstance(d, bool) for d in (dim_a, dim_b)
+    ):
         raise ParseError("state: dimA and dimB must be integers")
     m = pairs_to_matrix(require_key(obj, "matrix", "state"), "state matrix")
     n = dim_a * dim_b

@@ -133,6 +133,58 @@ def ancilla_protocol(l, m, rho, bob_first=False):
     return state / np.trace(state).real, probs
 
 
+# The randomized checks' draws taken one at a time, as the checks first
+# took them: one standard_normal call per complex Gaussian matrix (real
+# parts, then imaginary parts) and each filter factor redrawn until its
+# smallest singular value exceeds the floor.
+
+
+def gaussian_loop(rng, n):
+    x = rng.standard_normal((2, n, n))
+    return x[0] + 1j * x[1]
+
+
+def invertible_loop(rng, n, floor):
+    while True:
+        g = gaussian_loop(rng, n)
+        if np.linalg.svd(g, compute_uv=False)[-1] > floor:
+            return g
+
+
+def schmidt_draws_loop(rng, da, db, count, floor):
+    """(ranks, A seeds, B seeds, Schmidt coefficients, L, M) of count
+    cases: rank, two unitary seeds, coefficients, then L and M."""
+    cases = []
+    for _ in range(count):
+        rank = int(rng.integers(1, min(da, db) + 1))
+        ga = gaussian_loop(rng, da)
+        gb = gaussian_loop(rng, db)
+        coef = np.zeros(min(da, db))
+        coef[:rank] = np.sort(rng.uniform(0.2, 1.0, size=rank))[::-1]
+        coef = coef / np.linalg.norm(coef)
+        l = invertible_loop(rng, da, floor)
+        m = invertible_loop(rng, db, floor)
+        cases.append((rank, ga, gb, coef, l, m))
+    return tuple(np.array(v) for v in zip(*cases))
+
+
+def ppt_draws_loop(rng, da, db, count, floor, terms=4):
+    """(weights, A factors, B factors, L, M) of count cases: mixture
+    weights, terms x (A factor, B factor), then L and M."""
+    cases = []
+    for _ in range(count):
+        weights = rng.uniform(0.2, 1.0, size=terms)
+        weights /= weights.sum()
+        ga, gb = [], []
+        for _ in range(terms):
+            ga.append(gaussian_loop(rng, da))
+            gb.append(gaussian_loop(rng, db))
+        l = invertible_loop(rng, da, floor)
+        m = invertible_loop(rng, db, floor)
+        cases.append((weights, ga, gb, l, m))
+    return tuple(np.array(v) for v in zip(*cases))
+
+
 def raw_density(mat, da, db) -> DensityOperator:
     """DensityOperator without invariant validation (tests only)."""
     obj = object.__new__(DensityOperator)

@@ -9,7 +9,12 @@ call in a fresh session.
 
 import time
 
-from boundfilter import acceptance
+import numpy as np
+import pytest
+
+from boundfilter import acceptance, catalog
+
+from . import oracles
 
 
 def _gate(result, budget=None, elapsed=None):
@@ -90,3 +95,99 @@ def test_suite_is_deterministic():
         "monte-carlo",
         "positive-not-cp",
     ]
+
+
+# ---------------------------------------------------------------------------
+# batched draws
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("floor", [None, 0.3])
+def test_batched_draws_keep_the_stream(monkeypatch, floor):
+    # every randomized check draws the cases and leaves the generator in
+    # the state that one-draw-at-a-time loops give; a floor of 0.3 fails
+    # about one factor in ten, which forces the rewind-and-redraw path
+    if floor is not None:
+        monkeypatch.setattr(acceptance, "INVERTIBLE_FLOOR", floor)
+    floor = acceptance.INVERTIBLE_FLOOR
+    redraws = []
+    per_draw = acceptance._random_invertible
+    monkeypatch.setattr(
+        acceptance,
+        "_random_invertible",
+        lambda rng, n: redraws.append(n) or per_draw(rng, n),
+    )
+
+    def same(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.asarray(g).shape == w.shape
+            assert np.array_equal(g, w)
+
+    rng = np.random.default_rng(20240811)
+    ref = np.random.default_rng(20240811)
+    for d in (2, 3):
+        same(
+            acceptance._schmidt_cases(rng, d, d, 100),
+            oracles.schmidt_draws_loop(ref, d, d, 100, floor),
+        )
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+    rng = np.random.default_rng(20240812)
+    ref = np.random.default_rng(20240812)
+    same(
+        acceptance._ppt_cases(rng, 3, 3, 100),
+        oracles.ppt_draws_loop(ref, 3, 3, 100, floor),
+    )
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+    # measurement-equivalence draws 20 states per catalog filter
+    rng = np.random.default_rng(20240813)
+    ref = np.random.default_rng(20240813)
+    dims = [f.dims for f in catalog.paper_filters().values()] + [(2, 2)]
+    for da, db in dims:
+        rho = acceptance._random_densities(rng, da, db, 20)
+        g = np.array([oracles.gaussian_loop(ref, da * db) for _ in range(20)])
+        p = g @ g.conj().transpose(0, 2, 1)
+        want = p / np.trace(p, axis1=1, axis2=2).real[:, None, None]
+        assert np.array_equal(rho.mat, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+    rng = np.random.default_rng(20240815)
+    ref = np.random.default_rng(20240815)
+    same(
+        acceptance._gaussian(rng, 3, 200),
+        np.array([oracles.gaussian_loop(ref, 3) for _ in range(200)]),
+    )
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+    if floor == 1e-3:
+        assert redraws == []  # the shipped floor never rewinds these seeds
+    else:
+        assert redraws  # the per-draw path ran
+
+
+def test_checks_read_the_same_rows_from_per_draw_cases(monkeypatch):
+    batched = [
+        acceptance.check_schmidt_invariance(),
+        acceptance.check_ppt_invariance(),
+    ]
+    floor = acceptance.INVERTIBLE_FLOOR
+    monkeypatch.setattr(
+        acceptance,
+        "_schmidt_cases",
+        lambda rng, da, db, count: oracles.schmidt_draws_loop(
+            rng, da, db, count, floor
+        ),
+    )
+    monkeypatch.setattr(
+        acceptance,
+        "_ppt_cases",
+        lambda rng, da, db, count: oracles.ppt_draws_loop(
+            rng, da, db, count, floor
+        ),
+    )
+    assert [
+        acceptance.check_schmidt_invariance(),
+        acceptance.check_ppt_invariance(),
+    ] == batched

@@ -8,7 +8,12 @@ from boundfilter.cli import main
 from boundfilter.errors import BoundFilterError
 from boundfilter.filters import apply_filter, filter_to_json_dict
 from boundfilter.formats import fmt_num
-from boundfilter.states import is_ppt, state_from_json_dict, state_to_json_dict
+from boundfilter.states import (
+    partial_transpose_b,
+    state_from_json_dict,
+    state_to_json_dict,
+)
+from boundfilter.tolerances import TOL_NEG
 from boundfilter.witness import Witness, apply_witness, parse_witness_spec
 
 
@@ -111,7 +116,8 @@ def per_point_scan(t, x_min, x_max, steps, spec, filt_label):
                 filtered, _ = apply_filter(filt, rho)
                 wmin = linalg.min_eigenvalue(apply_witness(w, filtered))
                 cols.append(fmt_num(wmin))
-            cols.append("true" if is_ppt(rho) else "false")
+            pt_min = np.linalg.eigh(partial_transpose_b(rho))[0][0]
+            cols.append("true" if pt_min >= -TOL_NEG else "false")
         except BoundFilterError as e:
             return text, str(e)
         text += ",".join(cols) + "\n"
@@ -331,6 +337,33 @@ def test_non_finite_json_input_exits_2(capsys, tmp_path, which):
     )
     assert code == 2 and out == ""
     assert err.startswith("error:") and "NaN or infinite" in err
+
+
+def test_boolean_state_dims_exit_2(capsys, tmp_path):
+    # JSON true decodes to a bool, which Python counts as an int
+    state = state_to_json_dict(catalog.bell_state())
+    state["dimA"] = True
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    assert "true" in path.read_text()
+    for argv in (
+        ["detect", str(path), "transpose:A"],
+        ["simulate", str(path), "identity", "--analytic"],
+    ):
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: state: dimA and dimB must be integers\n"
+        )
+
+
+@pytest.mark.parametrize("entry", [[True, False], [1.0, False]])
+def test_boolean_filter_entries_exit_2(capsys, tmp_path, entry):
+    filt = filter_to_json_dict(catalog.gisin_filter(0.6))
+    filt["L"][0][1] = entry
+    path = tmp_path / "filter.json"
+    path.write_text(json.dumps(filt))
+    assert run_cli(capsys, "simulate", "bell", str(path), "--analytic") == (
+        2, "", "error: filter L row 0 col 1: expected a [re, im] pair\n"
+    )
 
 
 # ---------------------------------------------------------------------------

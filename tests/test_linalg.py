@@ -89,6 +89,55 @@ def test_eigh_checks_each_matrix_of_a_stack():
         linalg.eigh(np.zeros((2, 2, 2, 2)))
 
 
+def test_decision_min_whole_solve_without_a_split():
+    # a lone matrix, and a stack whose pattern is one block, take the plain
+    # values-only solve: the same bits as np.linalg.eigvalsh
+    rng = np.random.default_rng(16)
+    stack = np.stack([random_herm(rng, 9) for _ in range(4)])
+    ref = np.linalg.eigvalsh(stack)[:, 0]
+    assert np.array_equal(linalg.decision_min(stack, -1.0), ref)
+    assert linalg.decision_min(stack[2], -1.0) == ref[2]
+
+
+def test_decision_min_splits_on_exact_zeros_only():
+    # entries 0 and 5 hold the same value, coupled by a tiny eps: the pair's
+    # eigenvalues are w +- eps, so the minimum sits 3e-12 below the edge
+    # (outside the re-solve margin) only if eps is kept.  A split that
+    # dropped small entries would see w, above the edge.
+    edge, eps = -1e-10, 3e-12
+    h = np.zeros((3, 9, 9), dtype=complex)
+    h[:, range(9), range(9)] = np.arange(1, 10) / 10
+    h[:, 0, 0] = h[:, 5, 5] = edge + 1.5e-12
+    h[1:, 0, 5] = h[1:, 5, 0] = eps
+    h[:, 1, 2] = h[:, 2, 1] = 0.05j
+    h[:, 2, 1] *= -1
+    ref = np.linalg.eigh(h)[0][:, 0]
+    wmin = linalg.decision_min(h, edge)
+    assert np.abs(wmin - ref).max() < 1e-15
+    assert list(wmin < edge) == [False, True, True]
+    assert abs(wmin[1] - (edge - 1.5e-12)) < 1e-15
+    # blocks {0, 5}, {1, 2} and five single entries
+    groups = linalg._block_index(9, (h != 0).any(axis=0).tobytes())
+    assert [(size, count) for size, count, _ in groups] == [(1, 5), (2, 2)]
+
+
+def test_decision_min_resolves_near_the_edge():
+    # minima within EDGE_MARGIN of the edge take the reference solver's
+    # value, the others the block solve's
+    h = np.zeros((3, 4, 4))
+    h[:, range(4), range(4)] = 1.0
+    h[:, 3, 3] = [0.5, 1e-13, -1e-13]
+    calls = []
+
+    def exact(m):
+        calls.append(m.shape)
+        return np.full(m.shape[:-2], 7.0)
+
+    assert list(linalg.decision_min(h, 0.0, exact)) == [0.5, 7.0, 7.0]
+    assert calls == [(2, 4, 4)]  # one call, for the two near the edge
+    assert linalg.decision_min(h[1], 0.0, exact) == 7.0
+
+
 def test_svd_identity(kernel_path):
     res = linalg.svd(np.eye(4))
     assert np.allclose(res.d, 1.0, atol=1e-14)

@@ -154,6 +154,104 @@ def test_values_only_positivity_gate_matches_eigh(seed, n, signs):
     assert abs(printed - ref[first]) < 1e-15
 
 
+def _partition_of_9(parts):
+    """Block sizes summing to 9, cut from a list of positive ints."""
+    sizes, left = [], 9
+    for p in parts:
+        if left == 0:
+            break
+        sizes.append(min(p, left))
+        left -= sizes[-1]
+    return sizes + ([left] if left else [])
+
+
+def _blocked_stack(rng, sizes, wmins, unit_trace):
+    """One 9 x 9 Hermitian matrix per entry of wmins, block-diagonal with
+    the given block sizes up to a permutation that the stack shares; each
+    block is dense, and matrix k's smallest eigenvalue is wmins[k]."""
+    perm = rng.permutation(9)
+    mats = np.zeros((len(wmins), 9, 9), dtype=complex)
+    for k, wmin in enumerate(wmins):
+        w = rng.uniform(0.1, 1.0, size=9)
+        w[0] = wmin
+        if unit_trace:
+            w[1:] *= (1.0 - wmin) / w[1:].sum()
+        w = w[rng.permutation(9)]
+        start = 0
+        for size in sizes:
+            block = slice(start, start + size)
+            u = random_unitary(rng, size)
+            mats[k, block, block] = (u * w[block]) @ u.conj().T
+            start += size
+    return mats[:, perm][:, :, perm]
+
+
+# distances of a minimum from its decision edge: 2e-12 lies outside the
+# re-solve margin; 1e-13 is edge * 1e-3 at the positivity edge; 0 and 1e-16
+# sit within rounding of the edge, where only eigh's own answer is safe
+NEAR_EDGE = [-2e-12, -9e-13, -1e-13, -1e-16, 0.0, 1e-16, 1e-13, 9e-13, 2e-12]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    parts=st.lists(st.integers(1, 9), min_size=1, max_size=9),
+    dense=st.booleans(),
+    dists=st.lists(st.sampled_from(NEAR_EDGE), min_size=2, max_size=6),
+)
+def test_decision_solves_match_eigh_at_the_edges(seed, parts, dense, dists):
+    rng = np.random.default_rng(seed)
+    sizes = [9] if dense else _partition_of_9(parts)
+
+    def reference(mats):
+        herm = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
+        return np.linalg.eigh(herm)[0][:, 0]
+
+    # the split really happens: the blocks are the ones built
+    mats = _blocked_stack(rng, sizes, [0.0] * len(dists), False)
+    groups = linalg._block_index(9, (mats != 0).any(axis=0).tobytes())
+    if len(sizes) == 1:
+        assert groups is None
+    else:
+        found = [size for size, count, _ in groups for _ in range(count)]
+        assert sorted(found) == sorted(sizes)
+
+    # sign grid (edge 0) and is_ppt (edge -TOL_NEG): eigh's verdicts exactly
+    mats = _blocked_stack(rng, sizes, dists, False)
+    signs = np.sign(linalg.decision_min(mats, 0.0))
+    assert np.array_equal(signs, np.sign(reference(mats)))
+    mats = _blocked_stack(rng, sizes, [-TOL_NEG + d for d in dists], True)
+    ref = reference(mats)
+    rho = raw_density(states.partial_transpose_b(mats, 3, 3), 3, 3)
+    assert np.array_equal(states.is_ppt(rho).ppt, ref >= -TOL_NEG)
+    for k in range(len(dists)):
+        lone = raw_density(states.partial_transpose_b(mats[k], 3, 3), 3, 3)
+        assert bool(states.is_ppt(lone)) == (ref[k] >= -TOL_NEG)
+
+    # the gate decides near its edge with the whole-matrix values-only
+    # solve, which agrees with eigh once a minimum is clear of rounding;
+    # nudges of k * 1e-15 away from the edge make every offender print a
+    # different figure
+    gate = [d + np.sign(d) * k * 1e-15 for k, d in enumerate(dists)]
+    gate = [d for d in gate if abs(d) >= 1e-13]
+    if not gate:
+        return
+    mats = _blocked_stack(rng, sizes, [-TOL_NEG + d for d in gate], True)
+    ref = reference(mats)
+    offenders = np.flatnonzero(ref < -TOL_NEG)
+    assert list(offenders) == [k for k, d in enumerate(gate) if d < 0]
+    if offenders.size == 0:
+        states.DensityOperator(3, 3, mats)
+        return
+    with pytest.raises(NotPSDError) as stacked:
+        states.DensityOperator(3, 3, mats)
+    with pytest.raises(NotPSDError) as lone:
+        states.DensityOperator(3, 3, mats[offenders[0]])
+    assert str(stacked.value) == str(lone.value)
+    printed = float(str(stacked.value).rsplit("= ", 1)[1])
+    assert abs(printed - ref[offenders[0]]) < 1e-15
+
+
 def test_pure_state_validation():
     psi = states.pure([1, 0, 0, 0], 2, 2)
     assert psi.dims == (2, 2)
