@@ -176,6 +176,7 @@ def _block_index(n: int, pattern: bytes):
     for size in sorted({len(c) for c in comps}):
         idx = np.array([c for c in comps if len(c) == size])
         flat = (idx[:, :, None] * n + idx[:, None, :]).ravel()
+        flat.setflags(write=False)  # cached: every caller shares it
         groups.append((size, idx.shape[0], flat))
     return tuple(groups)
 
