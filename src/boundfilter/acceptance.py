@@ -136,18 +136,13 @@ def _random_invertible(rng, n) -> np.ndarray:
             return g
 
 
-def _all_invertible(*stacks) -> bool:
-    """Whether every matrix passes _random_invertible's screen; stacks of
-    one matrix size share one values-only SVD."""
-    by_size = {}
-    for g in stacks:
-        by_size.setdefault(g.shape[-1], []).append(g)
+def _all_invertible(ls, ms) -> bool:
+    """Whether every factor passes _random_invertible's screen, from one
+    values-only SVD when L and M have one size."""
+    stacks = [np.concatenate((ls, ms))] if ls.shape == ms.shape else [ls, ms]
     return all(
-        (
-            np.linalg.svd(np.concatenate(gs), compute_uv=False)[:, -1]
-            > INVERTIBLE_FLOOR
-        ).all()
-        for gs in by_size.values()
+        (np.linalg.svd(g, compute_uv=False)[:, -1] > INVERTIBLE_FLOOR).all()
+        for g in stacks
     )
 
 
@@ -197,9 +192,8 @@ def _random_separable_parts(rng, dim_a, dim_b, terms=4):
 
 
 def _ppt_cases(rng, dim_a, dim_b, count, terms=4):
-    """Draws of the PPT check's cases: (mixture weights, A factors, B
-    factors, L factors, M factors), the mixture factors (count, terms, d,
-    d).
+    """Draws of the PPT check's cases: (mixture weights, the mixtures' A
+    and B factors with a term axis, L factors, M factors).
 
     Each case draws its weights, then its mixture factors and its filter
     factors with one standard_normal call, in the order
