@@ -54,6 +54,12 @@ class CheckResult:
 INVERTIBLE_FLOOR = 1e-3
 
 
+def _complex(x) -> np.ndarray:
+    """Complex matrices from normals of shape (..., 2, n, n): each matrix's
+    real parts, then its imaginary parts."""
+    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+
+
 def _gaussian(rng, n, count=None) -> np.ndarray:
     """Complex Gaussian n x n matrix, or a stack of count of them.
 
@@ -61,8 +67,9 @@ def _gaussian(rng, n, count=None) -> np.ndarray:
     imaginary parts, the matrices one after another; one call fills the
     whole block in that order.
     """
-    x = rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
-    return x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    return _complex(
+        rng.standard_normal((2, n, n) if count is None else (count, 2, n, n))
+    )
 
 
 def _pair_size(dim_a, dim_b) -> int:
@@ -76,10 +83,7 @@ def _gaussian_pairs(x, dim_a, dim_b):
     na = 2 * dim_a * dim_a
     a = x[..., :na].reshape(x.shape[:-1] + (2, dim_a, dim_a))
     b = x[..., na:].reshape(x.shape[:-1] + (2, dim_b, dim_b))
-    return (
-        a[..., 0, :, :] + 1j * a[..., 1, :, :],
-        b[..., 0, :, :] + 1j * b[..., 1, :, :],
-    )
+    return _complex(a), _complex(b)
 
 
 def _random_densities(rng, dim_a, dim_b, count) -> DensityOperator:
@@ -312,7 +316,7 @@ def check_choi_window(neg_tol: float = TOL_NEG) -> CheckResult:
 def check_upb(neg_tol: float = TOL_NEG) -> CheckResult:
     """Tile state: PPT, invisible to choi-psi:B, visible after the rotation."""
     rho = catalog.rho_upb()
-    # printed, so from eigh; is_ppt's verdict is this value's
+    # printed, so from eigh; is_ppt would give the same verdict
     pt_min = linalg.min_eigenvalue(partial_transpose_b(rho))
     w = Witness(WitnessKind.CHOI_PSI, Side.B, 3)
     before = detect(w, rho, "rho-upb", tol_neg=neg_tol)
