@@ -51,22 +51,24 @@ def pairs_to_matrix(obj, what: str = "matrix") -> np.ndarray:
             )
         vals = []
         for c, cell in enumerate(row):
+            # JSON true/false decode to bool, a subclass of int
             if (
                 not isinstance(cell, (list, tuple))
                 or len(cell) != 2
-                or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in cell
-                )
+                or not isinstance(cell[0], (int, float))
+                or not isinstance(cell[1], (int, float))
+                or isinstance(cell[0], bool)
+                or isinstance(cell[1], bool)
             ):
                 raise ParseError(
                     f"{what} row {r} col {c}: expected a [re, im] pair"
                 )
-            if not all(math.isfinite(x) for x in cell):
+            re, im = cell
+            if not (math.isfinite(re) and math.isfinite(im)):
                 raise ParseError(
                     f"{what} row {r} col {c}: entry is NaN or infinite"
                 )
-            vals.append(complex(cell[0], cell[1]))
+            vals.append(complex(re, im))
         rows.append(vals)
     return np.array(rows, dtype=np.complex128)
 

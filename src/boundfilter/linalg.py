@@ -216,11 +216,11 @@ def decision_min(h, edge: float, exact=min_eigenvalue,
     replaced by exact(h[k]), so comparing the result with edge gives the
     verdict of `exact`.  A float64 for one matrix, (N,) for a stack.
     """
-    h = as_stack(h)
     wmin = _split_min(_hermitian_part(h, TOL_HERM, what))
     near = np.abs(wmin - edge) <= EDGE_MARGIN
     if not near.any():
         return wmin
+    h = as_stack(h)
     if h.ndim == 2:
         return exact(h)
     wmin = wmin.copy()
