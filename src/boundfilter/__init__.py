@@ -15,7 +15,6 @@ from .catalog import (
     choi_example_filter,
     gisin_filter,
     max_mixed,
-    paper_filters,
     rho_upb,
     rho_xt,
     tiles_vectors,
@@ -48,13 +47,12 @@ from .states import (
     schmidt_rank,
 )
 from .witness import (
+    MAPS,
     DetectionReport,
     Side,
     Witness,
-    WitnessKind,
+    apply_map,
     apply_witness,
-    choi_phi,
-    choi_psi,
     detect,
 )
 

@@ -23,15 +23,7 @@ from .states import (
     schmidt_rank,
 )
 from .tolerances import TOL_NEG
-from .witness import (
-    Side,
-    Witness,
-    WitnessKind,
-    apply_witness,
-    choi_phi,
-    choi_psi,
-    detect,
-)
+from .witness import Side, Witness, apply_map, apply_witness, detect
 
 # frozen on the first verified run; the filtered tile state's negative
 # eigenvalue under (choi-psi, side B)
@@ -255,7 +247,7 @@ def check_choi_window(neg_tol: float = TOL_NEG) -> CheckResult:
     """
     t = 0.05
     f = catalog.choi_example_filter()
-    w = Witness(WitnessKind.CHOI_PHI, Side.A, 3)
+    w = Witness("choi-phi", Side.A, 3)
 
     def minima(xs, solve):
         # unfiltered and filtered witness minima, one block of points at a time
@@ -318,7 +310,7 @@ def check_upb(neg_tol: float = TOL_NEG) -> CheckResult:
     rho = catalog.rho_upb()
     # printed, so from eigh; is_ppt would give the same verdict
     pt_min = linalg.min_eigenvalue(partial_transpose_b(rho))
-    w = Witness(WitnessKind.CHOI_PSI, Side.B, 3)
+    w = Witness("choi-psi", Side.B, 3)
     before = detect(w, rho, "rho-upb", tol_neg=neg_tol)
     filtered, _ = apply_filter(catalog.upb_rotation_filter(), rho)
     after = detect(w, filtered, "rho-upb-filtered", tol_neg=neg_tol)
@@ -415,10 +407,11 @@ def check_measurement_equivalence() -> CheckResult:
     rng = np.random.default_rng(20240813)
     worst_state = 0.0
     worst_prob = 0.0
-    cases = list(catalog.paper_filters().items())
-    cases.append(("identity", catalog.from_label("filter", "identity")))
     bad = 0
-    for label, f in cases:
+    for label, (kind, _, _) in catalog.LABELS.items():
+        if kind != "filter":
+            continue
+        f = catalog.from_label("filter", label)
         rho = _random_densities(rng, *f.dims, 20)
         direct, weight = apply_filter(f, rho)
         via_protocol, prob = measure.protocol_analytic(f, rho)
@@ -458,7 +451,11 @@ def check_projector_algebra() -> CheckResult:
     """P is a Hermitian projector of trace n with orthogonal rank-1 terms."""
     rng = np.random.default_rng(20240814)
     diags = []
-    for f in catalog.paper_filters().values():
+    for label, (kind, _, _) in catalog.LABELS.items():
+        # the identity filter adds only trivial all-ones diagonals
+        if kind != "filter" or label == "identity":
+            continue
+        f = catalog.from_label("filter", label)
         diags.append(measure.rescaled_diag(f.svd_l)[0])
         diags.append(measure.rescaled_diag(f.svd_m)[0])
     for _ in range(50):
@@ -527,17 +524,17 @@ def check_positive_not_cp(neg_tol: float = TOL_NEG) -> CheckResult:
     amps = np.zeros(9)
     amps[[0, 4, 8]] = 1.0 / np.sqrt(3.0)
     omega = DensityOperator(3, 3, np.outer(amps, amps))
-    negs = []
-    for kind in (WitnessKind.CHOI_PHI, WitnessKind.CHOI_PSI):
-        w = Witness(kind, Side.A, 3)
-        negs.append(linalg.min_eigenvalue(apply_witness(w, omega)))
+    kinds = ("choi-phi", "choi-psi")
+    negs = [
+        linalg.min_eigenvalue(apply_witness(Witness(kind, Side.A, 3), omega))
+        for kind in kinds
+    ]
     entangled_seen = all(v < -neg_tol for v in negs)
     rng = np.random.default_rng(20240815)
     g = _gaussian(rng, 3, 200)
-    mapped = []
-    for psd in g @ linalg.adjoint(g):
-        mapped += [choi_phi(psd), choi_psi(psd)]
-    worst = linalg.min_eigenvalue(np.array(mapped)).min()
+    psd = g @ linalg.adjoint(g)
+    mapped = np.concatenate([apply_map(kind, psd) for kind in kinds])
+    worst = linalg.min_eigenvalue(mapped).min()
     positivity_ok = worst >= -1e-10
     return CheckResult(
         name="positive-not-cp",

@@ -134,15 +134,6 @@ def gisin_filter(kappa: float) -> LocalFilter:
     return make_filter(np.diag([kappa, 1.0]), np.diag([1.0, kappa]))
 
 
-def paper_filters(kappa: float = 0.6) -> dict:
-    """The named example filters, keyed by catalog label."""
-    return {
-        "choi-example": choi_example_filter(),
-        "upb-rotation": upb_rotation_filter(),
-        f"gisin({kappa:g})": gisin_filter(kappa),
-    }
-
-
 # ---------------------------------------------------------------------------
 # the label table (CLI arguments, export, error messages)
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ detect (one witness verdict, JSON), simulate (measurement protocol, JSON),
 verify-paper (the acceptance suite as a pass/fail table) and export
 (catalog listing, JSON).
 
-Grammar: witnesses are <kind>:<side> with kinds choi-phi / choi-psi /
-transpose and sides A / B.  States and filters are labels of the catalog
-table (catalog.LABELS), parsed with their colon-separated parameters by
-catalog.from_label; anything with a path separator or a .json suffix is
-read as a JSON file.  BF_SEED overrides
+Grammar: witnesses are <kind>:<side> with the kinds of the witness.MAPS
+table (choi-phi, choi-psi, transpose) and sides A / B.  States and filters
+are labels of the catalog table (catalog.LABELS), parsed with their
+colon-separated parameters by catalog.from_label; anything with a path
+separator or a .json suffix is read as a JSON file.  BF_SEED overrides
 the default simulation seed; an explicit --seed beats both.  Exit codes:
 0 success, 1 failed verification, 2 usage or parse errors.
 """
@@ -149,7 +149,7 @@ def cmd_detect(args) -> int:
     report = detect(w, rho, state_label=label)
     payload = {
         "label": report.state_label,
-        "kind": report.kind.value,
+        "kind": report.kind,
         "side": report.side.value,
         "min_eigenvalue": report.min_eigenvalue,
         "detected": report.detected,

@@ -64,11 +64,6 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def herm_defect(a: np.ndarray):
-    """Max absolute entrywise deviation from a == a^dag, per matrix."""
-    return np.abs(a - adjoint(a)).max(axis=(-2, -1))
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two vectors, or of two matrices.
 
@@ -105,13 +100,14 @@ def _hermitian_part(h, tol_herm: float, what: str) -> np.ndarray:
     """
     h = as_stack(h)
     require_square(h, "Hermitian argument")
-    defect = herm_defect(h)
+    h_dag = adjoint(h)
+    defect = np.abs(h - h_dag).max(axis=(-2, -1))
     bad = defect > tol_herm
     if bad.any():
         raise NotHermitianError(
             f"{what}: max |a - a^dag| = {defect[bad][0]:.3e}"
         )
-    return 0.5 * (h + adjoint(h))
+    return 0.5 * (h + h_dag)
 
 
 def eigh(h: np.ndarray, tol_herm: float = TOL_HERM):

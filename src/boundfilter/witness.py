@@ -3,7 +3,12 @@
 Three maps are available: two qutrit Choi-type maps (positive, not
 completely positive, so applying one to a single side of an entangled state
 can expose a negative eigenvalue even when the partial transpose cannot)
-and the plain transpose as baseline.  choi_phi / choi_psi define the maps.
+and the plain transpose as baseline.  MAPS is the one table of them.
+
+The Choi maps are members of the Cho-Kye-Lee family (Lin. Alg. Appl. 171,
+213 (1992)), X -> (1/2) Phi[a,b,c](X) with Phi[a,b,c](X) = diag(C x) - X,
+where x is the diagonal of X and C the circulant with rows (a, b, c),
+(c, a, b), (b, c, a).  choi-phi is (2, 0, 1) and choi-psi (2, 1, 0).
 
 Every map is applied through its superoperator: the d^2 x d^2 matrix S with
 vec(map(X)) = S vec(X), vec flattening row by row, whose column k * d + l
@@ -11,9 +16,12 @@ is the image of the matrix unit E_kl (the Choi-Jamiolkowski picture).  It
 is built once per (kind, d).  One-sided application of a map to a
 bipartite state (or a stack of them) regroups the density matrix so the
 acted-on side's (row, column) pair forms one axis, multiplies by S on that
-axis, and undoes the regrouping.  Each output entry of a Choi map is a sum
-of at most two exactly halved input entries, so it is correctly rounded
-whatever order the matrix product adds in.
+axis, and undoes the regrouping.  Every entry of a Choi map's S is
+(1/2)(C - I), -1/2 or 0, which for the table's coefficients all lie in
+{0, +-1/2}; each output entry is then a sum of at most two exactly halved
+input entries, so it is correctly rounded whatever order the matrix
+product adds in.  Coefficients that leave (1/2)(C - I) outside {0, +-1/2}
+lose that guarantee.
 """
 
 import enum
@@ -24,15 +32,12 @@ import numpy as np
 
 from . import linalg
 from .errors import BadParamError, DimensionMismatchError, ParseError
-from .formats import fmt_num
 from .states import DensityOperator
 from .tolerances import TOL_NEG
 
-
-class WitnessKind(enum.Enum):
-    CHOI_PHI = "choi-phi"
-    CHOI_PSI = "choi-psi"
-    TRANSPOSE = "transpose"
+# witness kind -> Cho-Kye-Lee coefficients (a, b, c) of the qutrit map
+# (1/2) Phi[a,b,c], or None for the transpose (any dimension)
+MAPS = {"choi-phi": (2, 0, 1), "choi-psi": (2, 1, 0), "transpose": None}
 
 
 class Side(enum.Enum):
@@ -40,98 +45,44 @@ class Side(enum.Enum):
     B = "B"
 
 
-def choi_phi(a: np.ndarray) -> np.ndarray:
-    """First Choi-type map on a 3x3 matrix.
-
-    Diagonal of the output mixes in the cyclically previous diagonal entry
-    (pattern a11+a33, a22+a11, a33+a22); off-diagonal entries are negated.
-    Overall factor 1/2 makes the map trace preserving.
-    """
-    a = linalg.as_matrix(a)
-    if a.shape != (3, 3):
-        raise DimensionMismatchError(
-            f"Choi maps act on 3x3 matrices, got {a.shape}"
-        )
-    return 0.5 * np.array(
-        [
-            [a[0, 0] + a[2, 2], -a[0, 1], -a[0, 2]],
-            [-a[1, 0], a[1, 1] + a[0, 0], -a[1, 2]],
-            [-a[2, 0], -a[2, 1], a[2, 2] + a[1, 1]],
-        ]
-    )
-
-
-def choi_psi(a: np.ndarray) -> np.ndarray:
-    """Second Choi-type map: mixes in the cyclically next diagonal entry
-    (pattern a11+a22, a22+a33, a33+a11), off-diagonals negated, factor 1/2.
-    """
-    a = linalg.as_matrix(a)
-    if a.shape != (3, 3):
-        raise DimensionMismatchError(
-            f"Choi maps act on 3x3 matrices, got {a.shape}"
-        )
-    return 0.5 * np.array(
-        [
-            [a[0, 0] + a[1, 1], -a[0, 1], -a[0, 2]],
-            [-a[1, 0], a[1, 1] + a[2, 2], -a[1, 2]],
-            [-a[2, 0], -a[2, 1], a[2, 2] + a[0, 0]],
-        ]
-    )
-
-
-def _transpose_map(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).T
-
-
-_MAP_FUNCS = {
-    WitnessKind.CHOI_PHI: choi_phi,
-    WitnessKind.CHOI_PSI: choi_psi,
-    WitnessKind.TRANSPOSE: _transpose_map,
-}
+def _unknown_kind(kind: str) -> str:
+    return f"unknown witness kind '{kind}' (valid: {', '.join(MAPS)})"
 
 
 @dataclass(frozen=True)
 class Witness:
-    """A positive map applied to one side of a bipartite state.
+    """A positive map (a MAPS key) applied to one side of a bipartite state.
 
     local_dim is the dimension of the acted-on side; the Choi kinds require
     it to be 3.
     """
 
-    kind: WitnessKind
+    kind: str
     side: Side
     local_dim: int
 
     def __post_init__(self):
+        if self.kind not in MAPS:
+            raise BadParamError(_unknown_kind(self.kind))
         if self.local_dim < 1:
             raise BadParamError(f"invalid local_dim {self.local_dim}")
-        if self.kind in (WitnessKind.CHOI_PHI, WitnessKind.CHOI_PSI):
-            if self.local_dim != 3:
-                raise BadParamError(
-                    f"{self.kind.value} requires a 3-dimensional side, "
-                    f"got local_dim={self.local_dim}"
-                )
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind.value}:{self.side.value}"
+        if MAPS[self.kind] is not None and self.local_dim != 3:
+            raise BadParamError(
+                f"{self.kind} requires a 3-dimensional side, "
+                f"got local_dim={self.local_dim}"
+            )
 
 
 def parse_witness_spec(text: str) -> tuple:
-    """Split 'kind:side' into (WitnessKind, Side); dims resolve later."""
+    """Split 'kind:side' into (MAPS key, Side); dims resolve later."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ParseError(
             f"witness spec '{text}' is not of the form <kind>:<side>"
         )
-    kind_txt, side_txt = parts
-    try:
-        kind = WitnessKind(kind_txt)
-    except ValueError:
-        valid = ", ".join(k.value for k in WitnessKind)
-        raise ParseError(
-            f"unknown witness kind '{kind_txt}' (valid: {valid})"
-        ) from None
+    kind, side_txt = parts
+    if kind not in MAPS:
+        raise ParseError(_unknown_kind(kind))
     try:
         side = Side(side_txt)
     except ValueError:
@@ -141,25 +92,52 @@ def parse_witness_spec(text: str) -> tuple:
     return kind, side
 
 
-def witness_for_state(kind: WitnessKind, side: Side, rho: DensityOperator) -> Witness:
+def witness_for_state(kind: str, side: Side, rho: DensityOperator) -> Witness:
     dim = rho.dim_a if side is Side.A else rho.dim_b
     return Witness(kind=kind, side=side, local_dim=dim)
 
 
 @functools.cache
-def superoperator(kind: WitnessKind, d: int) -> np.ndarray:
+def superoperator(kind: str, d: int) -> np.ndarray:
     """The d^2 x d^2 matrix of the map on d x d matrices (read-only, cached).
 
     Column k * d + l is the row-major flattening of the image of E_kl.
     """
-    mapf = _MAP_FUNCS[kind]
-    s = np.empty((d * d, d * d), dtype=np.complex128)
-    for k in range(d * d):
-        unit = np.zeros(d * d, dtype=np.complex128)
-        unit[k] = 1.0
-        s[:, k] = mapf(unit.reshape(d, d)).reshape(-1)
+    coef = MAPS[kind]
+    if coef is None:
+        # E_kl -> E_lk: column k * d + l holds its 1 in row l * d + k
+        s = np.eye(d * d, dtype=np.complex128).reshape(d, d, d * d)
+        s = s.swapaxes(0, 1).reshape(d * d, d * d)
+    else:
+        if d != 3:
+            raise DimensionMismatchError(
+                f"Choi maps act on 3x3 matrices, got {d}x{d}"
+            )
+        a, b, c = coef
+        circ = np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=float)
+        # dg indexes the diagonal units E_00, E_11, E_22; every other unit
+        # maps to -1/2 of itself.  The signs of the zeros count too (LAPACK's
+        # Householder step reads them): halving the negated complex identity
+        # gives the signs of a unit-by-unit build, and a test pins them.
+        dg = [0, 4, 8]
+        m = -np.eye(9, dtype=np.complex128)
+        m[dg] = 0
+        m[np.ix_(dg, dg)] = circ - np.eye(3)
+        s = 0.5 * m
     s.setflags(write=False)
     return s
+
+
+def apply_map(kind: str, x) -> np.ndarray:
+    """The map applied to a d x d matrix, or to each matrix of a stack.
+
+    The superoperator times the row-major vec of each matrix.
+    """
+    x = linalg.as_stack(x)
+    d = linalg.require_square(x, "map argument")
+    s = superoperator(kind, d)
+    lead = x.shape[:-2]
+    return (x.reshape(lead + (d * d,)) @ s.T).reshape(x.shape)
 
 
 def _regroup(m: np.ndarray, d1: int, d2: int, e1: int, e2: int) -> np.ndarray:
@@ -201,28 +179,10 @@ class DetectionReport:
     """Outcome of testing one witness against one state."""
 
     state_label: str
-    kind: WitnessKind
+    kind: str
     side: Side
     min_eigenvalue: float
     detected: bool
-
-    @property
-    def witness_label(self) -> str:
-        return f"{self.kind.value}:{self.side.value}"
-
-    def csv_row(self) -> str:
-        return ",".join(
-            [
-                self.state_label,
-                self.kind.value,
-                self.side.value,
-                fmt_num(self.min_eigenvalue),
-                "true" if self.detected else "false",
-            ]
-        )
-
-
-CSV_HEADER = "label,kind,side,min_eigenvalue,detected"
 
 
 def detect(

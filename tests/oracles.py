@@ -58,6 +58,54 @@ def pt_b_loops(m, da, db):
     return out
 
 
+def herm_defect(a):
+    """Max absolute entrywise deviation from a == a^dag, per matrix."""
+    a = np.asarray(a)
+    return np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1))
+
+
+def choi_phi(a):
+    """First Choi-type map on a 3x3 matrix, written out entry by entry.
+
+    Diagonal of the output mixes in the cyclically previous diagonal entry
+    (pattern a11+a33, a22+a11, a33+a22); off-diagonal entries are negated.
+    Overall factor 1/2 makes the map trace preserving.
+    """
+    a = np.asarray(a, dtype=complex)
+    return 0.5 * np.array(
+        [
+            [a[0, 0] + a[2, 2], -a[0, 1], -a[0, 2]],
+            [-a[1, 0], a[1, 1] + a[0, 0], -a[1, 2]],
+            [-a[2, 0], -a[2, 1], a[2, 2] + a[1, 1]],
+        ]
+    )
+
+
+def choi_psi(a):
+    """Second Choi-type map: mixes in the cyclically next diagonal entry
+    (pattern a11+a22, a22+a33, a33+a11), off-diagonals negated, factor 1/2.
+    """
+    a = np.asarray(a, dtype=complex)
+    return 0.5 * np.array(
+        [
+            [a[0, 0] + a[1, 1], -a[0, 1], -a[0, 2]],
+            [-a[1, 0], a[1, 1] + a[2, 2], -a[1, 2]],
+            [-a[2, 0], -a[2, 1], a[2, 2] + a[0, 0]],
+        ]
+    )
+
+
+def superoperator_by_units(mapf, d):
+    """The d^2 x d^2 matrix whose column k * d + l is the row-major
+    flattening of mapf applied to the complex matrix unit E_kl."""
+    s = np.empty((d * d, d * d), dtype=np.complex128)
+    for k in range(d * d):
+        unit = np.zeros(d * d, dtype=np.complex128)
+        unit[k] = 1.0
+        s[:, k] = mapf(unit.reshape(d, d)).reshape(-1)
+    return s
+
+
 def one_sided_phi_loops(rho, side, db_or_da):
     """Kraus-style route for the first Choi map on one side of a 3 x d or
     d x 3 state: phi = (1/2)(-id + 2 Pi_diag + Pi_shift) where Pi_diag

@@ -144,7 +144,11 @@ def test_batched_draws_keep_the_stream(monkeypatch, floor):
     # measurement-equivalence draws 20 states per catalog filter
     rng = np.random.default_rng(20240813)
     ref = np.random.default_rng(20240813)
-    dims = [f.dims for f in catalog.paper_filters().values()] + [(2, 2)]
+    dims = [
+        catalog.from_label("filter", label).dims
+        for label, entry in catalog.LABELS.items()
+        if entry[0] == "filter"
+    ]
     for da, db in dims:
         rho = acceptance._random_densities(rng, da, db, 20)
         g = np.array([oracles.gaussian_loop(ref, da * db) for _ in range(20)])

@@ -170,14 +170,10 @@ def test_gisin_filter_guards_and_warning():
         catalog.gisin_filter(1.0)
 
 
-def test_paper_filters_labels():
-    named = catalog.paper_filters()
-    assert set(named) == {"choi-example", "upb-rotation", "gisin(0.6)"}
-    assert set(catalog.paper_filters(0.25)) == {
-        "choi-example",
-        "upb-rotation",
-        "gisin(0.25)",
-    }
+def test_filter_labels_in_table_order():
+    # verify-paper draws its random states filter by filter in this order
+    filters = [k for k, e in catalog.LABELS.items() if e[0] == "filter"]
+    assert filters == ["choi-example", "upb-rotation", "gisin", "identity"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from boundfilter.errors import (
 )
 from boundfilter.filters import apply_filter, identity_filter, make_filter
 from boundfilter.kernels import uniform_block
-from boundfilter.witness import Side, Witness, WitnessKind
+from boundfilter.witness import Side, Witness
 
 from .oracles import random_density_mat
 from boundfilter.states import DensityOperator, pure
@@ -173,7 +173,7 @@ def test_witness_after_protocol_detects_filtered_family_state():
     report = mcsim.witness_after_protocol(
         catalog.choi_example_filter(),
         rho,
-        Witness(WitnessKind.CHOI_PHI, Side.A, 3),
+        Witness("choi-phi", Side.A, 3),
         shots=2000,
         seed=77,
     )
@@ -189,7 +189,7 @@ def test_witness_after_protocol_without_accepts():
         mcsim.witness_after_protocol(
             f,
             rho,
-            Witness(WitnessKind.TRANSPOSE, Side.B, 2),
+            Witness("transpose", Side.B, 2),
             shots=3,
             seed=8,
         )

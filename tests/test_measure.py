@@ -19,6 +19,15 @@ from .oracles import (
 )
 
 
+def catalog_filters():
+    """Every filter of the catalog table, built with its defaults."""
+    return [
+        catalog.from_label("filter", label)
+        for label, entry in catalog.LABELS.items()
+        if entry[0] == "filter"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # projector assembly
 # ---------------------------------------------------------------------------
@@ -152,7 +161,7 @@ def test_rescaled_diag():
 def test_protocol_matches_direct_filtering():
     rng = np.random.default_rng(58)
     rho = catalog.rho_xt(0.63, 0.05)
-    for f in catalog.paper_filters().values():
+    for f in catalog_filters():
         if f.dims != rho.dims:
             continue
         direct, weight = apply_filter(f, rho)
@@ -166,7 +175,7 @@ def test_protocol_on_a_stack_matches_one_at_a_time():
     rng = np.random.default_rng(61)
     mats = np.stack([random_density_mat(rng, 9) for _ in range(5)])
     rho = DensityOperator(3, 3, mats)
-    for f in list(catalog.paper_filters().values()) + [
+    for f in catalog_filters() + [
         make_filter(random_unitary(rng, 3) * 2, np.diag([1.0, 0.3, 0.7]))
     ]:
         if f.dims != rho.dims:

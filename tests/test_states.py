@@ -16,6 +16,7 @@ from boundfilter.tolerances import TOL_NEG
 
 from .oracles import (
     brute_eigvals,
+    herm_defect,
     pt_b_loops,
     random_density_mat,
     random_unitary,
@@ -332,7 +333,7 @@ def test_pt_preserves_trace_and_hermiticity():
     m = random_density_mat(rng, 9)
     out = states.partial_transpose_b(m, 3, 3)
     assert abs(np.trace(out) - np.trace(m)) < 1e-12
-    assert linalg.herm_defect(out) < 1e-12
+    assert herm_defect(out) < 1e-12
 
 
 def test_pt_needs_dims_for_raw_matrix():
