@@ -95,9 +95,13 @@ def choi_psi(a):
     )
 
 
-def superoperator_by_units(mapf, d):
+def superoperator_by_units(kind, d):
     """The d^2 x d^2 matrix whose column k * d + l is the row-major
-    flattening of mapf applied to the complex matrix unit E_kl."""
+    flattening of the map `kind` (a witness kind, written out above or
+    np.transpose) applied to the complex matrix unit E_kl."""
+    mapf = {
+        "choi-phi": choi_phi, "choi-psi": choi_psi, "transpose": np.transpose
+    }[kind]
     s = np.empty((d * d, d * d), dtype=np.complex128)
     for k in range(d * d):
         unit = np.zeros(d * d, dtype=np.complex128)
