@@ -39,9 +39,12 @@ def rho_xt(x, t) -> DensityOperator:
     broadcast together and give a stack with one state per (x, t) pair.
     """
     x, t = np.asarray(x), np.asarray(t)
-    bad = ~np.isfinite(t) | (t <= 0)
-    if bad.any():
-        raise BadParamError(f"t must be positive, got {t[bad][0].item()!r}")
+    for bad, need in (
+        (~np.isfinite(t), "finite and positive"),
+        (t <= 0, "positive"),
+    ):
+        if bad.any():
+            raise BadParamError(f"t must be {need}, got {t[bad][0].item()!r}")
     bad = ~np.isfinite(x) | (x < 0) | (x > 1)
     if bad.any():
         raise BadParamError(f"x must lie in [0, 1], got {x[bad][0].item()!r}")

@@ -10,12 +10,19 @@ table (choi-phi, choi-psi, transpose) and sides A / B.  States and filters
 are labels of the catalog table (catalog.LABELS), parsed with their
 colon-separated parameters by catalog.from_label; anything with a path
 separator or a .json suffix is read as a JSON file.  BF_SEED overrides
-the default simulation seed; an explicit --seed beats both.  Exit codes:
-0 success, 1 failed verification, 2 usage or parse errors.
+the default simulation seed; an explicit --seed beats both, and either must
+lie in [0, 2^64).  Exit codes: 0 success, 1 failed verification, 2 usage,
+parse or file errors.
+
+main may be called repeatedly in one process: every call shares the one
+parser that build_parser makes on the first call, and dispatches to the
+cmd_* function bound on this module at that moment.
 """
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 import warnings
@@ -38,6 +45,7 @@ from .witness import (
 
 DEFAULT_SEED = 2024
 DEFAULT_SHOTS = 1000
+SEED_LIMIT = 1 << 64  # the lottery reads a seed mod 2^64
 
 
 def _is_path(text: str) -> bool:
@@ -48,6 +56,14 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
+    except FileNotFoundError:
+        raise ParseError(f"file not found: {path}") from None
+    except OSError as e:  # a directory, no permission
+        raise ParseError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"
+        ) from None
     except json.JSONDecodeError as e:
         raise ParseError(
             f"{path}: invalid JSON at line {e.lineno} column {e.colno}: "
@@ -71,17 +87,21 @@ def parse_filter_arg(text: str, dims):
 
 
 def _resolve_seed(explicit):
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("BF_SEED")
-    if env is not None and env.strip():
+    seed, source = explicit, "--seed"
+    if seed is None:
+        env = os.environ.get("BF_SEED")
+        if env is None or not env.strip():
+            return DEFAULT_SEED
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ParseError(
                 f"BF_SEED must be an integer, got {env!r}"
             ) from None
-    return DEFAULT_SEED
+        source = "BF_SEED"
+    if not 0 <= seed < SEED_LIMIT:
+        raise ParseError(f"{source} must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +124,11 @@ def _scan_rows(xs, t, w, filt) -> str:
 
 
 def cmd_scan(args) -> int:
+    for name, value in (
+        ("t", args.t), ("x-min", args.x_min), ("x-max", args.x_max)
+    ):
+        if not math.isfinite(value):
+            raise BadParamError(f"{name} must be finite, got {value}")
     if not args.x_max > args.x_min:
         raise BadParamError(
             f"need x-min < x-max, got {args.x_min} and {args.x_max}"
@@ -198,7 +223,13 @@ def cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call and returned by
+    every later one; callers must not mutate it.  It holds no mutable
+    defaults (no append actions, no list defaults), so nothing one parse
+    sets can reach the next; keep it that way.  Each subcommand runs the
+    cmd_* function of its name, looked up by main at call time."""
     parser = argparse.ArgumentParser(
         prog="boundfilter",
         description=(
@@ -221,13 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--filter", help="optional filter label or JSON file for a second column"
     )
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("detect", help="one witness verdict (JSON)")
     p.add_argument("state", help="state label or JSON file")
     p.add_argument("witness", help="witness spec <kind>:<side>")
     p.add_argument("--filter", help="apply this filter before detecting")
-    p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser(
         "simulate", help="run the measurement protocol (JSON)"
@@ -241,16 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="closed-form protocol instead of Monte Carlo",
     )
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser(
+    sub.add_parser(
         "verify-paper", help="run the acceptance checks and print a table"
     )
-    p.set_defaults(func=cmd_verify_paper)
-
-    p = sub.add_parser("export", help="dump catalog entries to JSON")
-    p.set_defaults(func=cmd_export)
-
+    sub.add_parser("export", help="dump catalog entries to JSON")
     return parser
 
 
@@ -261,17 +285,12 @@ def _plain_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cmd = globals()["cmd_" + args.command.replace("-", "_")]
     with warnings.catch_warnings():
         warnings.showwarning = _plain_warning
         try:
-            return args.func(args)
-        except FileNotFoundError as e:
-            print(
-                f"error: file not found: {e.filename or e}", file=sys.stderr
-            )
-            return 2
+            return cmd(args)
         except BoundFilterError as e:
             print(f"error: {e}", file=sys.stderr)
             return 2

@@ -3,10 +3,18 @@
 Nothing here calls back into the package's numerical code paths (the one
 exception is raw_density, which builds a DensityOperator while bypassing
 its validation so tests can probe how downstream code treats bad input).
+main_per_call reruns the package's cmd_* functions: it is a reference for
+the argument parsing and dispatch around them, not for their results.
 """
+
+import argparse
+import sys
+import warnings
 
 import numpy as np
 
+from boundfilter import cli
+from boundfilter.errors import BoundFilterError
 from boundfilter.states import DensityOperator
 
 MASK64 = (1 << 64) - 1
@@ -277,3 +285,85 @@ def random_unitary(rng, n):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# ---------------------------------------------------------------------------
+# the CLI with a parser built per request
+# ---------------------------------------------------------------------------
+
+
+def build_parser_per_call() -> argparse.ArgumentParser:
+    """A fresh argparse tree of the CLI, built as on every call before the
+    CLI kept one parser; each subcommand carries its cmd_* function, read
+    from the cli module now, as the `func` default."""
+    parser = argparse.ArgumentParser(
+        prog="boundfilter",
+        description=(
+            "Local filters, Choi-map witnesses and their measurement-based "
+            "implementation for small bipartite states."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser(
+        "scan", help="witness sweep over the two-parameter family (CSV)"
+    )
+    p.add_argument("--t", type=float, required=True, help="family parameter t")
+    p.add_argument("--x-min", type=float, required=True)
+    p.add_argument("--x-max", type=float, required=True)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument(
+        "--witness", required=True, help="witness spec <kind>:<side>"
+    )
+    p.add_argument(
+        "--filter", help="optional filter label or JSON file for a second column"
+    )
+    p.set_defaults(func=cli.cmd_scan)
+
+    p = sub.add_parser("detect", help="one witness verdict (JSON)")
+    p.add_argument("state", help="state label or JSON file")
+    p.add_argument("witness", help="witness spec <kind>:<side>")
+    p.add_argument("--filter", help="apply this filter before detecting")
+    p.set_defaults(func=cli.cmd_detect)
+
+    p = sub.add_parser(
+        "simulate", help="run the measurement protocol (JSON)"
+    )
+    p.add_argument("state", help="state label or JSON file")
+    p.add_argument("filter", help="filter label or JSON file")
+    p.add_argument("--shots", type=int, default=cli.DEFAULT_SHOTS)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument(
+        "--analytic",
+        action="store_true",
+        help="closed-form protocol instead of Monte Carlo",
+    )
+    p.set_defaults(func=cli.cmd_simulate)
+
+    p = sub.add_parser(
+        "verify-paper", help="run the acceptance checks and print a table"
+    )
+    p.set_defaults(func=cli.cmd_verify_paper)
+
+    p = sub.add_parser("export", help="dump catalog entries to JSON")
+    p.set_defaults(func=cli.cmd_export)
+
+    return parser
+
+
+def main_per_call(argv) -> int:
+    """cli.main as it ran with a parser built per request: parse with a
+    fresh tree, then run the parsed `func`."""
+    args = build_parser_per_call().parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = cli._plain_warning
+        try:
+            return args.func(args)
+        except FileNotFoundError as e:
+            print(
+                f"error: file not found: {e.filename or e}", file=sys.stderr
+            )
+            return 2
+        except BoundFilterError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2

@@ -50,7 +50,7 @@ def test_rho_xt_grid_invariants():
 def test_rho_xt_param_guards():
     with pytest.raises(BadParamError):
         catalog.rho_xt(0.5, 0.0)
-    with pytest.raises(BadParamError):
+    with pytest.raises(BadParamError, match=r"^t must be positive, got -1\.0$"):
         catalog.rho_xt(0.5, -1.0)
     with pytest.raises(BadParamError):
         catalog.rho_xt(-0.1, 0.05)
@@ -58,6 +58,11 @@ def test_rho_xt_param_guards():
         catalog.rho_xt(1.1, 0.05)
     with pytest.raises(BadParamError):
         catalog.rho_xt(float("nan"), 0.05)
+    for t in ("inf", "nan", "-inf"):
+        with pytest.raises(
+            BadParamError, match=f"^t must be finite and positive, got {t}$"
+        ):
+            catalog.rho_xt(0.5, float(t))
 
 
 def test_rho_xt_stack_matches_points():

@@ -1,9 +1,12 @@
+import errno
 import json
+import os
+import random
 
 import numpy as np
 import pytest
 
-from boundfilter import catalog, linalg
+from boundfilter import catalog, cli, linalg
 from boundfilter.cli import main
 from boundfilter.errors import BoundFilterError
 from boundfilter.filters import apply_filter, filter_to_json_dict
@@ -15,6 +18,8 @@ from boundfilter.states import (
 )
 from boundfilter.tolerances import TOL_NEG
 from boundfilter.witness import Witness, apply_witness, parse_witness_spec
+
+from .oracles import main_per_call
 
 
 def run_cli(capsys, *argv):
@@ -75,14 +80,20 @@ def test_scan_filtered_column_changes_sign(capsys):
         ["--t", "0.05", "--x-min", "0.0", "--x-max", "1.0", "--steps", "1"],
         ["--t", "-1", "--x-min", "0.0", "--x-max", "1.0", "--steps", "3"],
         ["--t", "0.05", "--x-min", "0.0", "--x-max", "1.5", "--steps", "3"],
+        ["--t", "inf", "--x-min", "0.0", "--x-max", "0.5", "--steps", "3"],
+        ["--t", "nan", "--x-min", "0.0", "--x-max", "0.5", "--steps", "3"],
+        ["--t", "0.05", "--x-min", "nan", "--x-max", "0.5", "--steps", "3"],
+        ["--t", "0.05", "--x-min", "0.0", "--x-max", "inf", "--steps", "3"],
     ],
 )
 def test_scan_rejects_bad_ranges(capsys, args):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "scan", *args, "--witness", "choi-phi:A"
     )
-    assert code == 2
-    assert err.startswith("error:")
+    assert code == 2 and out == ""  # rejected before the CSV header
+    assert err.startswith("error:") and err.count("\n") == 1
+    if {"inf", "nan"} & set(args):
+        assert "must be finite" in err
 
 
 def test_scan_bad_witness_spec(capsys):
@@ -254,6 +265,40 @@ def test_detect_errors(capsys, tmp_path):
     assert code == 2 and "line 1" in err
 
 
+def test_unreadable_file_arguments_exit_2(capsys, tmp_path):
+    not_utf8 = tmp_path / "state.json"
+    not_utf8.write_bytes(b"\xff\xfe\x00")
+    cases = [
+        (tmp_path, os.strerror(errno.EISDIR)),
+        (not_utf8, "not UTF-8 text (invalid start byte at byte 0)"),
+    ]
+    for path, reason in cases:
+        for argv in (
+            ["detect", str(path), "choi-phi:A"],
+            ["detect", "rho-xt", "choi-phi:A", "--filter", str(path)],
+            ["simulate", "bell", str(path), "--analytic"],
+        ):
+            assert run_cli(capsys, *argv) == (
+                2, "", f"error: {path}: {reason}\n"
+            )
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "geteuid") or os.geteuid() == 0,
+    reason="file permissions do not bind the superuser",
+)
+def test_unreadable_permission_exits_2(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text("{}")
+    path.chmod(0)
+    try:
+        assert run_cli(capsys, "detect", str(path), "choi-phi:A") == (
+            2, "", f"error: {path}: {os.strerror(errno.EACCES)}\n"
+        )
+    finally:
+        path.chmod(0o600)
+
+
 TRY_STATE = "(try rho-xt:<x>:<t>, rho-upb, bell, max-mixed, or a JSON file)"
 TRY_FILTER = (
     "(try choi-example, upb-rotation, gisin:<kappa>, identity, or a JSON file)"
@@ -405,6 +450,32 @@ def test_simulate_seed_precedence(capsys, monkeypatch):
     assert code == 2 and "BF_SEED" in err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 10**23])
+def test_seed_outside_64_bits_exits_2(capsys, monkeypatch, seed):
+    # the lottery reads its seed mod 2^64, so these would alias a seed in
+    # range while the JSON echoed another
+    base = ["simulate", "bell", "identity", "--shots", "5"]
+    monkeypatch.delenv("BF_SEED", raising=False)
+    assert run_cli(capsys, *base, "--seed", str(seed)) == (
+        2, "", f"error: --seed must lie in [0, 2^64), got {seed}\n"
+    )
+    monkeypatch.setenv("BF_SEED", str(seed))
+    assert run_cli(capsys, *base) == (
+        2, "", f"error: BF_SEED must lie in [0, 2^64), got {seed}\n"
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_ends_are_accepted(capsys, monkeypatch, seed):
+    base = ["simulate", "rho-xt:0.63:0.05", "choi-example", "--shots", "300"]
+    monkeypatch.delenv("BF_SEED", raising=False)
+    code, explicit, err = run_cli(capsys, *base, "--seed", str(seed))
+    assert (code, err) == (0, "")
+    assert json.loads(explicit)["seed"] == seed
+    monkeypatch.setenv("BF_SEED", str(seed))
+    assert run_cli(capsys, *base) == (0, explicit, "")
+
+
 def test_simulate_analytic(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -486,3 +557,85 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def test_patched_command_runs_after_the_parser_is_built(capsys, monkeypatch):
+    run_cli(capsys, "detect", "bell", "transpose:B")  # builds the parser
+    calls = []
+
+    def fake_detect(args):
+        calls.append((args.state, args.witness, args.filter))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_detect", fake_detect)
+    assert run_cli(capsys, "detect", "bell", "transpose:B") == (7, "", "")
+    assert calls == [("bell", "transpose:B", None)]
+
+
+# request groups for the shared-parser test; a group runs as a unit, so the
+# unseeded simulate always follows a seeded one
+MIXED_GROUPS = [
+    [["scan", "--t", "0.05", "--x-min", "0.6", "--x-max", "0.66",
+      "--steps", "5", "--witness", "choi-phi:A"]],
+    [["scan", "--t", "0.05", "--x-min", "0.6", "--x-max", "0.66",
+      "--steps", "3", "--witness", "choi-psi:B", "--filter", "choi-example"]],
+    [["scan", "--t", "2", "--x-min", "0.6", "--x-max", "0.9", "--steps", "7",
+      "--witness", "choi-phi:A"]],  # rows, then a positivity error
+    [["detect", "bell", "transpose:B"]],
+    [["detect", "rho-xt:0.63:0.05", "choi-phi:A", "--filter",
+      "choi-example"]],
+    [["detect", "rho-upb", "choi-psi:B", "--filter", "upb-rotation"]],
+    [["simulate", "rho-xt:0.63:0.05", "choi-example", "--shots", "200",
+      "--seed", "5"],
+     ["simulate", "rho-xt:0.63:0.05", "choi-example", "--shots", "200"]],
+    [["simulate", "bell", "gisin:0.6", "--seed", "11"],
+     ["simulate", "bell", "gisin:0.6"]],
+    [["simulate", "rho-upb", "upb-rotation", "--analytic"]],
+    [["simulate", "bell", "gisin:1", "--shots", "50", "--seed", "1"]],
+    [["export"]],
+    [["--help"]],
+    [["simulate", "-h"]],
+    [["frobnicate"]],
+    [["scan", "--t", "0.05"]],
+    [["simulate", "bell"]],
+    [["detect", "bell", "transpose:B", "--shots", "3"]],
+    [["simulate", "bell", "identity", "--shots", "x"]],
+    [["detect", "nope", "choi-phi:A"]],
+    [["simulate", "bell", "identity", "--shots", "0", "--seed", "1"]],
+    [["scan", "--t", "-1", "--x-min", "0", "--x-max", "1", "--steps", "3",
+      "--witness", "choi-phi:A"]],
+]
+
+
+def _outcome(capsys, entry, argv):
+    try:
+        code = entry(argv)
+    except SystemExit as e:
+        code = ("exit", e.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_matches_a_parser_per_request(capsys, monkeypatch):
+    monkeypatch.delenv("BF_SEED", raising=False)
+    rng = random.Random(9)
+    requests = [["verify-paper"]]
+    for _ in range(10):
+        groups = MIXED_GROUPS[:]
+        rng.shuffle(groups)
+        requests += [argv for group in groups for argv in group]
+    requests.append(["verify-paper"])
+    assert len(requests) >= 200
+    cli.build_parser.cache_clear()
+    shared = [_outcome(capsys, main, argv) for argv in requests]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(requests) - 1)
+    for argv, got in zip(requests, shared):
+        assert got == _outcome(capsys, main_per_call, argv), argv
+    codes = {code for code, _, _ in shared}
+    assert codes == {0, 2, ("exit", 0), ("exit", 2)}
