@@ -29,12 +29,7 @@ from .filters import (
     make_filter,
 )
 from .linalg import SVDResult, eigh, min_eigenvalue, svd
-from .measure import (
-    FilterProjector,
-    build_projector,
-    postselect_diag,
-    protocol_analytic,
-)
+from .measure import build_projector, postselect_diag, protocol_analytic
 from .mcsim import ProtocolRun, run_protocol, witness_after_protocol
 from .states import (
     DensityOperator,

@@ -5,6 +5,12 @@ suite is deterministic, uses fixed seeds, and prints no timings, so two
 runs with the same build produce byte-identical reports.  The witness
 negativity threshold is injectable so a harness can verify that loosening
 it really does break the detection checks.
+
+The randomized checks draw all their cases first, from fixed seeds in a
+fixed order, and evaluate them as stacks.  There is one draw path: the
+whole batch, then _screened redraws, from the same generator, only the
+filter factors that fail the invertibility screen.  No factor fails it
+at the shipped seeds, so nothing is redrawn there.
 """
 
 from dataclasses import dataclass
@@ -99,17 +105,6 @@ def _schmidt_coefficients(rng, size, rank):
     return coef / np.linalg.norm(coef)
 
 
-def _draw_pure(rng, dim_a, dim_b, rank):
-    """Draws of one random ket of prescribed Schmidt rank.
-
-    Returns the Gaussian seeds of its two local unitaries and its Schmidt
-    coefficients, normalized and zero-padded to min(dim_a, dim_b).
-    """
-    ga = _gaussian(rng, dim_a)
-    gb = _gaussian(rng, dim_b)
-    return ga, gb, _schmidt_coefficients(rng, min(dim_a, dim_b), rank)
-
-
 def _pure_states(ga, gb, coef, dim_a, dim_b) -> PureState:
     """The kets sum_i c_i ua[:, i] x ub[:, i], one per row of coef, from the
     stacked Gaussian seeds of their unitaries."""
@@ -123,23 +118,18 @@ def _pure_states(ga, gb, coef, dim_a, dim_b) -> PureState:
     return PureState(dim_a, dim_b, amps)
 
 
-def _random_invertible(rng, n) -> np.ndarray:
-    """Redraw until the smallest singular value (values-only SVD) exceeds
-    INVERTIBLE_FLOOR."""
+def _screened(rng, g) -> np.ndarray:
+    """The stack g of filter factors with every factor whose smallest
+    singular value (values-only SVD) is at most INVERTIBLE_FLOOR redrawn
+    from rng, in stack order, until none is."""
+    g = g.copy()
+    bad = np.arange(g.shape[0])
     while True:
-        g = _gaussian(rng, n)
-        if np.linalg.svd(g, compute_uv=False)[-1] > INVERTIBLE_FLOOR:
+        smin = np.linalg.svd(g[bad], compute_uv=False)[:, -1]
+        bad = bad[smin <= INVERTIBLE_FLOOR]
+        if bad.size == 0:
             return g
-
-
-def _all_invertible(ls, ms) -> bool:
-    """Whether every factor passes _random_invertible's screen, from one
-    values-only SVD when L and M have one size."""
-    stacks = [np.concatenate((ls, ms))] if ls.shape == ms.shape else [ls, ms]
-    return all(
-        (np.linalg.svd(g, compute_uv=False)[:, -1] > INVERTIBLE_FLOOR).all()
-        for g in stacks
-    )
+        g[bad] = _gaussian(rng, g.shape[-1], bad.size)
 
 
 def _schmidt_cases(rng, dim_a, dim_b, count):
@@ -147,12 +137,10 @@ def _schmidt_cases(rng, dim_a, dim_b, count):
     A and B unitary seeds, Schmidt coefficients, L factors, M factors).
 
     Each case draws its rank, its two unitary seeds (one standard_normal
-    call), its coefficients, then its factors L and M (one call), in the
-    order _draw_pure and _random_invertible draw them.  If a factor fails
-    the invertibility screen, which _random_invertible would have redrawn,
-    the generator is rewound and the cases are drawn again that way.
+    call), its coefficients, then its factors L and M (one call).  After
+    the batch, _screened redraws the L factors, then the M factors, that
+    fail the invertibility screen.
     """
-    saved = rng.bit_generator.state
     size = min(dim_a, dim_b)
     ranks, coefs = [], []
     x = np.empty((count, 2, _pair_size(dim_a, dim_b)))
@@ -162,29 +150,9 @@ def _schmidt_cases(rng, dim_a, dim_b, count):
         coefs.append(_schmidt_coefficients(rng, size, ranks[-1]))
         rng.standard_normal(out=x[k, 1])
     a, b = _gaussian_pairs(x, dim_a, dim_b)
-    ga, gb, ls, ms = a[:, 0], b[:, 0], a[:, 1], b[:, 1]
-    if not _all_invertible(ls, ms):
-        rng.bit_generator.state = saved
-        ranks, draws, ls, ms = [], [], [], []
-        for _ in range(count):
-            ranks.append(int(rng.integers(1, size + 1)))
-            draws.append(_draw_pure(rng, dim_a, dim_b, ranks[-1]))
-            ls.append(_random_invertible(rng, dim_a))
-            ms.append(_random_invertible(rng, dim_b))
-        ga, gb, coefs = (np.array(v) for v in zip(*draws))
-        ls, ms = np.array(ls), np.array(ms)
-    return np.array(ranks), ga, gb, np.array(coefs), ls, ms
-
-
-def _random_separable_parts(rng, dim_a, dim_b, terms=4):
-    """Draws of one random separable state: (weights, A factors, B factors)."""
-    weights = rng.uniform(0.2, 1.0, size=terms)
-    weights /= weights.sum()
-    ga, gb = [], []
-    for _ in range(terms):
-        ga.append(_gaussian(rng, dim_a))
-        gb.append(_gaussian(rng, dim_b))
-    return weights, ga, gb
+    ls = _screened(rng, a[:, 1])
+    ms = _screened(rng, b[:, 1])
+    return np.array(ranks), a[:, 0], b[:, 0], np.array(coefs), ls, ms
 
 
 def _ppt_cases(rng, dim_a, dim_b, count, terms=4):
@@ -192,12 +160,10 @@ def _ppt_cases(rng, dim_a, dim_b, count, terms=4):
     and B factors with a term axis, L factors, M factors).
 
     Each case draws its weights, then its mixture factors and its filter
-    factors with one standard_normal call, in the order
-    _random_separable_parts and _random_invertible draw them.  If a filter
-    factor fails the invertibility screen, the generator is rewound and
-    the cases are drawn again that way.
+    factors with one standard_normal call.  After the batch, _screened
+    redraws the L factors, then the M factors, that fail the
+    invertibility screen.
     """
-    saved = rng.bit_generator.state
     weights = np.empty((count, terms))
     x = np.empty((count, terms + 1, _pair_size(dim_a, dim_b)))
     for k in range(count):
@@ -205,18 +171,9 @@ def _ppt_cases(rng, dim_a, dim_b, count, terms=4):
         weights[k] = w / w.sum()
         rng.standard_normal(out=x[k])
     ga, gb = _gaussian_pairs(x, dim_a, dim_b)
-    ls, ms = ga[:, terms], gb[:, terms]
-    ga, gb = ga[:, :terms], gb[:, :terms]
-    if not _all_invertible(ls, ms):
-        rng.bit_generator.state = saved
-        parts, ls, ms = [], [], []
-        for _ in range(count):
-            parts.append(_random_separable_parts(rng, dim_a, dim_b, terms))
-            ls.append(_random_invertible(rng, dim_a))
-            ms.append(_random_invertible(rng, dim_b))
-        weights, ga, gb = (np.array(v) for v in zip(*parts))
-        ls, ms = np.array(ls), np.array(ms)
-    return weights, ga, gb, ls, ms
+    ls = _screened(rng, ga[:, terms])
+    ms = _screened(rng, gb[:, terms])
+    return weights, ga[:, :terms], gb[:, :terms], ls, ms
 
 
 def _separable_states(weights, ga, gb, dim_a, dim_b) -> DensityOperator:
@@ -464,17 +421,17 @@ def check_projector_algebra() -> CheckResult:
     worst = 0.0
     for d in diags:
         p = measure.build_projector(d)
-        n = p.n
-        worst = max(worst, float(np.abs(p.mat @ p.mat - p.mat).max()))
-        worst = max(worst, float(np.abs(p.mat - p.mat.T.conj()).max()))
-        worst = max(worst, abs(float(np.trace(p.mat)) - n))
+        n = d.size
+        worst = max(worst, float(np.abs(p @ p - p).max()))
+        worst = max(worst, float(np.abs(p - p.T.conj()).max()))
+        worst = max(worst, abs(float(np.trace(p)) - n))
         terms = measure.rank_one_projectors(d)
-        total = np.zeros_like(p.mat)
+        total = np.zeros_like(p)
         for i, ti in enumerate(terms):
             total += ti
             for j in range(i + 1, n):
                 worst = max(worst, float(np.abs(ti @ terms[j]).max()))
-        worst = max(worst, float(np.abs(total - p.mat).max()))
+        worst = max(worst, float(np.abs(total - p).max()))
     return CheckResult(
         name="projector-algebra",
         expected=(

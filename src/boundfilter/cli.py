@@ -31,7 +31,7 @@ import numpy as np
 
 from . import acceptance, catalog, linalg, mcsim
 from .errors import BadParamError, BoundFilterError, ParseError
-from .filters import apply_filter, filter_from_json_dict
+from .filters import apply_filter, check_compatible, filter_from_json_dict
 from .formats import fmt_num
 from .measure import protocol_analytic
 from .states import is_ppt, state_from_json_dict, state_to_json_dict
@@ -109,6 +109,21 @@ def _resolve_seed(explicit):
 # ---------------------------------------------------------------------------
 
 
+def _grid_block(x_min, x_max, steps, lo, hi) -> np.ndarray:
+    """Points lo..hi-1 of np.linspace(x_min, x_max, steps), computed with
+    its arithmetic and its last point set to x_max, so a block of the grid
+    never needs the whole grid."""
+    div = steps - 1
+    delta = x_max - x_min
+    step = delta / div
+    i = np.arange(lo, hi, dtype=np.float64)
+    # linspace divides first when the step underflows to zero
+    xs = (i / div * delta if step == 0 else i * step) + x_min
+    if hi == steps:
+        xs[-1] = x_max
+    return xs
+
+
 def _scan_rows(xs, t, w, filt) -> str:
     """CSV rows for the grid points xs, evaluated as one stack."""
     rho = catalog.rho_xt(xs, t)
@@ -149,9 +164,9 @@ def cmd_scan(args) -> int:
         out.write("x,min_eig_unfiltered,ppt\n")
     else:
         out.write("x,min_eig_unfiltered,min_eig_filtered,ppt\n")
-    grid = np.linspace(args.x_min, args.x_max, args.steps)
-    for start in range(0, grid.size, catalog.SWEEP_BLOCK):
-        xs = grid[start : start + catalog.SWEEP_BLOCK]
+    for start in range(0, args.steps, catalog.SWEEP_BLOCK):
+        stop = min(start + catalog.SWEEP_BLOCK, args.steps)
+        xs = _grid_block(args.x_min, args.x_max, args.steps, start, stop)
         try:
             out.write(_scan_rows(xs, args.t, w, filt))
         except BoundFilterError:
@@ -186,6 +201,11 @@ def cmd_detect(args) -> int:
 def cmd_simulate(args) -> int:
     _, rho = parse_state_arg(args.state)
     filt = parse_filter_arg(args.filter, rho.dims)
+    # --analytic reads neither --seed nor --shots but checks both, in the
+    # Monte Carlo path's order, so both paths fail with the same first error
+    seed = _resolve_seed(args.seed)
+    check_compatible(filt, rho)
+    mcsim.check_shots(args.shots)
     if args.analytic:
         state, prob = protocol_analytic(filt, rho)
         payload = {
@@ -194,7 +214,6 @@ def cmd_simulate(args) -> int:
             "state": state_to_json_dict(state),
         }
     else:
-        seed = _resolve_seed(args.seed)
         run = mcsim.run_protocol(filt, rho, args.shots, seed)
         payload = run.to_json_dict()
     print(json.dumps(payload, indent=2))

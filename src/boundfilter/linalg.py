@@ -92,17 +92,17 @@ def sandwich(s: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return s @ rho @ adjoint(s)
 
 
-def _hermitian_part(h, tol_herm: float, what: str) -> np.ndarray:
+def _hermitian_part(h, what: str) -> np.ndarray:
     """(h + h^dag) / 2 of each matrix, after checking its Hermiticity.
 
     Raises NotHermitianError, prefixed by `what`, for the first matrix whose
-    defect exceeds tol_herm; the sub-tolerance skew part is discarded.
+    defect exceeds TOL_HERM; the sub-tolerance skew part is discarded.
     """
     h = as_stack(h)
     require_square(h, "Hermitian argument")
     h_dag = adjoint(h)
     defect = np.abs(h - h_dag).max(axis=(-2, -1))
-    bad = defect > tol_herm
+    bad = defect > TOL_HERM
     if bad.any():
         raise NotHermitianError(
             f"{what}: max |a - a^dag| = {defect[bad][0]:.3e}"
@@ -110,18 +110,16 @@ def _hermitian_part(h, tol_herm: float, what: str) -> np.ndarray:
     return 0.5 * (h + h_dag)
 
 
-def eigh(h: np.ndarray, tol_herm: float = TOL_HERM):
+def eigh(h: np.ndarray):
     """Eigendecomposition of a Hermitian matrix or of each matrix in a stack.
 
     Returns (w, v), w real ascending along the last axis, columns of v
     orthonormal with h @ v ~= v @ diag(w).  Raises NotHermitianError when
-    the Hermiticity defect of any matrix exceeds tol_herm, naming the first
+    the Hermiticity defect of any matrix exceeds TOL_HERM, naming the first
     such defect; the (sub-tolerance) skew part is discarded by symmetrizing
     before factorization.
     """
-    return np.linalg.eigh(
-        _hermitian_part(h, tol_herm, "matrix is not Hermitian")
-    )
+    return np.linalg.eigh(_hermitian_part(h, "matrix is not Hermitian"))
 
 
 def eigvalsh(h: np.ndarray, what: str = "matrix is not Hermitian"):
@@ -134,7 +132,7 @@ def eigvalsh(h: np.ndarray, what: str = "matrix is not Hermitian"):
     the DensityOperator gate near its edge) and the messages of the errors
     those gates raise, never a reported figure.
     """
-    return np.linalg.eigvalsh(_hermitian_part(h, TOL_HERM, what))
+    return np.linalg.eigvalsh(_hermitian_part(h, what))
 
 
 def min_eigenvalue(h: np.ndarray):
@@ -212,7 +210,7 @@ def decision_min(h, edge: float, exact=min_eigenvalue,
     replaced by exact(h[k]), so comparing the result with edge gives the
     verdict of `exact`.  A float64 for one matrix, (N,) for a stack.
     """
-    wmin = _split_min(_hermitian_part(h, TOL_HERM, what))
+    wmin = _split_min(_hermitian_part(h, what))
     near = np.abs(wmin - edge) <= EDGE_MARGIN
     if not near.any():
         return wmin

@@ -61,6 +61,12 @@ class ProtocolRun:
         }
 
 
+def check_shots(shots: int) -> None:
+    """Raise BadParamError unless shots >= 1."""
+    if shots < 1:
+        raise BadParamError(f"shots must be >= 1, got {shots}")
+
+
 def run_protocol(
     f: LocalFilter, rho: DensityOperator, shots: int, seed: int
 ) -> ProtocolRun:
@@ -81,8 +87,7 @@ def run_protocol(
             f"{rho.mat.shape[0]}"
         )
     check_compatible(f, rho)
-    if shots < 1:
-        raise BadParamError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     final_state, weights = protocol_walk(f, rho)
     # each outcome's probability conditional on the earlier ones passing
     probs = weights / np.concatenate(([1.0], weights[:-1]))

@@ -12,18 +12,18 @@ probability is tr(D rho D).  A general invertible filter L = U D V runs V
 first, then the rescaled diagonal measurement with d = diag(D)/sigma_max,
 then U, so the whole protocol implements L/sigma_max.
 
-protocol_walk is the one walk through that protocol: it returns the output
-state and the cumulative weight after each of the four outcomes, in step
-order (by default Alice's projector and readout, then Bob's).  The
-projector outcome weighs tr(P (|0><0| x rho) P) = tr(D rho), since
+protocol_walk is the one walk through that protocol, in one step order:
+Alice's projector and ancilla readout, then Bob's.  It returns the output
+state and the cumulative weight after each of the four outcomes.  The two
+postselections commute, so Bob first would give the same state and total
+probability; tests/oracles.ancilla_protocol checks that independently.
+The projector outcome weighs tr(P (|0><0| x rho) P) = tr(D rho), since
 D^2 + Delta^2 = D, and the readout tr(D rho D), so the walk never builds
 the doubled space; build_projector and postselect_diag keep it explicit
 for the checks.  protocol_analytic keeps the last weight, the total
 success probability; the simulator divides successive weights into
 conditional branch probabilities.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,18 +32,6 @@ from .errors import BadDiagonalError, DimensionMismatchError, NotPSDError
 from .filters import LocalFilter, check_compatible
 from .states import DensityOperator, normalize
 from .tolerances import TOL_NEG
-
-
-@dataclass(frozen=True, eq=False)
-class FilterProjector:
-    """The 2n x 2n projector realizing a diagonal filter."""
-
-    d: np.ndarray
-    mat: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.d.shape[0]
 
 
 def _check_diag(d) -> np.ndarray:
@@ -58,8 +46,9 @@ def _check_diag(d) -> np.ndarray:
     return d
 
 
-def build_projector(d) -> FilterProjector:
-    """Assemble P = [[D, Delta], [Delta, I - D]] for d in (0, 1]^n."""
+def build_projector(d) -> np.ndarray:
+    """The 2n x 2n projector P = [[D, Delta], [Delta, I - D]] for d in
+    (0, 1]^n."""
     d = _check_diag(d)
     n = d.size
     dm = np.diag(d)
@@ -69,7 +58,7 @@ def build_projector(d) -> FilterProjector:
     p[:n, n:] = delta
     p[n:, :n] = delta
     p[n:, n:] = np.eye(n) - dm
-    return FilterProjector(d=d, mat=p)
+    return p
 
 
 def rank_one_projectors(d) -> list:
@@ -106,12 +95,13 @@ def postselect_intermediate(d, rho: np.ndarray) -> np.ndarray:
     Delta rho D and Delta rho Delta.
     """
     p = build_projector(d)
+    n = p.shape[0] // 2
     rho = linalg.as_matrix(rho)
-    if rho.shape != (p.n, p.n):
+    if rho.shape != (n, n):
         raise DimensionMismatchError(
-            f"state shape {rho.shape} does not match diagonal length {p.n}"
+            f"state shape {rho.shape} does not match diagonal length {n}"
         )
-    return linalg.sandwich(p.mat, embed_with_ancilla(rho))
+    return linalg.sandwich(p, embed_with_ancilla(rho))
 
 
 def postselect_diag(d, rho: np.ndarray):
@@ -145,20 +135,17 @@ def rescaled_diag(svdres: linalg.SVDResult):
     return svdres.d / svdres.d[..., :1], smax
 
 
-def protocol_walk(
-    f: LocalFilter, rho: DensityOperator, bob_first: bool = False
-):
+def protocol_walk(f: LocalFilter, rho: DensityOperator):
     """Walk the three-step measurement protocol in closed form.
 
-    Steps: local unitaries V1 x V2 from the filter SVDs, both diagonal
-    postselections with rescaled singular values (each a projector outcome,
-    then an ancilla readout), local unitaries U1 x U2.  Returns (output
-    DensityOperator, weights), where weights[..., k] is the probability
-    that outcomes 0..k all pass, in step order.  The output equals the
-    filtered state and the last weight is yield / (sigma_max(L)
-    sigma_max(M))^2.  A stack of states or of filters gives a stack of
-    outputs and (N, 4) weights.  bob_first only changes the order in which
-    the two commuting postselections are applied.
+    Steps: local unitaries V1 x V2 from the filter SVDs, Alice's diagonal
+    postselection with rescaled singular values (a projector outcome, then
+    an ancilla readout), then Bob's, then local unitaries U1 x U2.  Returns
+    (output DensityOperator, weights), where weights[..., k] is the
+    probability that outcomes 0..k all pass, in that step order.  The
+    output equals the filtered state and the last weight is yield /
+    (sigma_max(L) sigma_max(M))^2.  A stack of states or of filters gives
+    a stack of outputs and (N, 4) weights.
     """
     check_compatible(f, rho)
     da, db = rho.dims
@@ -166,14 +153,11 @@ def protocol_walk(
     d2, _ = rescaled_diag(f.svd_m)
     state = linalg.sandwich(linalg.kron(f.svd_l.v, f.svd_m.v), rho.mat)
     # np.eye(k) * d[..., None, :] is diag(d), for each d of a stack
-    steps = [
+    weights = []
+    for s in (
         linalg.kron(np.eye(da) * d1[..., None, :], np.eye(db)),
         linalg.kron(np.eye(da), np.eye(db) * d2[..., None, :]),
-    ]
-    if bob_first:
-        steps.reverse()
-    weights = []
-    for s in steps:
+    ):
         weights.append(np.trace(s @ state, axis1=-2, axis2=-1).real)
         state = linalg.sandwich(s, state)
         weights.append(np.trace(state, axis1=-2, axis2=-1).real)
@@ -182,12 +166,12 @@ def protocol_walk(
     return out, np.stack(weights, axis=-1)
 
 
-def protocol_analytic(f: LocalFilter, rho: DensityOperator, bob_first: bool = False):
+def protocol_analytic(f: LocalFilter, rho: DensityOperator):
     """The protocol's output state and total success probability.
 
     Returns (output DensityOperator, last weight of protocol_walk); for a
     stack the probability is a float array, for one state a float.
     """
-    out, weights = protocol_walk(f, rho, bob_first)
+    out, weights = protocol_walk(f, rho)
     prob = weights[..., -1]
     return out, (float(prob) if prob.ndim == 0 else prob)

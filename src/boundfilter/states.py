@@ -195,16 +195,16 @@ class PptVerdict:
         return bool(self.ppt)
 
 
-def is_ppt(rho: DensityOperator, tol_neg: float = TOL_NEG) -> PptVerdict:
-    """Whether the partial transpose has no eigenvalue below -tol_neg.
+def is_ppt(rho: DensityOperator) -> PptVerdict:
+    """Whether the partial transpose has no eigenvalue below -TOL_NEG.
 
     The verdict is eigh's: linalg.decision_min re-solves a minimum near
-    -tol_neg with eigh.  Off that edge, min_eigenvalue comes from the
+    -TOL_NEG with eigh.  Off that edge, min_eigenvalue comes from the
     values-only block solve and can differ from eigh's in the last bits;
     a figure to print comes from linalg.min_eigenvalue.
     """
-    wmin = linalg.decision_min(partial_transpose_b(rho), -tol_neg)
-    return PptVerdict(ppt=wmin >= -tol_neg, min_eigenvalue=wmin)
+    wmin = linalg.decision_min(partial_transpose_b(rho), -TOL_NEG)
+    return PptVerdict(ppt=wmin >= -TOL_NEG, min_eigenvalue=wmin)
 
 
 def schmidt_rank(psi: PureState):

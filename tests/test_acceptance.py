@@ -102,32 +102,54 @@ def test_suite_is_deterministic():
 # ---------------------------------------------------------------------------
 
 
+def _same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.asarray(g).shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def _screened_cases():
+    """The cases of the Schmidt check's two dims groups and of the PPT
+    check, each drawn from a fresh generator of its check's seed; the last
+    two entries of each are the filter factors L and M."""
+    return [
+        acceptance._schmidt_cases(np.random.default_rng(20240811), d, d, 100)
+        for d in (2, 3)
+    ] + [acceptance._ppt_cases(np.random.default_rng(20240812), 3, 3, 100)]
+
+
+def _smin(g):
+    return np.linalg.svd(g, compute_uv=False)[:, -1]
+
+
 @pytest.mark.parametrize("floor", [None, 0.3])
 def test_batched_draws_keep_the_stream(monkeypatch, floor):
-    # every randomized check draws the cases and leaves the generator in
-    # the state that one-draw-at-a-time loops give; a floor of 0.3 fails
-    # about one factor in ten, which forces the rewind-and-redraw path
     if floor is not None:
+        # a floor of 0.3 fails about one factor in ten: the screen redraws
+        # exactly those, after the batch, and nothing else moves
+        shipped = _screened_cases()
         monkeypatch.setattr(acceptance, "INVERTIBLE_FLOOR", floor)
+        redrawn = 0
+        for got, want in zip(_screened_cases(), shipped):
+            _same(got[:-2], want[:-2])
+            for g, w in zip(got[-2:], want[-2:]):
+                assert (_smin(g) > floor).all()
+                kept = _smin(w) > floor
+                assert np.array_equal(g[kept], w[kept])
+                redrawn += int(np.count_nonzero(~kept))
+        assert redrawn > 0
+        assert acceptance.check_schmidt_invariance().passed
+        assert acceptance.check_ppt_invariance().passed
+        return
+
+    # at the shipped floor every randomized check draws the cases and
+    # leaves the generator in the state that one-draw-at-a-time loops give
     floor = acceptance.INVERTIBLE_FLOOR
-    redraws = []
-    per_draw = acceptance._random_invertible
-    monkeypatch.setattr(
-        acceptance,
-        "_random_invertible",
-        lambda rng, n: redraws.append(n) or per_draw(rng, n),
-    )
-
-    def same(got, want):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert np.asarray(g).shape == w.shape
-            assert np.array_equal(g, w)
-
     rng = np.random.default_rng(20240811)
     ref = np.random.default_rng(20240811)
     for d in (2, 3):
-        same(
+        _same(
             acceptance._schmidt_cases(rng, d, d, 100),
             oracles.schmidt_draws_loop(ref, d, d, 100, floor),
         )
@@ -135,7 +157,7 @@ def test_batched_draws_keep_the_stream(monkeypatch, floor):
 
     rng = np.random.default_rng(20240812)
     ref = np.random.default_rng(20240812)
-    same(
+    _same(
         acceptance._ppt_cases(rng, 3, 3, 100),
         oracles.ppt_draws_loop(ref, 3, 3, 100, floor),
     )
@@ -159,16 +181,11 @@ def test_batched_draws_keep_the_stream(monkeypatch, floor):
 
     rng = np.random.default_rng(20240815)
     ref = np.random.default_rng(20240815)
-    same(
+    _same(
         acceptance._gaussian(rng, 3, 200),
         np.array([oracles.gaussian_loop(ref, 3) for _ in range(200)]),
     )
     assert rng.bit_generator.state == ref.bit_generator.state
-
-    if floor == 1e-3:
-        assert redraws == []  # the shipped floor never rewinds these seeds
-    else:
-        assert redraws  # the per-draw path ran
 
 
 def test_checks_read_the_same_rows_from_per_draw_cases(monkeypatch):

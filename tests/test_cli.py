@@ -2,6 +2,8 @@ import errno
 import json
 import os
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +182,54 @@ def test_scan_error_keeps_rows_before_first_invalid_point(capsys):
         "error: positivity invariant failed: min eigenvalue = -1.424182e-04\n"
     )
     assert err == f"error: {ref_err}\n"
+
+
+def test_scan_grid_blocks_equal_linspace():
+    # each block's points are computed from its index range, bit for bit
+    # as np.linspace gives them, including the last point set to x_max and
+    # a step that underflows to zero
+    rnd = random.Random(5)
+    ranges = [(0.0, 1.0), (0.6, 0.66), (0.0, 5e-324), (0.5, 0.5 + 2e-16)]
+    # at 63 steps the last computed point of this range misses x_max
+    ranges.append((0.024619711463343408, 0.5245095586030891))
+    ranges += [tuple(sorted(rnd.random() for _ in range(2))) for _ in range(8)]
+    for x_min, x_max in ranges:
+        for steps in (2, 3, 63, 64, 65, 127, 128, 129, 1000, 4097):
+            want = np.linspace(x_min, x_max, steps)
+            got = np.concatenate([
+                cli._grid_block(
+                    x_min, x_max, steps, lo,
+                    min(lo + catalog.SWEEP_BLOCK, steps),
+                )
+                for lo in range(0, steps, catalog.SWEEP_BLOCK)
+            ])
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (x_min, x_max, steps)
+
+
+def test_scan_memory_does_not_grow_with_steps(monkeypatch):
+    # the rows go to a sink, so the traced peak is the sweep's own; a
+    # whole 20000-point grid alone would add 160 kB
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Sink())
+
+    def peak(steps):
+        argv = [
+            "scan", "--t", "0.05", "--x-min", "0", "--x-max", "1",
+            "--steps", str(steps), "--witness", "choi-phi:A",
+        ]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(200)  # first call: parser, superoperator and import caches
+    assert peak(20000) <= peak(200) + 32 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +503,20 @@ def test_simulate_seed_precedence(capsys, monkeypatch):
 @pytest.mark.parametrize("seed", [-1, 2**64, 10**23])
 def test_seed_outside_64_bits_exits_2(capsys, monkeypatch, seed):
     # the lottery reads its seed mod 2^64, so these would alias a seed in
-    # range while the JSON echoed another
-    base = ["simulate", "bell", "identity", "--shots", "5"]
-    monkeypatch.delenv("BF_SEED", raising=False)
-    assert run_cli(capsys, *base, "--seed", str(seed)) == (
-        2, "", f"error: --seed must lie in [0, 2^64), got {seed}\n"
-    )
-    monkeypatch.setenv("BF_SEED", str(seed))
-    assert run_cli(capsys, *base) == (
-        2, "", f"error: BF_SEED must lie in [0, 2^64), got {seed}\n"
-    )
+    # range while the JSON echoed another; --analytic reads no seed but
+    # rejects the same ones
+    for base in (
+        ["simulate", "bell", "identity", "--shots", "5"],
+        ["simulate", "bell", "identity", "--shots", "5", "--analytic"],
+    ):
+        monkeypatch.delenv("BF_SEED", raising=False)
+        assert run_cli(capsys, *base, "--seed", str(seed)) == (
+            2, "", f"error: --seed must lie in [0, 2^64), got {seed}\n"
+        )
+        monkeypatch.setenv("BF_SEED", str(seed))
+        assert run_cli(capsys, *base) == (
+            2, "", f"error: BF_SEED must lie in [0, 2^64), got {seed}\n"
+        )
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -519,11 +573,19 @@ def test_identity_gisin_warns_in_one_plain_line(capsys):
 
 
 def test_simulate_bad_shots(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "simulate", "bell", "identity", "--shots", "0", "--seed", "1",
-    )
-    assert code == 2 and "shots" in err
+    # --analytic runs no lottery but rejects the same shot counts
+    for shots in (0, -3):
+        base = ["simulate", "bell", "identity", "--shots", str(shots)]
+        for argv in (base + ["--seed", "1"], base + ["--analytic"]):
+            assert run_cli(capsys, *argv) == (
+                2, "", f"error: shots must be >= 1, got {shots}\n"
+            )
+    # a dims mismatch is reported first on both paths
+    base = ["simulate", "rho-xt", "gisin", "--shots", "0"]
+    for argv in (base + ["--seed", "1"], base + ["--analytic"]):
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: filter dims (2, 2) do not match state dims (3, 3)\n"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -36,19 +36,19 @@ def catalog_filters():
 def test_projector_blocks():
     d = np.array([1.0, 0.625, 0.625])
     p = measure.build_projector(d)
-    assert p.n == 3
+    assert p.shape == (6, 6)
     delta = np.sqrt(d * (1 - d))
-    assert np.allclose(p.mat[:3, :3], np.diag(d))
-    assert np.allclose(p.mat[:3, 3:], np.diag(delta))
-    assert np.allclose(p.mat[3:, :3], np.diag(delta))
-    assert np.allclose(p.mat[3:, 3:], np.eye(3) - np.diag(d))
+    assert np.allclose(p[:3, :3], np.diag(d))
+    assert np.allclose(p[:3, 3:], np.diag(delta))
+    assert np.allclose(p[3:, :3], np.diag(delta))
+    assert np.allclose(p[3:, 3:], np.eye(3) - np.diag(d))
 
 
 def test_projector_is_projector():
     rng = np.random.default_rng(50)
     for _ in range(25):
         d = rng.uniform(0.05, 1.0, size=4)
-        p = measure.build_projector(d).mat
+        p = measure.build_projector(d)
         assert np.abs(p @ p - p).max() < 1e-12
         assert np.abs(p - p.T).max() == 0.0
         assert np.trace(p) == pytest.approx(4.0, abs=1e-12)
@@ -63,7 +63,7 @@ def test_rank_one_decomposition():
         assert np.abs(ti @ ti - ti).max() < 1e-12
         for tj in terms[i + 1 :]:
             assert np.abs(ti @ tj).max() < 1e-12
-    assert np.abs(sum(terms) - measure.build_projector(d).mat).max() < 1e-12
+    assert np.abs(sum(terms) - measure.build_projector(d)).max() < 1e-12
 
 
 @pytest.mark.parametrize("bad", [[], [0.0, 0.5], [1.2], [-0.1], [float("nan")]])
@@ -180,15 +180,14 @@ def test_protocol_on_a_stack_matches_one_at_a_time():
     ]:
         if f.dims != rho.dims:
             continue
-        for bob_first in (False, True):
-            out, prob = measure.protocol_analytic(f, rho, bob_first=bob_first)
-            assert out.mat.shape == (5, 9, 9) and prob.shape == (5,)
-            for k in range(5):
-                one, p = measure.protocol_analytic(
-                    f, DensityOperator(3, 3, mats[k]), bob_first=bob_first
-                )
-                assert isinstance(p, float)
-                assert np.array_equal(out.mat[k], one.mat) and prob[k] == p
+        out, prob = measure.protocol_analytic(f, rho)
+        assert out.mat.shape == (5, 9, 9) and prob.shape == (5,)
+        for k in range(5):
+            one, p = measure.protocol_analytic(
+                f, DensityOperator(3, 3, mats[k])
+            )
+            assert isinstance(p, float)
+            assert np.array_equal(out.mat[k], one.mat) and prob[k] == p
 
 
 def test_protocol_with_a_filter_stack():
@@ -218,10 +217,12 @@ def test_protocol_order_independence():
         rng.normal(size=(3, 3)) + np.eye(3) * 2,
         rng.normal(size=(3, 3)) + np.eye(3) * 2,
     )
-    out_ab, p_ab = measure.protocol_analytic(f, rho, bob_first=False)
-    out_ba, p_ba = measure.protocol_analytic(f, rho, bob_first=True)
-    assert p_ab == pytest.approx(p_ba, rel=1e-12)
-    assert np.abs(out_ab.mat - out_ba.mat).max() < 1e-12
+    # the walk runs Alice's postselection first; the ancilla model with
+    # Bob's first must reach the same state with the same total weight
+    out, weights = measure.protocol_walk(f, rho)
+    ref_state, ref_probs = ancilla_protocol(f.l, f.m, rho.mat, bob_first=True)
+    assert weights[-1] == pytest.approx(np.prod(ref_probs), rel=1e-12)
+    assert np.abs(out.mat - ref_state).max() < 1e-12
 
 
 def test_protocol_with_unitary_factors_is_deterministic():
@@ -266,19 +267,24 @@ def conditional(weights):
 
 @pytest.mark.parametrize("bob_first", [False, True])
 def test_walk_matches_ancilla_oracle(bob_first):
+    # bob_first orders only the oracle: the walk runs Alice first, so in
+    # the other order only the state and the total weight must agree
     cases = walk_cases()
     filters = {k for k, e in catalog.LABELS.items() if e[0] == "filter"}
     assert {label for label, _, _ in cases} == filters | {"random"}
     for _, f, rho in cases:
-        out, weights = measure.protocol_walk(f, rho, bob_first)
+        out, weights = measure.protocol_walk(f, rho)
         ref_state, ref_probs = ancilla_protocol(f.l, f.m, rho.mat, bob_first)
         assert weights.shape == (4,)
-        assert np.abs(conditional(weights) - ref_probs).max() <= 1e-12
         assert np.abs(out.mat - ref_state).max() <= 1e-12
-        if not bob_first:  # the simulator's lottery runs on the same walk
-            run = mcsim.run_protocol(f, rho, shots=1, seed=0)
-            dev = np.subtract(run.branch_probs, ref_probs)
-            assert np.abs(dev).max() <= 1e-12
+        if bob_first:
+            assert abs(weights[-1] - np.prod(ref_probs)) <= 1e-12
+            continue
+        assert np.abs(conditional(weights) - ref_probs).max() <= 1e-12
+        # the simulator's lottery runs on the same walk
+        run = mcsim.run_protocol(f, rho, shots=1, seed=0)
+        dev = np.subtract(run.branch_probs, ref_probs)
+        assert np.abs(dev).max() <= 1e-12
 
 
 def test_walk_weights_on_a_stack():
