@@ -17,11 +17,16 @@ The lottery walks the shots in blocks of LOTTERY_BLOCK.  It allocates its
 working buffers once per call, at min(shots, LOTTERY_BLOCK) words, and every
 block reuses them: the finalizer runs in place with a scratch buffer, and
 the words of a block are one precomputed arange(size) * 4 * GAMMA plus a
-scalar per draw.  Draw k is computed only for the shots that passed the
-draws before it; survivors are compacted with np.compress, and the last
-draw is only counted, never compacted.  The block is 2^15 shots (about 1 MB
-of buffers): 2^16 was no faster and raised the peak RSS of a 2*10^6-shot
-simulate by about 4%, and smaller blocks pay more per-block overhead.
+scalar per draw.  Each draw is computed over the block's alive shots and its
+pass mask is ANDed into one running boolean mask; the block's count is the
+number of shots left in that mask.  AND is order-free, so which shots get
+drawn never changes a count.  The survivors are compacted with np.compress
+only after a draw where that pays (see `_draws`, which weighs one compacted
+element as one draw): draws passing 70-85% of shots, as for rho-xt under
+choi-example or bell under gisin, never compact, while a draw that rejects
+most shots still does.  The block is 2^15 shots (about 1 MB of buffers):
+2^14 and 2^16 were slower, and 2^16 raised the peak RSS of a 2*10^6-shot
+simulate by about 4%.
 """
 
 import math
@@ -72,6 +77,31 @@ def uniform_block(seed: int, start: int, shots: int) -> np.ndarray:
     return (_mix64(z, np.empty_like(z)) >> _S11) * _INV53
 
 
+def _draws(p: list) -> list:
+    """(k, integer threshold, compact) of every draw that can reject a shot.
+
+    `compact` marks the draws after which the lottery compacts its
+    survivors.  Compacting after draw j saves the draws still to come on the
+    shots it drops, so it pays when remaining * (1 - s) > 1, with s the
+    product of the pass probabilities since the last compaction.  The 1 is
+    the cost of compacting one element, counted in draws: inside the block
+    loop np.compress took 0.4-0.6 draws per element on masks passing up to
+    76% of a block and 1.5-2 above, where each call faults in fresh pages
+    for its index and output arrays.  With 1, draws passing 70-85% of
+    shots, which compacting slowed, never compact.
+    """
+    kept = [(k, pk) for k, pk in enumerate(p) if pk < 1.0]
+    draws = []
+    s = 1.0
+    for j, (k, pk) in enumerate(kept):
+        s *= pk
+        compact = (len(kept) - 1 - j) * (1.0 - s) > 1.0
+        if compact:
+            s = 1.0
+        draws.append((k, np.uint64(math.ceil(pk * (1 << 53)) << 11), compact))
+    return draws
+
+
 def accept_count(seed: int, probs, shots: int, start: int = 0) -> int:
     """Number of shots in [start, start+shots) that pass all four lotteries.
 
@@ -85,15 +115,9 @@ def accept_count(seed: int, probs, shots: int, start: int = 0) -> int:
         return 0
     if not all(pk > 0.0 for pk in p):  # also catches NaN
         return 0
-    # (k, integer threshold) of every draw that can reject a shot
-    draws = [
-        (k, np.uint64(math.ceil(pk * (1 << 53)) << 11))
-        for k, pk in enumerate(p)
-        if pk < 1.0
-    ]
+    draws = _draws(p)
     if not draws:
         return shots
-    *kept, (last_k, last_threshold) = draws
     size = min(shots, LOTTERY_BLOCK)
     # shot lo + i hashes word(lo) + i * 4 * GAMMA, so a block's words are
     # this one arange plus a scalar per draw
@@ -102,20 +126,29 @@ def accept_count(seed: int, probs, shots: int, start: int = 0) -> int:
     z = np.empty(size, dtype=np.uint64)
     tmp = np.empty(size, dtype=np.uint64)
     passed = np.empty(size, dtype=np.bool_)
+    running = np.empty(size, dtype=np.bool_)
 
-    def draw(alive, lo, k, threshold):
-        """Mask (a view of `passed`) of the alive shots that pass draw k."""
+    def draw(alive, lo, k, threshold, out):
+        """Mask (a view of `out`) of the alive shots that pass draw k."""
         m = alive.size
         word = np.uint64((seed + (4 * lo + k + 1) * _GAMMA_INT) & MASK64)
         np.add(alive, word, out=z[:m])
         _mix64(z[:m], tmp[:m])
-        return np.less(z[:m], threshold, out=passed[:m])
+        return np.less(z[:m], threshold, out=out[:m])
 
     count = 0
     stop = start + shots
     for lo in range(start, stop, size):
         alive = stride[: min(size, stop - lo)]
-        for k, threshold in kept:
-            alive = np.compress(draw(alive, lo, k, threshold), alive)
-        count += int(np.count_nonzero(draw(alive, lo, last_k, last_threshold)))
+        # the first draw after a compaction starts a new running mask
+        fresh = True
+        for k, threshold, compact in draws:
+            if fresh:
+                mask = draw(alive, lo, k, threshold, running)
+            else:
+                mask &= draw(alive, lo, k, threshold, passed)
+            if compact:
+                alive = np.compress(mask, alive)
+            fresh = compact
+        count += int(np.count_nonzero(mask))
     return count

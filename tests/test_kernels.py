@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundfilter import kernels
+from boundfilter import catalog, kernels, mcsim
 
 from .oracles import splitmix64_py, uniform_py
 
@@ -145,8 +145,18 @@ def test_small_calls_stay_below_one_block():
         [0.7, 1.0, 1.0, 1.0],
         [1.0, 0.8, 1.0, 0.6],
         [0.9, 0.8, 0.7, 0.95],
+        [0.2, 0.9, 0.9, 0.9],
+        [0.55, 0.6, 0.65, 0.7],
+        [0.3, 0.3, 0.3, 0.3],
     ],
-    ids=["one-draw", "two-draws", "four-draws"],
+    ids=[
+        "one-draw",
+        "two-draws",
+        "four-draws",
+        "low-first-compacts",
+        "graded-first-compacts",
+        "compacts-twice",
+    ],
 )
 def test_shipped_block_partial_final_block_and_wrap(probs):
     # two full blocks and a partial one, with shot indices that cross 2^63
@@ -155,6 +165,44 @@ def test_shipped_block_partial_final_block_and_wrap(probs):
     shots = 2 * kernels.LOTTERY_BLOCK + 17
     got = kernels.accept_count(77, probs, shots, start=start)
     assert got == block_count(77, probs, shots, start)
+
+
+def test_compaction_schedule(monkeypatch):
+    # compacting costs about one draw per element: the draws of the two
+    # simulate pairs below pass 70-85% of shots and never compact, while a
+    # draw that rejects most shots compacts once per block
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].size)
+        return compress(*args, **kwargs)
+
+    compress = np.compress
+    monkeypatch.setattr(np, "compress", spy)
+    shots = 2 * kernels.LOTTERY_BLOCK
+
+    def compacted(probs):
+        calls.clear()
+        kernels.accept_count(3, probs, shots)
+        return [k for k, _, compact in kernels._draws(list(probs)) if compact]
+
+    pairs = [("rho-xt:0.63:0.05", "choi-example"), ("bell", "gisin:0.6")]
+    for state, filt in pairs:
+        probs = mcsim.run_protocol(
+            catalog.from_label("filter", filt),
+            catalog.from_label("state", state),
+            shots=1,
+            seed=0,
+        ).branch_probs
+        assert compacted(probs) == []
+        assert calls == []
+    for probs in ([0.2, 0.9, 0.9, 0.9], [0.55, 0.6, 0.65, 0.7]):
+        assert compacted(probs) == [0]
+        assert calls == [kernels.LOTTERY_BLOCK] * 2
+    # the survival product restarts after each compaction
+    assert compacted([0.3] * 4) == [0, 1]
+    assert len(calls) == 4
+    assert compacted([0.9, 0.9, 0.9, 0.3]) == []
 
 
 def test_accept_count_matches_uniform_block():

@@ -10,7 +10,7 @@ from boundfilter.errors import (
     NoAcceptedShotsError,
 )
 from boundfilter.filters import apply_filter, identity_filter, make_filter
-from boundfilter.kernels import uniform_block
+from boundfilter.kernels import accept_count, uniform_block
 from boundfilter.witness import Side, Witness
 
 from .oracles import random_density_mat
@@ -203,3 +203,24 @@ def test_kernel_paths_agree(kernel_path):
     f = catalog.choi_example_filter()
     run = mcsim.run_protocol(f, rho, shots=5000, seed=31337)
     assert run.accepted == 3028
+
+
+def test_counts_at_two_million_shots():
+    # 61 full blocks and a partial one, as in a 2*10^6-shot simulate
+    for state, filt, accepted in [
+        ("rho-xt:0.63:0.05", "choi-example", 1182434),
+        ("bell", "gisin:0.6", 720479),
+    ]:
+        run = mcsim.run_protocol(
+            catalog.from_label("filter", filt),
+            catalog.from_label("state", state),
+            shots=2_000_000,
+            seed=2024,
+        )
+        assert run.accepted == accepted
+    for probs, accepted in [
+        ([0.55, 0.6, 0.65, 0.7], 300491),
+        ([0.2, 0.9, 0.9, 0.9], 291350),
+        ([0.9, 0.9, 0.9, 0.3], 437163),
+    ]:
+        assert accept_count(2024, probs, 2_000_000) == accepted
