@@ -30,7 +30,7 @@ from .filters import (
 )
 from .linalg import SVDResult, eigh, min_eigenvalue, svd
 from .measure import build_projector, postselect_diag, protocol_analytic
-from .mcsim import ProtocolRun, run_protocol, witness_after_protocol
+from .mcsim import ProtocolRun, run_protocol
 from .states import (
     DensityOperator,
     PptVerdict,

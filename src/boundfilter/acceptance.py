@@ -2,9 +2,9 @@
 
 Each check returns a CheckResult row (name, expected, observed, pass); the
 suite is deterministic, uses fixed seeds, and prints no timings, so two
-runs with the same build produce byte-identical reports.  The witness
-negativity threshold is injectable so a harness can verify that loosening
-it really does break the detection checks.
+runs with the same build produce byte-identical reports.  The detection
+checks compare witness minima with tolerances.TOL_NEG as it stands when
+they run.
 
 The randomized checks draw all their cases first, from fixed seeds in a
 fixed order, and evaluate them as stacks.  There is one draw path: the
@@ -195,7 +195,7 @@ def _separable_states(weights, ga, gb, dim_a, dim_b) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 
-def check_choi_window(neg_tol: float = TOL_NEG) -> CheckResult:
+def check_choi_window() -> CheckResult:
     """Filtered detection window of the two-parameter family at t = 1/20.
 
     Interior sampling: the printed left endpoint is a rounded-down edge (the
@@ -204,7 +204,7 @@ def check_choi_window(neg_tol: float = TOL_NEG) -> CheckResult:
     """
     t = 0.05
     f = catalog.choi_example_filter()
-    w = Witness("choi-phi", Side.A, 3)
+    w = Witness("choi-phi", Side.A)
 
     def minima(xs, solve):
         # unfiltered and filtered witness minima, one block of points at a time
@@ -221,7 +221,7 @@ def check_choi_window(neg_tol: float = TOL_NEG) -> CheckResult:
     )
     unf_floor = unf_vals.min()
     fil_ceil = fil_vals.max()
-    window_ok = bool(unf_floor >= -neg_tol and fil_ceil < -neg_tol)
+    window_ok = bool(unf_floor >= -TOL_NEG and fil_ceil < -TOL_NEG)
 
     # only the signs of the grid minima are read: they come from the
     # decision solve, which re-solves a minimum near zero with eigh
@@ -253,8 +253,8 @@ def check_choi_window(neg_tol: float = TOL_NEG) -> CheckResult:
     return CheckResult(
         name="choi-window",
         expected=(
-            f"unfiltered >= {fmt_num(-neg_tol)} and filtered < "
-            f"{fmt_num(-neg_tol)} across 50 interior points; edges within "
+            f"unfiltered >= {fmt_num(-TOL_NEG)} and filtered < "
+            f"{fmt_num(-TOL_NEG)} across 50 interior points; edges within "
             f"0.002 of {WINDOW_LO} and {WINDOW_HI}"
         ),
         observed=observed,
@@ -262,15 +262,15 @@ def check_choi_window(neg_tol: float = TOL_NEG) -> CheckResult:
     )
 
 
-def check_upb(neg_tol: float = TOL_NEG) -> CheckResult:
+def check_upb() -> CheckResult:
     """Tile state: PPT, invisible to choi-psi:B, visible after the rotation."""
     rho = catalog.rho_upb()
     # printed, so from eigh; is_ppt would give the same verdict
     pt_min = linalg.min_eigenvalue(partial_transpose_b(rho))
-    w = Witness("choi-psi", Side.B, 3)
-    before = detect(w, rho, "rho-upb", tol_neg=neg_tol)
+    w = Witness("choi-psi", Side.B)
+    before = detect(w, rho)
     filtered, _ = apply_filter(catalog.upb_rotation_filter(), rho)
-    after = detect(w, filtered, "rho-upb-filtered", tol_neg=neg_tol)
+    after = detect(w, filtered)
     regression_ok = abs(after.min_eigenvalue - UPB_FILTERED_MIN_EIG) <= 1e-10
     passed = (
         pt_min >= -TOL_NEG
@@ -475,7 +475,7 @@ def check_monte_carlo() -> CheckResult:
     )
 
 
-def check_positive_not_cp(neg_tol: float = TOL_NEG) -> CheckResult:
+def check_positive_not_cp() -> CheckResult:
     """One-sided Choi maps push the maximally entangled state negative but
     keep every plain PSD input positive."""
     amps = np.zeros(9)
@@ -483,10 +483,10 @@ def check_positive_not_cp(neg_tol: float = TOL_NEG) -> CheckResult:
     omega = DensityOperator(3, 3, np.outer(amps, amps))
     kinds = ("choi-phi", "choi-psi")
     negs = [
-        linalg.min_eigenvalue(apply_witness(Witness(kind, Side.A, 3), omega))
+        linalg.min_eigenvalue(apply_witness(Witness(kind, Side.A), omega))
         for kind in kinds
     ]
-    entangled_seen = all(v < -neg_tol for v in negs)
+    entangled_seen = all(v < -TOL_NEG for v in negs)
     rng = np.random.default_rng(20240815)
     g = _gaussian(rng, 3, 200)
     psd = g @ linalg.adjoint(g)
@@ -519,13 +519,6 @@ ALL_CHECKS = (
 )
 
 
-def run_all(neg_tol: float = TOL_NEG) -> list:
-    """Run the whole suite; neg_tol reaches the checks that use a witness
-    threshold (the others ignore it)."""
-    results = []
-    for chk in ALL_CHECKS:
-        if chk in (check_choi_window, check_upb, check_positive_not_cp):
-            results.append(chk(neg_tol))
-        else:
-            results.append(chk())
-    return results
+def run_all() -> list:
+    """Run the whole suite, one CheckResult per check, in table order."""
+    return [chk() for chk in ALL_CHECKS]

@@ -6,10 +6,11 @@ verify-paper (the acceptance suite as a pass/fail table) and export
 (catalog listing, JSON).
 
 Grammar: witnesses are <kind>:<side> with the kinds of the witness.MAPS
-table (choi-phi, choi-psi, transpose) and sides A / B.  States and filters
-are labels of the catalog table (catalog.LABELS), parsed with their
-colon-separated parameters by catalog.from_label; anything with a path
-separator or a .json suffix is read as a JSON file.  BF_SEED overrides
+table (choi-phi, choi-psi, transpose) and sides A / B; a witness acts on
+the state's dimension on its side.  States and filters are labels of the
+catalog table (catalog.LABELS), parsed with their colon-separated
+parameters by catalog.from_label; anything with a path separator or a
+.json suffix is read as a JSON file.  BF_SEED overrides
 the default simulation seed; an explicit --seed beats both, and either must
 lie in [0, 2^64).  Exit codes: 0 success, 1 failed verification, 2 usage,
 parse or file errors.
@@ -35,13 +36,7 @@ from .filters import apply_filter, check_compatible, filter_from_json_dict
 from .formats import fmt_num
 from .measure import protocol_analytic
 from .states import is_ppt, state_from_json_dict, state_to_json_dict
-from .witness import (
-    Witness,
-    apply_witness,
-    detect,
-    parse_witness_spec,
-    witness_for_state,
-)
+from .witness import apply_witness, detect, parse_witness_spec
 
 DEFAULT_SEED = 2024
 DEFAULT_SHOTS = 1000
@@ -154,8 +149,7 @@ def cmd_scan(args) -> int:
         raise BadParamError(
             "scan range outside the family domain (x in [0, 1], t > 0)"
         )
-    kind, side = parse_witness_spec(args.witness)
-    w = Witness(kind, side, local_dim=3)
+    w = parse_witness_spec(args.witness)
     filt = None
     if args.filter is not None:
         filt = parse_filter_arg(args.filter, (3, 3))
@@ -184,13 +178,12 @@ def cmd_detect(args) -> int:
         filt = parse_filter_arg(args.filter, rho.dims)
         rho, _ = apply_filter(filt, rho)
         label = f"{label}|{args.filter}"
-    kind, side = parse_witness_spec(args.witness)
-    w = witness_for_state(kind, side, rho)
-    report = detect(w, rho, state_label=label)
+    w = parse_witness_spec(args.witness)
+    report = detect(w, rho)
     payload = {
-        "label": report.state_label,
-        "kind": report.kind,
-        "side": report.side.value,
+        "label": label,
+        "kind": w.kind,
+        "side": w.side.value,
         "min_eigenvalue": report.min_eigenvalue,
         "detected": report.detected,
     }

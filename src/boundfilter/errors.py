@@ -49,7 +49,3 @@ class BadDiagonalError(BoundFilterError):
 
 class ParseError(BoundFilterError):
     """Malformed textual input (JSON payloads, CLI argument grammar)."""
-
-
-class NoAcceptedShotsError(BoundFilterError):
-    """A simulated run accepted zero shots, so no state estimate exists."""

@@ -34,7 +34,8 @@ def pairs_to_matrix(obj, what: str = "matrix") -> np.ndarray:
     """Decode the [re, im] nested-list encoding, validating shape as we go.
 
     Non-finite numbers (the NaN and Infinity literals Python's json module
-    accepts) and booleans (JSON true/false) are rejected.
+    accepts, and integers too large for a float) and booleans (JSON
+    true/false) are rejected.
     """
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{what}: expected a non-empty list of rows")
@@ -64,7 +65,11 @@ def pairs_to_matrix(obj, what: str = "matrix") -> np.ndarray:
                     f"{what} row {r} col {c}: expected a [re, im] pair"
                 )
             re, im = cell
-            if not (math.isfinite(re) and math.isfinite(im)):
+            try:
+                finite = math.isfinite(re) and math.isfinite(im)
+            except OverflowError:  # an integer beyond float range, like 1e400
+                finite = False
+            if not finite:
                 raise ParseError(
                     f"{what} row {r} col {c}: entry is NaN or infinite"
                 )

@@ -16,16 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BadParamError,
-    DimensionMismatchError,
-    NoAcceptedShotsError,
-)
+from .errors import BadParamError, DimensionMismatchError
 from .filters import LocalFilter, apply_filter, check_compatible
 from .kernels import GENERATOR_NAME, accept_count
 from .measure import protocol_walk
-from .states import DensityOperator, normalize
-from .witness import DetectionReport, Witness, detect
+from .states import DensityOperator
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,22 +98,3 @@ def run_protocol(
         estimated_state=final_state.mat if accepted > 0 else None,
         reference=reference,
     )
-
-
-def witness_after_protocol(
-    f: LocalFilter,
-    rho: DensityOperator,
-    w: Witness,
-    shots: int,
-    seed: int,
-    state_label: str = "protocol-output",
-) -> DetectionReport:
-    """Run the simulation, then test the estimated state with a witness."""
-    run = run_protocol(f, rho, shots, seed)
-    if run.estimated_state is None:
-        raise NoAcceptedShotsError(
-            f"no accepted shots out of {shots} (total prob "
-            f"{run.total_prob:.3e}); nothing to hand to the witness"
-        )
-    est, _ = normalize(run.estimated_state, rho.dim_a, rho.dim_b)
-    return detect(w, est, state_label=state_label)

@@ -13,15 +13,20 @@ where x is the diagonal of X and C the circulant with rows (a, b, c),
 Every map is applied through its superoperator: the d^2 x d^2 matrix S with
 vec(map(X)) = S vec(X), vec flattening row by row, whose column k * d + l
 is the image of the matrix unit E_kl (the Choi-Jamiolkowski picture).  It
-is built once per (kind, d).  One-sided application of a map to a
-bipartite state (or a stack of them) regroups the density matrix so the
-acted-on side's (row, column) pair forms one axis, multiplies by S on that
-axis, and undoes the regrouping.  Every entry of a Choi map's S is
-(1/2)(C - I), -1/2 or 0, which for the table's coefficients all lie in
-{0, +-1/2}; each output entry is then a sum of at most two exactly halved
-input entries, so it is correctly rounded whatever order the matrix
-product adds in.  Coefficients that leave (1/2)(C - I) outside {0, +-1/2}
-lose that guarantee.
+is built once per (kind, d), and building it is the one place where a Choi
+kind's dimension is checked.  A Witness is just a kind and a side: d is the
+dimension of the state it is applied to on that side.  One-sided
+application of a map to a bipartite state (or a stack of them) regroups
+the density matrix so the acted-on side's (row, column) pair forms one
+axis, multiplies by S on that axis, and undoes the regrouping.  Every
+entry of a Choi map's S is (1/2)(C - I), -1/2 or 0, which for the table's
+coefficients all lie in {0, +-1/2}; each output entry is then a sum of at
+most two exactly halved input entries, so it is correctly rounded whatever
+order the matrix product adds in.  Coefficients that leave (1/2)(C - I)
+outside {0, +-1/2} lose that guarantee.
+
+detect reads the negativity threshold tolerances.TOL_NEG when it is
+called.
 """
 
 import enum
@@ -53,28 +58,20 @@ def _unknown_kind(kind: str) -> str:
 class Witness:
     """A positive map (a MAPS key) applied to one side of a bipartite state.
 
-    local_dim is the dimension of the acted-on side; the Choi kinds require
-    it to be 3.
+    The map acts on whatever dimension the state has on that side;
+    superoperator rejects a Choi kind on a side that is not 3-dimensional.
     """
 
     kind: str
     side: Side
-    local_dim: int
 
     def __post_init__(self):
         if self.kind not in MAPS:
             raise BadParamError(_unknown_kind(self.kind))
-        if self.local_dim < 1:
-            raise BadParamError(f"invalid local_dim {self.local_dim}")
-        if MAPS[self.kind] is not None and self.local_dim != 3:
-            raise BadParamError(
-                f"{self.kind} requires a 3-dimensional side, "
-                f"got local_dim={self.local_dim}"
-            )
 
 
-def parse_witness_spec(text: str) -> tuple:
-    """Split 'kind:side' into (MAPS key, Side); dims resolve later."""
+def parse_witness_spec(text: str) -> Witness:
+    """The Witness of a 'kind:side' spec."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ParseError(
@@ -89,12 +86,7 @@ def parse_witness_spec(text: str) -> tuple:
         raise ParseError(
             f"unknown side '{side_txt}' (valid: A, B)"
         ) from None
-    return kind, side
-
-
-def witness_for_state(kind: str, side: Side, rho: DensityOperator) -> Witness:
-    dim = rho.dim_a if side is Side.A else rho.dim_b
-    return Witness(kind=kind, side=side, local_dim=dim)
+    return Witness(kind, side)
 
 
 @functools.cache
@@ -111,7 +103,7 @@ def superoperator(kind: str, d: int) -> np.ndarray:
     else:
         if d != 3:
             raise DimensionMismatchError(
-                f"Choi maps act on 3x3 matrices, got {d}x{d}"
+                f"{kind} requires a 3-dimensional side, got local_dim={d}"
             )
         a, b, c = coef
         circ = np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=float)
@@ -156,18 +148,13 @@ def _regroup(m: np.ndarray, d1: int, d2: int, e1: int, e2: int) -> np.ndarray:
 def apply_witness(w: Witness, rho: DensityOperator) -> np.ndarray:
     """The matrix (map x id) rho or (id x map) rho, depending on side.
 
-    rho may hold a stack of states; the result then has one matrix per
-    state.  Not a state in general: the interesting case is exactly when it
-    has a negative eigenvalue.
+    The map acts on rho's dimension on w's side.  rho may hold a stack of
+    states; the result then has one matrix per state.  Not a state in
+    general: the interesting case is exactly when it has a negative
+    eigenvalue.
     """
     da, db = rho.dim_a, rho.dim_b
-    target = da if w.side is Side.A else db
-    if target != w.local_dim:
-        raise DimensionMismatchError(
-            f"witness expects local dim {w.local_dim} on side "
-            f"{w.side.value}, state has {target}"
-        )
-    s = superoperator(w.kind, w.local_dim)
+    s = superoperator(w.kind, da if w.side is Side.A else db)
     # rows index side A's (i, j) pair, columns side B's (k, l) pair
     r = _regroup(rho.mat, da, db, da, db)
     r = s @ r if w.side is Side.A else r @ s.T
@@ -178,25 +165,11 @@ def apply_witness(w: Witness, rho: DensityOperator) -> np.ndarray:
 class DetectionReport:
     """Outcome of testing one witness against one state."""
 
-    state_label: str
-    kind: str
-    side: Side
     min_eigenvalue: float
     detected: bool
 
 
-def detect(
-    w: Witness,
-    rho: DensityOperator,
-    state_label: str = "state",
-    tol_neg: float = TOL_NEG,
-) -> DetectionReport:
-    """Apply the witness and report whether the result dips below -tol_neg."""
+def detect(w: Witness, rho: DensityOperator) -> DetectionReport:
+    """Apply the witness and report whether the result dips below -TOL_NEG."""
     wmin = float(linalg.min_eigenvalue(apply_witness(w, rho)))
-    return DetectionReport(
-        state_label=state_label,
-        kind=w.kind,
-        side=w.side,
-        min_eigenvalue=wmin,
-        detected=wmin < -tol_neg,
-    )
+    return DetectionReport(min_eigenvalue=wmin, detected=wmin < -TOL_NEG)

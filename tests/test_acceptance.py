@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from boundfilter import acceptance, catalog
+from boundfilter import acceptance, catalog, witness
 
 from . import oracles
 
@@ -72,11 +72,13 @@ def test_positive_map_not_completely_positive():
 # ---------------------------------------------------------------------------
 
 
-def test_loose_threshold_breaks_exactly_the_detection_checks():
+def test_loose_threshold_breaks_exactly_the_detection_checks(monkeypatch):
     # at a witness threshold of 1e-2 the two detection checks must fail
     # (their negative eigenvalues are ~3e-4 and ~9e-3) while everything
     # else is threshold-independent
-    results = acceptance.run_all(neg_tol=1e-2)
+    monkeypatch.setattr(witness, "TOL_NEG", 1e-2)
+    monkeypatch.setattr(acceptance, "TOL_NEG", 1e-2)
+    results = acceptance.run_all()
     failed = {r.name for r in results if not r.passed}
     assert failed == {"choi-window", "upb-filter"}
 

@@ -19,7 +19,7 @@ from boundfilter.states import (
     state_to_json_dict,
 )
 from boundfilter.tolerances import TOL_NEG
-from boundfilter.witness import Witness, apply_witness, parse_witness_spec
+from boundfilter.witness import apply_witness, parse_witness_spec
 
 from .oracles import main_per_call
 
@@ -115,8 +115,7 @@ def test_scan_bad_witness_spec(capsys):
 def per_point_scan(t, x_min, x_max, steps, spec, filt_label):
     """scan's CSV built one DensityOperator at a time; stops at the first
     invalid point and returns (csv text, that point's error message)."""
-    kind, side = parse_witness_spec(spec)
-    w = Witness(kind, side, 3)
+    w = parse_witness_spec(spec)
     filt = filt_label and catalog.from_label("filter", filt_label)
     text = "x,min_eig_unfiltered,"
     text += "min_eig_filtered,ppt\n" if filt else "ppt\n"
@@ -303,8 +302,10 @@ def test_detect_errors(capsys, tmp_path):
     assert code == 2 and "unknown state" in err
     code, _, err = run_cli(capsys, "detect", "bell", "bogus:A")
     assert code == 2 and "witness" in err
-    code, _, err = run_cli(capsys, "detect", "bell", "choi-phi:A")
-    assert code == 2  # Choi witness needs a 3-dimensional side
+    assert run_cli(capsys, "detect", "bell", "choi-phi:A") == (
+        2, "", "error: choi-phi requires a 3-dimensional side, "
+        "got local_dim=2\n"
+    )
     code, _, err = run_cli(
         capsys, "detect", str(tmp_path / "missing.json"), "choi-phi:A"
     )
@@ -417,21 +418,24 @@ def test_label_errors_cover_every_label():
 
 @pytest.mark.parametrize("which", ["state", "filter"])
 def test_non_finite_json_input_exits_2(capsys, tmp_path, which):
-    state = state_to_json_dict(catalog.rho_xt(0.63, 0.05))
-    filt = filter_to_json_dict(catalog.choi_example_filter())
-    target = state["matrix"] if which == "state" else filt["L"]
-    target[1][1][0] = float("nan")
-    state_path = tmp_path / "state.json"
-    filt_path = tmp_path / "filter.json"
-    state_path.write_text(json.dumps(state))  # writes the NaN literal
-    filt_path.write_text(json.dumps(filt))
-    assert "NaN" in (state_path if which == "state" else filt_path).read_text()
-    code, out, err = run_cli(
-        capsys,
-        "detect", str(state_path), "choi-phi:A", "--filter", str(filt_path),
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "NaN or infinite" in err
+    # the NaN literal, and an integer beyond float range (it would round to
+    # infinity, like 1e400)
+    for bad in (float("nan"), 10**400):
+        state = state_to_json_dict(catalog.rho_xt(0.63, 0.05))
+        filt = filter_to_json_dict(catalog.choi_example_filter())
+        target = state["matrix"] if which == "state" else filt["L"]
+        target[1][1][0] = bad
+        state_path = tmp_path / "state.json"
+        filt_path = tmp_path / "filter.json"
+        state_path.write_text(json.dumps(state))
+        filt_path.write_text(json.dumps(filt))
+        path = state_path if which == "state" else filt_path
+        assert f"[{json.dumps(bad)}, " in path.read_text()
+        what = "state matrix" if which == "state" else "filter L"
+        argv = ["detect", str(state_path), "choi-phi:A"]
+        assert run_cli(capsys, *argv, "--filter", str(filt_path)) == (
+            2, "", f"error: {what} row 1 col 1: entry is NaN or infinite\n"
+        )
 
 
 def test_boolean_state_dims_exit_2(capsys, tmp_path):

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from boundfilter import catalog, mcsim
-from boundfilter.errors import (
-    BadParamError,
-    DimensionMismatchError,
-    NoAcceptedShotsError,
-)
+from boundfilter.errors import BadParamError, DimensionMismatchError
 from boundfilter.filters import apply_filter, identity_filter, make_filter
 from boundfilter.kernels import accept_count, uniform_block
-from boundfilter.witness import Side, Witness
 
 from .oracles import random_density_mat
 from boundfilter.states import DensityOperator, pure
@@ -161,38 +156,6 @@ def test_zero_accepted_payload_is_serializable():
     obj = run.to_json_dict()
     assert obj["frobenius_to_reference"] is None
     json.dumps(obj)
-
-
-# ---------------------------------------------------------------------------
-# witness on the simulated output
-# ---------------------------------------------------------------------------
-
-
-def test_witness_after_protocol_detects_filtered_family_state():
-    rho = catalog.rho_xt(0.63, 0.05)
-    report = mcsim.witness_after_protocol(
-        catalog.choi_example_filter(),
-        rho,
-        Witness("choi-phi", Side.A, 3),
-        shots=2000,
-        seed=77,
-    )
-    assert report.detected
-    assert report.min_eigenvalue == pytest.approx(
-        -3.1097783531212e-4, abs=1e-9
-    )
-
-
-def test_witness_after_protocol_without_accepts():
-    f, rho = never_accepting_setup()
-    with pytest.raises(NoAcceptedShotsError):
-        mcsim.witness_after_protocol(
-            f,
-            rho,
-            Witness("transpose", Side.B, 2),
-            shots=3,
-            seed=8,
-        )
 
 
 def test_kernel_paths_agree(kernel_path):

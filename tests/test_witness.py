@@ -96,7 +96,7 @@ def test_maps_not_completely_positive():
     # one-sided application drives the maximally entangled state to -1/6
     omega = max_entangled_3()
     for kind in CHOI_KINDS:
-        w = Witness(kind, Side.A, 3)
+        w = Witness(kind, Side.A)
         wmin = linalg.min_eigenvalue(witness.apply_witness(w, omega))
         assert wmin == pytest.approx(-1 / 6, abs=1e-12)
 
@@ -107,20 +107,35 @@ def test_maps_not_completely_positive():
 
 
 def test_witness_requires_dim_three_for_choi():
-    with pytest.raises(BadParamError):
-        Witness("choi-phi", Side.A, 2)
-    Witness("transpose", Side.B, 2)
+    bell = catalog.bell_state()
+    for kind in CHOI_KINDS:
+        for side in Side:
+            with pytest.raises(
+                DimensionMismatchError,
+                match=f"^{kind} requires a 3-dimensional side, "
+                "got local_dim=2$",
+            ):
+                witness.apply_witness(Witness(kind, side), bell)
+    # the transpose acts on a side of any dimension; on side A it is the
+    # full transpose of the partial transpose on B
+    out = witness.apply_witness(Witness("transpose", Side.A), bell)
+    assert np.abs(out - partial_transpose_b(bell).T).max() < 1e-15
 
 
 def test_witness_rejects_unknown_kind():
     with pytest.raises(BadParamError, match="unknown witness kind 'bogus'"):
-        Witness("bogus", Side.A, 3)
+        Witness("bogus", Side.A)
 
 
 def test_apply_witness_dim_guard():
-    w = Witness("choi-phi", Side.A, 3)
+    # the side the witness acts on decides: 3 on A passes, 2 on B does not
+    rng = np.random.default_rng(37)
+    rho = DensityOperator(3, 2, random_density_mat(rng, 6))
+    assert witness.apply_witness(Witness("choi-phi", Side.A), rho).shape == (
+        6, 6
+    )
     with pytest.raises(DimensionMismatchError):
-        witness.apply_witness(w, catalog.bell_state())
+        witness.apply_witness(Witness("choi-phi", Side.B), rho)
 
 
 def test_transpose_witness_equals_partial_transpose():
@@ -128,7 +143,7 @@ def test_transpose_witness_equals_partial_transpose():
     m = random_density_mat(rng, 9)
     rho = DensityOperator(3, 3, m)
     out = witness.apply_witness(
-        Witness("transpose", Side.B, 3), rho
+        Witness("transpose", Side.B), rho
     )
     assert np.abs(out - partial_transpose_b(rho)).max() < 1e-14
 
@@ -138,7 +153,7 @@ def test_transpose_witness_side_a():
     m = random_density_mat(rng, 6)
     rho = DensityOperator(2, 3, m)
     out = witness.apply_witness(
-        Witness("transpose", Side.A, 2), rho
+        Witness("transpose", Side.A), rho
     )
     oracle = m.reshape(2, 3, 2, 3).transpose(2, 1, 0, 3).reshape(6, 6)
     assert np.abs(out - oracle).max() < 1e-14
@@ -156,7 +171,7 @@ def test_one_sided_choi_matches_kraus_oracle():
             ("choi-psi", Side.B, one_sided_psi_loops),
         ]
         for kind, side, oracle in pairs:
-            out = witness.apply_witness(Witness(kind, side, 3), rho)
+            out = witness.apply_witness(Witness(kind, side), rho)
             ref = oracle(m, side.value, 3)
             assert np.abs(out - ref).max() < 1e-13
 
@@ -187,7 +202,7 @@ def test_stacked_apply_witness_matches_kraus_oracle(
     da, db = (3, other) if side is Side.A else (other, 3)
     mats = np.stack([random_density_mat(rng, da * db) for _ in range(count)])
     out = witness.apply_witness(
-        Witness(kind, side, 3), DensityOperator(da, db, mats)
+        Witness(kind, side), DensityOperator(da, db, mats)
     )
     assert out.shape == mats.shape
     for m, got in zip(mats, out):
@@ -213,7 +228,7 @@ def test_apply_witness_preserves_trace():
     rho = DensityOperator(3, 3, m)
     for kind in witness.MAPS:
         for side in Side:
-            out = witness.apply_witness(Witness(kind, side, 3), rho)
+            out = witness.apply_witness(Witness(kind, side), rho)
             assert abs(np.trace(out) - 1.0) < 1e-12
 
 
@@ -224,8 +239,8 @@ def test_apply_witness_preserves_trace():
 
 def test_family_state_in_window_is_undetected():
     rho = catalog.rho_xt(0.63, 0.05)
-    w = Witness("choi-phi", Side.A, 3)
-    report = witness.detect(w, rho, "rho-xt:0.63:0.05")
+    w = Witness("choi-phi", Side.A)
+    report = witness.detect(w, rho)
     assert not report.detected
     assert report.min_eigenvalue == pytest.approx(3.746072556899412e-4, abs=1e-9)
 
@@ -233,8 +248,8 @@ def test_family_state_in_window_is_undetected():
 def test_family_state_detected_after_filter():
     rho = catalog.rho_xt(0.63, 0.05)
     filtered, _ = apply_filter(catalog.choi_example_filter(), rho)
-    w = Witness("choi-phi", Side.A, 3)
-    report = witness.detect(w, filtered, "filtered")
+    w = Witness("choi-phi", Side.A)
+    report = witness.detect(w, filtered)
     assert report.detected
     assert report.min_eigenvalue == pytest.approx(
         -3.1097783531212e-4, abs=1e-9
@@ -243,7 +258,7 @@ def test_family_state_detected_after_filter():
 
 def test_tile_state_unfiltered_and_filtered():
     rho = catalog.rho_upb()
-    w = Witness("choi-psi", Side.B, 3)
+    w = Witness("choi-psi", Side.B)
     assert not witness.detect(w, rho).detected
     filtered, _ = apply_filter(catalog.upb_rotation_filter(), rho)
     after = witness.detect(w, filtered)
@@ -255,25 +270,22 @@ def test_tile_state_unfiltered_and_filtered():
 
 def test_detection_report_csv():
     rho = catalog.rho_upb()
-    w = Witness("choi-psi", Side.B, 3)
-    report = witness.detect(w, rho, "rho-upb")
-    assert (report.state_label, report.kind, report.side, report.detected) == (
-        "rho-upb",
-        "choi-psi",
-        Side.B,
-        False,
-    )
+    w = Witness("choi-psi", Side.B)
+    report = witness.detect(w, rho)
+    assert report == witness.DetectionReport(report.min_eigenvalue, False)
     assert report.min_eigenvalue == pytest.approx(
         8.520845622163181e-3, abs=1e-10
     )
 
 
-def test_detect_threshold_is_injectable():
+def test_detect_threshold_is_injectable(monkeypatch):
+    # detect reads TOL_NEG when called, so patching it moves the verdict
     rho = catalog.rho_upb()
     filtered, _ = apply_filter(catalog.upb_rotation_filter(), rho)
-    w = Witness("choi-psi", Side.B, 3)
+    w = Witness("choi-psi", Side.B)
     assert witness.detect(w, filtered).detected
-    assert not witness.detect(w, filtered, tol_neg=1e-2).detected
+    monkeypatch.setattr(witness, "TOL_NEG", 1e-2)
+    assert not witness.detect(w, filtered).detected
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +294,12 @@ def test_detect_threshold_is_injectable():
 
 
 def test_parse_witness_spec():
-    kind, side = witness.parse_witness_spec("choi-phi:A")
-    assert kind == "choi-phi" and side is Side.A
-    kind, side = witness.parse_witness_spec("transpose:B")
-    assert kind == "transpose" and side is Side.B
+    assert witness.parse_witness_spec("choi-phi:A") == Witness(
+        "choi-phi", Side.A
+    )
+    assert witness.parse_witness_spec("transpose:B") == Witness(
+        "transpose", Side.B
+    )
 
 
 @pytest.mark.parametrize(
@@ -294,14 +308,3 @@ def test_parse_witness_spec():
 def test_parse_witness_spec_rejects(text):
     with pytest.raises(ParseError):
         witness.parse_witness_spec(text)
-
-
-def test_witness_for_state_resolves_dims():
-    w = witness.witness_for_state(
-        "transpose", Side.A, catalog.bell_state()
-    )
-    assert w.local_dim == 2
-    with pytest.raises(BadParamError):
-        witness.witness_for_state(
-            "choi-phi", Side.A, catalog.bell_state()
-        )
