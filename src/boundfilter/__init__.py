@@ -33,11 +33,9 @@ from .measure import build_projector, postselect_diag, protocol_analytic
 from .mcsim import ProtocolRun, run_protocol
 from .states import (
     DensityOperator,
-    PptVerdict,
     PureState,
     is_ppt,
     normalize,
-    partial_transpose_b,
     pure,
     schmidt_rank,
 )

@@ -20,16 +20,16 @@ import numpy as np
 from . import catalog, kernels, linalg, measure, mcsim
 from .filters import apply_filter, filtered_pure, make_filter
 from .formats import fmt_num
-from .states import (
-    DensityOperator,
-    PureState,
-    is_ppt,
-    normalize,
-    partial_transpose_b,
-    schmidt_rank,
-)
+from .states import DensityOperator, PureState, is_ppt, normalize, schmidt_rank
 from .tolerances import TOL_NEG
-from .witness import Side, Witness, apply_map, apply_witness, detect
+from .witness import (
+    TRANSPOSE_B,
+    Side,
+    Witness,
+    apply_map,
+    apply_witness,
+    detect,
+)
 
 # frozen on the first verified run; the filtered tile state's negative
 # eigenvalue under (choi-psi, side B)
@@ -265,21 +265,21 @@ def check_choi_window() -> CheckResult:
 def check_upb() -> CheckResult:
     """Tile state: PPT, invisible to choi-psi:B, visible after the rotation."""
     rho = catalog.rho_upb()
-    # printed, so from eigh; is_ppt would give the same verdict
-    pt_min = linalg.min_eigenvalue(partial_transpose_b(rho))
+    # printed, so from detect's eigh; is_ppt would give the same verdict
+    pt = detect(TRANSPOSE_B, rho)
     w = Witness("choi-psi", Side.B)
     before = detect(w, rho)
     filtered, _ = apply_filter(catalog.upb_rotation_filter(), rho)
     after = detect(w, filtered)
     regression_ok = abs(after.min_eigenvalue - UPB_FILTERED_MIN_EIG) <= 1e-10
     passed = (
-        pt_min >= -TOL_NEG
+        not pt.detected
         and not before.detected
         and after.detected
         and regression_ok
     )
     observed = (
-        f"pt min {fmt_num(pt_min)}, "
+        f"pt min {fmt_num(pt.min_eigenvalue)}, "
         f"before {fmt_num(before.min_eigenvalue)}, "
         f"after {fmt_num(after.min_eigenvalue)}"
     )
@@ -330,12 +330,12 @@ def check_ppt_invariance() -> CheckResult:
     weights, ga, gb, ls, ms = _ppt_cases(rng, 3, 3, 100)
     rho = _separable_states(weights, ga, gb, 3, 3)
     f = make_filter(ls, ms)
-    ppt_in = is_ppt(rho).ppt
+    ppt_in = is_ppt(rho)
     filtered, weight = apply_filter(f, rho)
-    ppt_out = is_ppt(filtered).ppt
-    lhs = partial_transpose_b(filtered) * weight[:, None, None]
+    ppt_out = is_ppt(filtered)
+    lhs = apply_witness(TRANSPOSE_B, filtered) * weight[:, None, None]
     conj = linalg.kron(f.l, f.m.conj())
-    rhs = linalg.sandwich(conj, partial_transpose_b(rho))
+    rhs = linalg.sandwich(conj, apply_witness(TRANSPOSE_B, rho))
     dev = np.abs(lhs - rhs).max(axis=(1, 2))[ppt_in]
     bad = int(
         np.count_nonzero(~ppt_in)

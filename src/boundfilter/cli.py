@@ -123,7 +123,7 @@ def _scan_rows(xs, t, w, filt) -> str:
     """CSV rows for the grid points xs, evaluated as one stack."""
     rho = catalog.rho_xt(xs, t)
     unf = linalg.min_eigenvalue(apply_witness(w, rho))
-    ppt = is_ppt(rho).ppt
+    ppt = is_ppt(rho)
     cols = [[fmt_num(x) for x in xs], [fmt_num(v) for v in unf]]
     if filt is not None:
         filtered, _ = apply_filter(filt, rho)

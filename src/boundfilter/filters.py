@@ -148,8 +148,11 @@ def apply_filter(f: LocalFilter, rho: DensityOperator):
     yield each.
     """
     check_compatible(f, rho)
-    sandwiched = linalg.sandwich(f.product(), rho.mat)
-    return normalize(sandwiched, rho.dim_a, rho.dim_b)
+    # factors near the float limit overflow to non-finite entries, which
+    # the state gate names; numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        sandwiched = linalg.sandwich(f.product(), rho.mat)
+        return normalize(sandwiched, rho.dim_a, rho.dim_b)
 
 
 def filtered_pure(f: LocalFilter, psi: PureState) -> PureState:

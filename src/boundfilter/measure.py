@@ -41,7 +41,7 @@ def _check_diag(d) -> np.ndarray:
     for j, val in enumerate(d):
         if not np.isfinite(val) or val <= 0.0 or val > 1.0:
             raise BadDiagonalError(
-                f"diagonal entry {j} = {val!r} is outside (0, 1]"
+                f"diagonal entry {j} = {val.item()!r} is outside (0, 1]"
             )
     return d
 

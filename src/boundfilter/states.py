@@ -20,6 +20,7 @@ from .errors import (
 )
 from .formats import matrix_to_pairs, pairs_to_matrix, require_key
 from .tolerances import TOL_NEG, TOL_RANK, TOL_RECON, TOL_TRACE
+from .witness import TRANSPOSE_B, apply_witness
 
 
 def _whole_min(m):
@@ -65,23 +66,29 @@ class DensityOperator:
                 "finiteness invariant failed: matrix has NaN or infinite "
                 "entries"
             )
-        # the decision solve raises first if a matrix is not Hermitian
-        wmin = linalg.decision_min(
-            stack, -TOL_NEG, _whole_min, what="hermiticity invariant failed"
-        )
-        tr = np.trace(stack, axis1=1, axis2=2).real
-        bad = np.abs(tr - 1.0) > TOL_TRACE
-        if bad.any():
-            raise InvariantViolationError(
-                f"trace invariant failed: trace = {tr[bad][0]!r}"
+        # finite entries near the float limit can overflow in the solves and
+        # the trace; the checks below name the fault, and numpy's warnings
+        # would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the decision solve raises first if a matrix is not Hermitian
+            wmin = linalg.decision_min(
+                stack, -TOL_NEG, _whole_min,
+                what="hermiticity invariant failed",
             )
-        bad = wmin < -TOL_NEG
-        if bad.any():
-            first = stack[np.flatnonzero(bad)[0]]
-            raise NotPSDError(
-                f"positivity invariant failed: min eigenvalue = "
-                f"{_whole_min(first):.6e}"
-            )
+            tr = np.trace(stack, axis1=1, axis2=2).real
+            bad = np.abs(tr - 1.0) > TOL_TRACE
+            if bad.any():
+                raise InvariantViolationError(
+                    f"trace invariant failed: trace = {tr[bad][0].item()!r}"
+                )
+            # an overflowed solve leaves a NaN minimum, which fails too
+            bad = ~(wmin >= -TOL_NEG)
+            if bad.any():
+                first = stack[np.flatnonzero(bad)[0]]
+                raise NotPSDError(
+                    f"positivity invariant failed: min eigenvalue = "
+                    f"{_whole_min(first):.6e}"
+                )
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
@@ -121,7 +128,7 @@ class PureState:
         if bad.any():
             which = f"[{np.flatnonzero(bad)[0]}]" if a.ndim == 2 else ""
             raise InvariantViolationError(
-                f"norm invariant failed: |psi{which}| = {nrm[bad][0]!r}"
+                f"norm invariant failed: |psi{which}| = {nrm[bad][0].item()!r}"
             )
         a = a.copy()
         a.setflags(write=False)
@@ -158,53 +165,17 @@ def pure(amps, dim_a: int, dim_b: int, normalize_input: bool = False) -> PureSta
     return PureState(dim_a, dim_b, a)
 
 
-def partial_transpose_b(rho, dim_a: int = None, dim_b: int = None) -> np.ndarray:
-    """Transpose on the B factor only, of one matrix or of each in a stack.
+def is_ppt(rho: DensityOperator):
+    """Whether the transpose:B witness's output, the partial transpose on
+    side B, has no eigenvalue below -TOL_NEG.
 
-    Accepts a DensityOperator (dims implied) or a raw matrix with explicit
-    dims.  Index shuffle: out[i*dB+l, k*dB+j] = in[i*dB+j, k*dB+l].
+    A bool for one state, a bool array with one verdict per state for a
+    stack.  The verdict is eigh's: linalg.decision_min re-solves a minimum
+    near -TOL_NEG with eigh.
     """
-    if isinstance(rho, DensityOperator):
-        m, da, db = rho.mat, rho.dim_a, rho.dim_b
-    else:
-        if dim_a is None or dim_b is None:
-            raise DimensionMismatchError(
-                "partial transpose of a raw matrix needs explicit dims"
-            )
-        m, da, db = linalg.as_stack(rho), dim_a, dim_b
-        if m.shape[-2:] != (da * db, da * db):
-            raise DimensionMismatchError(
-                f"shape {m.shape} does not match dims ({da}, {db})"
-            )
-    lead = m.shape[:-2]
-    blocks = m.reshape(lead + (da, db, da, db))
-    return np.swapaxes(blocks, -3, -1).reshape(m.shape)
-
-
-@dataclass(frozen=True)
-class PptVerdict:
-    """PPT yes/no plus the minimum eigenvalue of the partial transpose.
-
-    For a stack of states both fields are arrays with one entry per state.
-    """
-
-    ppt: bool
-    min_eigenvalue: float
-
-    def __bool__(self):
-        return bool(self.ppt)
-
-
-def is_ppt(rho: DensityOperator) -> PptVerdict:
-    """Whether the partial transpose has no eigenvalue below -TOL_NEG.
-
-    The verdict is eigh's: linalg.decision_min re-solves a minimum near
-    -TOL_NEG with eigh.  Off that edge, min_eigenvalue comes from the
-    values-only block solve and can differ from eigh's in the last bits;
-    a figure to print comes from linalg.min_eigenvalue.
-    """
-    wmin = linalg.decision_min(partial_transpose_b(rho), -TOL_NEG)
-    return PptVerdict(ppt=wmin >= -TOL_NEG, min_eigenvalue=wmin)
+    wmin = linalg.decision_min(apply_witness(TRANSPOSE_B, rho), -TOL_NEG)
+    ppt = wmin >= -TOL_NEG
+    return bool(ppt) if rho.mat.ndim == 2 else ppt
 
 
 def schmidt_rank(psi: PureState):
@@ -236,7 +207,9 @@ def normalize(mat, dim_a: int, dim_b: int):
     tr = np.trace(m, axis1=-2, axis2=-1).real
     bad = tr <= TOL_RANK
     if bad.any():
-        raise ZeroTraceError(f"cannot normalize: trace = {tr[bad][0]!r}")
+        raise ZeroTraceError(
+            f"cannot normalize: trace = {tr[bad][0].item()!r}"
+        )
     # hermiticity and positivity are re-checked by the constructor and
     # surface as NotHermitianError / NotPSDError from here
     return DensityOperator(dim_a, dim_b, m / tr[..., None, None]), tr

@@ -3,7 +3,8 @@
 Three maps are available: two qutrit Choi-type maps (positive, not
 completely positive, so applying one to a single side of an entangled state
 can expose a negative eigenvalue even when the partial transpose cannot)
-and the plain transpose as baseline.  MAPS is the one table of them.
+and the plain transpose as baseline: the transpose on side B is the PPT
+test (states.is_ppt).  MAPS is the one table of them.
 
 The Choi maps are members of the Cho-Kye-Lee family (Lin. Alg. Appl. 171,
 213 (1992)), X -> (1/2) Phi[a,b,c](X) with Phi[a,b,c](X) = diag(C x) - X,
@@ -37,7 +38,6 @@ import numpy as np
 
 from . import linalg
 from .errors import BadParamError, DimensionMismatchError, ParseError
-from .states import DensityOperator
 from .tolerances import TOL_NEG
 
 # witness kind -> Cho-Kye-Lee coefficients (a, b, c) of the qutrit map
@@ -68,6 +68,10 @@ class Witness:
     def __post_init__(self):
         if self.kind not in MAPS:
             raise BadParamError(_unknown_kind(self.kind))
+
+
+# the partial transpose on side B, whose positivity is the PPT test
+TRANSPOSE_B = Witness("transpose", Side.B)
 
 
 def parse_witness_spec(text: str) -> Witness:
@@ -145,13 +149,13 @@ def _regroup(m: np.ndarray, d1: int, d2: int, e1: int, e2: int) -> np.ndarray:
     return r.reshape(lead + (d1 * e1, d2 * e2))
 
 
-def apply_witness(w: Witness, rho: DensityOperator) -> np.ndarray:
+def apply_witness(w: Witness, rho) -> np.ndarray:
     """The matrix (map x id) rho or (id x map) rho, depending on side.
 
-    The map acts on rho's dimension on w's side.  rho may hold a stack of
-    states; the result then has one matrix per state.  Not a state in
-    general: the interesting case is exactly when it has a negative
-    eigenvalue.
+    rho is a states.DensityOperator; the map acts on its dimension on w's
+    side.  rho may hold a stack of states; the result then has one matrix
+    per state.  Not a state in general: the interesting case is exactly
+    when it has a negative eigenvalue.
     """
     da, db = rho.dim_a, rho.dim_b
     s = superoperator(w.kind, da if w.side is Side.A else db)
@@ -169,7 +173,7 @@ class DetectionReport:
     detected: bool
 
 
-def detect(w: Witness, rho: DensityOperator) -> DetectionReport:
+def detect(w: Witness, rho) -> DetectionReport:
     """Apply the witness and report whether the result dips below -TOL_NEG."""
     wmin = float(linalg.min_eigenvalue(apply_witness(w, rho)))
     return DetectionReport(min_eigenvalue=wmin, detected=wmin < -TOL_NEG)

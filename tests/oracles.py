@@ -56,13 +56,15 @@ def kron_loops(a, b):
 
 
 def pt_b_loops(m, da, db):
-    """Partial transpose on side B, written as explicit block loops."""
+    """Partial transpose on side B, written as explicit block loops; a
+    stack of matrices is transposed matrix by matrix."""
     m = np.asarray(m)
     out = np.zeros_like(m, dtype=complex)
     for i in range(da):
         for k in range(da):
-            block = m[i * db : (i + 1) * db, k * db : (k + 1) * db]
-            out[i * db : (i + 1) * db, k * db : (k + 1) * db] = block.T
+            rows = slice(i * db, (i + 1) * db)
+            cols = slice(k * db, (k + 1) * db)
+            out[..., rows, cols] = np.swapaxes(m[..., rows, cols], -1, -2)
     return out
 
 

@@ -13,15 +13,11 @@ from boundfilter.cli import main
 from boundfilter.errors import BoundFilterError
 from boundfilter.filters import apply_filter, filter_to_json_dict
 from boundfilter.formats import fmt_num
-from boundfilter.states import (
-    partial_transpose_b,
-    state_from_json_dict,
-    state_to_json_dict,
-)
+from boundfilter.states import state_from_json_dict, state_to_json_dict
 from boundfilter.tolerances import TOL_NEG
 from boundfilter.witness import apply_witness, parse_witness_spec
 
-from .oracles import main_per_call
+from .oracles import main_per_call, pt_b_loops
 
 
 def run_cli(capsys, *argv):
@@ -128,7 +124,7 @@ def per_point_scan(t, x_min, x_max, steps, spec, filt_label):
                 filtered, _ = apply_filter(filt, rho)
                 wmin = linalg.min_eigenvalue(apply_witness(w, filtered))
                 cols.append(fmt_num(wmin))
-            pt_min = np.linalg.eigh(partial_transpose_b(rho))[0][0]
+            pt_min = np.linalg.eigh(pt_b_loops(rho.mat, 3, 3))[0][0]
             cols.append("true" if pt_min >= -TOL_NEG else "false")
         except BoundFilterError as e:
             return text, str(e)
@@ -463,6 +459,38 @@ def test_boolean_filter_entries_exit_2(capsys, tmp_path, entry):
     assert run_cli(capsys, "simulate", "bell", str(path), "--analytic") == (
         2, "", "error: filter L row 0 col 1: expected a [re, im] pair\n"
     )
+
+
+def test_degenerate_json_input_prints_one_plain_error(capsys, tmp_path):
+    # a zero trace prints as a plain float, and finite entries near the
+    # float limit, which overflow in the state gate or in the filter
+    # sandwich, give the error line alone, without numpy's warnings; a
+    # matrix whose solve overflows is no state
+    huge = [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]
+    off = [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]
+    files = {
+        "zero.json": {"dimA": 1, "dimB": 1, "matrix": [[[0.0, 0.0]]]},
+        "huge.json": {"dimA": 2, "dimB": 1, "matrix": huge},
+        "off.json": {"dimA": 2, "dimB": 1, "matrix": off},
+        "filter.json": {"L": huge, "M": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    for argv, message in (
+        ([str(tmp_path / "zero.json")], "trace invariant failed: trace = 0.0"),
+        ([str(tmp_path / "huge.json")], "trace invariant failed: trace = inf"),
+        (
+            [str(tmp_path / "off.json")],
+            "positivity invariant failed: min eigenvalue = nan",
+        ),
+        (
+            ["bell", "--filter", str(tmp_path / "filter.json")],
+            "finiteness invariant failed: matrix has NaN or infinite entries",
+        ),
+    ):
+        argv = ["detect", argv[0], "transpose:A", *argv[1:]]
+        for _ in range(2):
+            assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

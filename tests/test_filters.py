@@ -9,13 +9,8 @@ from boundfilter.errors import (
     ParseError,
     SingularFilterError,
 )
-from boundfilter.states import (
-    DensityOperator,
-    is_ppt,
-    partial_transpose_b,
-    pure,
-    schmidt_rank,
-)
+from boundfilter.states import DensityOperator, is_ppt, pure, schmidt_rank
+from boundfilter.witness import TRANSPOSE_B, apply_witness
 
 from .oracles import random_density_mat, random_unitary
 
@@ -204,9 +199,9 @@ def test_partial_transpose_conjugation_identity():
             random_invertible(rng, 3), random_invertible(rng, 3)
         )
         out, weight = filters.apply_filter(f, rho)
-        lhs = partial_transpose_b(out) * weight
+        lhs = apply_witness(TRANSPOSE_B, out) * weight
         rhs = linalg.sandwich(
-            np.kron(f.l, f.m.conj()), partial_transpose_b(rho)
+            np.kron(f.l, f.m.conj()), apply_witness(TRANSPOSE_B, rho)
         )
         assert np.abs(lhs - rhs).max() < 1e-10
 

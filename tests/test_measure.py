@@ -72,6 +72,12 @@ def test_diag_guards(bad):
         measure.build_projector(bad)
 
 
+def test_diag_guard_names_the_entry_as_a_plain_float():
+    with pytest.raises(BadDiagonalError) as err:
+        measure.build_projector([0.5, 1.5])
+    assert str(err.value) == "diagonal entry 1 = 1.5 is outside (0, 1]"
+
+
 # ---------------------------------------------------------------------------
 # postselection
 # ---------------------------------------------------------------------------
