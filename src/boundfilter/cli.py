@@ -31,8 +31,13 @@ import warnings
 import numpy as np
 
 from . import acceptance, catalog, linalg, mcsim
-from .errors import BadParamError, BoundFilterError, ParseError
-from .filters import apply_filter, check_compatible, filter_from_json_dict
+from .errors import (
+    BadParamError,
+    BoundFilterError,
+    DimensionMismatchError,
+    ParseError,
+)
+from .filters import apply_filter, filter_from_json_dict
 from .formats import fmt_num
 from .measure import protocol_analytic
 from .states import is_ppt, state_from_json_dict, state_to_json_dict
@@ -153,6 +158,12 @@ def cmd_scan(args) -> int:
     filt = None
     if args.filter is not None:
         filt = parse_filter_arg(args.filter, (3, 3))
+        # every row is a 3x3 rho-xt state: reject another size before the
+        # header is written
+        if filt.dims != (3, 3):
+            raise DimensionMismatchError(
+                f"filter dims {filt.dims} do not match state dims (3, 3)"
+            )
     out = sys.stdout
     if filt is None:
         out.write("x,min_eig_unfiltered,ppt\n")
@@ -194,12 +205,11 @@ def cmd_detect(args) -> int:
 def cmd_simulate(args) -> int:
     _, rho = parse_state_arg(args.state)
     filt = parse_filter_arg(args.filter, rho.dims)
-    # --analytic reads neither --seed nor --shots but checks both, in the
-    # Monte Carlo path's order, so both paths fail with the same first error
+    # --analytic reads neither --seed nor --shots but checks both, so both
+    # paths fail with the same first error
     seed = _resolve_seed(args.seed)
-    check_compatible(filt, rho)
-    mcsim.check_shots(args.shots)
     if args.analytic:
+        mcsim.check_run(filt, rho, args.shots)
         state, prob = protocol_analytic(filt, rho)
         payload = {
             "analytic": True,

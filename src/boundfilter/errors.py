@@ -1,9 +1,11 @@
 """Exception hierarchy.
 
 Everything raised on purpose derives from BoundFilterError so callers (and
-the CLI) can distinguish "bad input" from a genuine bug.  Invariant failures
-on physical objects (Hermiticity, positivity, trace) share a base class of
-their own because the CLI maps them all to the same exit code.
+the CLI, which prints any of them as one `error:` line and exits 2) can
+distinguish "bad input" from a genuine bug.  Invariant failures on physical
+objects (Hermiticity, positivity, trace) share a base class of their own, so
+a caller can catch "this matrix is not a state" apart from bad parameters
+or malformed text.
 """
 
 

@@ -24,6 +24,9 @@ from .formats import matrix_to_pairs, pairs_to_matrix, require_key
 from .states import DensityOperator, PureState, normalize, pure
 from .tolerances import TOL_RANK
 
+# largest accepted spectral norm of L (x) M: its square is the float maximum
+NORM_LIMIT = float(np.sqrt(np.finfo(np.float64).max))
+
 
 @dataclass(frozen=True, eq=False)
 class LocalFilter:
@@ -64,11 +67,13 @@ def make_filter(l, m) -> LocalFilter:
     """Validate and package the two local factors.
 
     l and m are single square matrices, or stacks of N each.  Raises
-    BadParamError if a factor has a NaN or infinite entry, and
+    BadParamError if a factor has a NaN or infinite entry,
     SingularFilterError if a factor has a singular value at or below
     TOL_RANK: filters must be invertible so they never change the
-    entanglement class of the state they act on.  In a stack the first
-    offending factor is named by its index, e.g. L[3].
+    entanglement class of the state they act on, and BadParamError if
+    sigma_max(L) sigma_max(M) exceeds NORM_LIMIT, so that filtering a state
+    cannot overflow.  In a stack the first offending factor is named by its
+    index, e.g. L[3].
     """
     lm = linalg.as_stack(l)
     mm = linalg.as_stack(m)
@@ -99,6 +104,17 @@ def make_filter(l, m) -> LocalFilter:
                 f"filter factor {name(side, bad)} is singular "
                 f"(smallest singular value {np.asarray(smin)[bad][0]:.3e})"
             )
+    # sigma_max(L) sigma_max(M) is the spectral norm of L (x) M; at most
+    # NORM_LIMIT, no entry or trace of a filtered unit-trace state overflows
+    with np.errstate(over="ignore"):
+        norm = svd_l.sigma_max * svd_m.sigma_max
+    bad = ~(norm <= NORM_LIMIT)  # also true for NaN
+    if bad.any():
+        raise BadParamError(
+            f"filter factors {name('L', bad)} and {name('M', bad)} are too "
+            f"large: sigma_max(L) * sigma_max(M) = "
+            f"{float(np.asarray(norm)[bad][0])} exceeds {NORM_LIMIT}"
+        )
     return LocalFilter(
         l=_readonly(lm), m=_readonly(mm), svd_l=svd_l, svd_m=svd_m
     )
@@ -148,11 +164,8 @@ def apply_filter(f: LocalFilter, rho: DensityOperator):
     yield each.
     """
     check_compatible(f, rho)
-    # factors near the float limit overflow to non-finite entries, which
-    # the state gate names; numpy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        sandwiched = linalg.sandwich(f.product(), rho.mat)
-        return normalize(sandwiched, rho.dim_a, rho.dim_b)
+    sandwiched = linalg.sandwich(f.product(), rho.mat)
+    return normalize(sandwiched, rho.dim_a, rho.dim_b)
 
 
 def filtered_pure(f: LocalFilter, psi: PureState) -> PureState:

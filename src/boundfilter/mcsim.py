@@ -56,8 +56,22 @@ class ProtocolRun:
         }
 
 
-def check_shots(shots: int) -> None:
-    """Raise BadParamError unless shots >= 1."""
+def check_run(f: LocalFilter, rho: DensityOperator, shots: int) -> None:
+    """Raise unless the simulator can run `shots` copies of f on rho.
+
+    Checked in this order: f is one filter, rho is one state (not stacks),
+    their dims match, and shots >= 1.
+    """
+    if f.l.ndim != 2:
+        raise DimensionMismatchError(
+            f"the simulator takes one filter, got a stack of {f.l.shape[0]}"
+        )
+    if rho.mat.ndim != 2:
+        raise DimensionMismatchError(
+            f"the simulator takes one state, got a stack of "
+            f"{rho.mat.shape[0]}"
+        )
+    check_compatible(f, rho)
     if shots < 1:
         raise BadParamError(f"shots must be >= 1, got {shots}")
 
@@ -70,19 +84,9 @@ def run_protocol(
     Bit-identical for identical arguments: shot i consumes the four
     counter-addressed uniforms 4i..4i+3 of the seeded stream and is accepted
     iff each lies below the corresponding conditional branch probability.
-    The simulator takes one filter and one state, not stacks.
+    Inputs are checked by check_run before any work.
     """
-    if f.l.ndim != 2:
-        raise DimensionMismatchError(
-            f"the simulator takes one filter, got a stack of {f.l.shape[0]}"
-        )
-    if rho.mat.ndim != 2:
-        raise DimensionMismatchError(
-            f"the simulator takes one state, got a stack of "
-            f"{rho.mat.shape[0]}"
-        )
-    check_compatible(f, rho)
-    check_shots(shots)
+    check_run(f, rho, shots)
     final_state, weights = protocol_walk(f, rho)
     # each outcome's probability conditional on the earlier ones passing
     probs = weights / np.concatenate(([1.0], weights[:-1]))

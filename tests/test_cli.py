@@ -463,9 +463,9 @@ def test_boolean_filter_entries_exit_2(capsys, tmp_path, entry):
 
 def test_degenerate_json_input_prints_one_plain_error(capsys, tmp_path):
     # a zero trace prints as a plain float, and finite entries near the
-    # float limit, which overflow in the state gate or in the filter
-    # sandwich, give the error line alone, without numpy's warnings; a
-    # matrix whose solve overflows is no state
+    # float limit, which overflow in the state gate, give the error line
+    # alone, without numpy's warnings; a matrix whose solve overflows is no
+    # state, and a filter that would overflow the sandwich is rejected
     huge = [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]
     off = [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]
     files = {
@@ -485,12 +485,71 @@ def test_degenerate_json_input_prints_one_plain_error(capsys, tmp_path):
         ),
         (
             ["bell", "--filter", str(tmp_path / "filter.json")],
-            "finiteness invariant failed: matrix has NaN or infinite entries",
+            HUGE_FILTER_ERROR,
         ),
     ):
         argv = ["detect", argv[0], "transpose:A", *argv[1:]]
         for _ in range(2):
             assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+HUGE_FILTER_ERROR = (
+    "filter factors L and M are too large: sigma_max(L) * sigma_max(M) = "
+    "1e+308 exceeds 1.3407807929942596e+154"
+)
+
+
+def _scaled_identity_filter(path, scale, dim):
+    def diag(v):
+        return [[[v * (i == j), 0] for j in range(dim)] for i in range(dim)]
+
+    path.write_text(json.dumps({"L": diag(scale), "M": diag(1)}))
+    return str(path)
+
+
+def test_overflowing_filter_is_rejected_by_every_command(capsys, tmp_path):
+    # sigma_max(L) sigma_max(M) = 1e308 exceeds sqrt(float max): every
+    # command stops at the filter, before any output
+    two = _scaled_identity_filter(tmp_path / "two.json", 1e308, 2)
+    three = _scaled_identity_filter(tmp_path / "three.json", 1e308, 3)
+    scan = ["scan", "--t", "0.05", "--x-min", "0.5", "--x-max", "0.7"]
+    for argv in (
+        ["detect", "bell", "transpose:A", "--filter", two],
+        ["simulate", "bell", two, "--shots", "1000", "--seed", "1"],
+        ["simulate", "bell", two, "--analytic"],
+        scan + ["--steps", "3", "--witness", "choi-phi:A", "--filter", three],
+    ):
+        assert run_cli(capsys, *argv) == (
+            2, "", f"error: {HUGE_FILTER_ERROR}\n"
+        )
+
+
+def test_filter_at_1e154_is_accepted(capsys, tmp_path):
+    path = _scaled_identity_filter(tmp_path / "filter.json", 1e154, 2)
+    code, out, err = run_cli(
+        capsys, "detect", "bell", "transpose:A", "--filter", path
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["detected"] is True
+    code, out, err = run_cli(capsys, "simulate", "bell", path, "--seed", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["accepted"] == 1000
+    code, out, err = run_cli(capsys, "simulate", "bell", path, "--analytic")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["total_prob"] == pytest.approx(1.0)
+
+
+def test_scan_rejects_a_filter_of_other_dims_before_the_header(capsys):
+    assert run_cli(
+        capsys,
+        "scan",
+        "--t", "0.05",
+        "--x-min", "0.5",
+        "--x-max", "0.7",
+        "--steps", "3",
+        "--witness", "choi-phi:A",
+        "--filter", "gisin",
+    ) == (2, "", "error: filter dims (2, 2) do not match state dims (3, 3)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,22 @@ def test_make_filter_stack_names_first_offending_factor():
         filters.make_filter(ls, ms[:4])
 
 
+def test_make_filter_bounds_the_norm_of_the_product():
+    # sigma_max(L) sigma_max(M) may reach sqrt(float max), not exceed it
+    limit = filters.NORM_LIMIT
+    filters.make_filter(limit * np.eye(2), np.eye(2))
+    filters.make_filter(1e100 * np.eye(2), 1e54 * np.eye(2))
+    with pytest.raises(BadParamError, match=r"^filter factors L and M are"):
+        filters.make_filter(1e100 * np.eye(2), 1e55 * np.eye(2))
+    ls = np.stack([np.eye(2), 1e200 * np.eye(2), 1e300 * np.eye(2)])
+    with pytest.raises(BadParamError) as err:
+        filters.make_filter(ls, np.stack([np.eye(2)] * 3))
+    assert str(err.value) == (
+        "filter factors L[1] and M[1] are too large: sigma_max(L) * "
+        "sigma_max(M) = 1e+200 exceeds 1.3407807929942596e+154"
+    )
+
+
 def test_filter_stack_length_must_match_state_stack():
     f = filters.make_filter(np.stack([np.eye(3)] * 2), np.stack([np.eye(3)] * 2))
     rho = catalog.rho_xt(np.array([0.1, 0.2, 0.3]), 0.05)
