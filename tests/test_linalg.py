@@ -14,7 +14,7 @@ from boundfilter.tolerances import TOL_RECON, TOL_RESID
 from .oracles import brute_eigvals, herm_defect, kron_loops, random_herm
 
 
-def test_eigh_identity():
+def test_eigh_identity(kernel_path):
     w, v = linalg.eigh(np.eye(3))
     assert np.allclose(w, [1, 1, 1], atol=1e-14)
     assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
