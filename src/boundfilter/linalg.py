@@ -7,15 +7,20 @@ the same numbers, bit for bit, as its matrices taken one at a time.  The
 eigensolvers and the SVD are LAPACK's, so small singular values are resolved
 to machine precision and rank decisions at TOL_RANK are sound.
 
-Two kinds of eigenvalue solve serve two kinds of caller.  eigh (and
-min_eigenvalue) gives the eigenvalues that reports print or compare against
-a pinned figure.  decision_min serves yes/no decisions whose value is never
-printed: a values-only solve that splits a stack into the exact blocks of
-its joint zero pattern and solves each block size with one LAPACK call.
-The split follows exact zeros only, never a threshold, so the blocks hold
-the same spectrum; the minima agree with eigh's to rounding, not bit for
-bit.  A minimum within EDGE_MARGIN of the decision edge is re-solved by the
-caller's reference solver (eigh by default), so every verdict equals that
+Three kinds of solve serve three kinds of caller.  eigh (and min_eigenvalue)
+gives the eigenvalues that reports print or compare against a pinned
+figure.  min_at_least serves yes/no positivity verdicts whose value is never
+printed: one Cholesky factorization of a whole stack, shifted past the
+edge by EDGE_MARGIN times the matrix scale, certifies every matrix at once,
+and a lone matrix or a stack it cannot certify goes to decision_min's
+solve.
+decision_min serves decisions that need the value (a sign): a values-only
+solve that splits a stack into the exact blocks of its joint zero pattern
+and solves each block size with one LAPACK call.  The split follows exact
+zeros only, never a threshold, so the blocks hold the same spectrum; the
+minima agree with eigh's to rounding, not bit for bit.  A minimum within
+EDGE_MARGIN of the decision edge is re-solved by the caller's reference
+solver (eigh by default), so every verdict of either function equals that
 solver's.  eigvalsh is the plain values-only solve of whole matrices.
 """
 
@@ -30,7 +35,9 @@ from .tolerances import TOL_HERM
 # a decision minimum this close to its edge is re-solved by the reference
 # solver; the values-only and blocked solves are backward stable, with
 # errors near n * eps * |H| ~ 2e-15 for 9 x 9 matrices of norm ~1 (states,
-# their partial transposes and witness images), far inside this margin
+# their partial transposes and witness images), far inside this margin.
+# min_at_least certifies a minimum only when it clears the edge by this
+# margin times the matrix scale.
 EDGE_MARGIN = 1e-12
 
 
@@ -130,9 +137,17 @@ def eigvalsh(h: np.ndarray, what: str = "matrix is not Hermitian"):
     error message starts with `what`.  The values agree with eigh's to
     rounding, not bit for bit: they back positivity gates (postselect_diag,
     the DensityOperator gate near its edge) and the messages of the errors
-    those gates raise, never a reported figure.
+    those gates raise, never a reported figure.  A matrix whose Hermitian
+    part is not finite (its entries overflow) gets NaN eigenvalues, since
+    LAPACK may not converge on it.
     """
-    return np.linalg.eigvalsh(_hermitian_part(h, what))
+    herm = _hermitian_part(h, what)
+    finite = np.isfinite(herm).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.eigvalsh(herm)
+    w = np.full(herm.shape[:-1], np.nan)
+    w[finite] = np.linalg.eigvalsh(herm[finite])
+    return w
 
 
 def min_eigenvalue(h: np.ndarray):
@@ -208,9 +223,15 @@ def decision_min(h, edge: float, exact=min_eigenvalue,
     error message starts with `what`.  The values come from the block-split
     values-only solve, except that a minimum within EDGE_MARGIN of edge is
     replaced by exact(h[k]), so comparing the result with edge gives the
-    verdict of `exact`.  A float64 for one matrix, (N,) for a stack.
+    verdict of `exact`.  A float64 for one matrix, (N,) for a stack.  For a
+    verdict alone, min_at_least is cheaper on a stack whose answer is yes.
     """
-    wmin = _split_min(_hermitian_part(h, what))
+    return _decided_min(_hermitian_part(h, what), h, edge, exact)
+
+
+def _decided_min(herm, h, edge: float, exact):
+    """decision_min of h, given herm, its symmetrized matrices."""
+    wmin = _split_min(herm)
     near = np.abs(wmin - edge) <= EDGE_MARGIN
     if not near.any():
         return wmin
@@ -220,6 +241,63 @@ def decision_min(h, edge: float, exact=min_eigenvalue,
     wmin = wmin.copy()
     wmin[near] = exact(h[near])
     return wmin
+
+
+def _certified(herm, edge: float) -> bool:
+    """Whether one Cholesky factorization of the stack herm, each matrix
+    shifted down by edge + EDGE_MARGIN * s with s = max(1, max |H_ii|),
+    proves that every minimum lies above edge.
+
+    The factorization's backward error is about n^2 eps s (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Thm 10.5), far inside
+    EDGE_MARGIN * s, so a factor proves lambda_min > edge: the reference
+    solver's verdict.
+    """
+    count, n = herm.shape[0], herm.shape[-1]
+    shifted = herm.copy()
+    diag = shifted.reshape(count, n * n)[:, :: n + 1]  # a view
+    scale = np.maximum(1.0, np.abs(diag.real).max(axis=1))
+    diag -= (edge + EDGE_MARGIN * scale)[:, None]
+    try:
+        factor = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:  # raised for the whole stack
+        return False
+    # OpenBLAS's potrf returns a NaN factor of an overflowed matrix without
+    # raising
+    return bool(np.isfinite(factor).all())
+
+
+def min_at_least(h, edge: float, exact=min_eigenvalue,
+                 what: str = "matrix is not Hermitian"):
+    """Whether each matrix has no eigenvalue below `edge`.
+
+    A bool for one matrix, a bool array for a stack.  Same Hermiticity
+    check (at TOL_HERM) and symmetrization as eigh; the error message
+    starts with `what`.  A stack of several matrices is first tried with
+    one shifted Cholesky factorization (_certified), which can prove that
+    every minimum lies above edge.  A lone matrix, a stack of one,
+    and a stack the factorization cannot certify (a matrix fails to factor,
+    or the factor is not finite) give decision_min(h, edge, exact, what)
+    >= edge instead, so every verdict is that of `exact`.  A matrix whose
+    Hermitian part is not finite (its entries overflow) has no minimum to
+    compare and fails.
+    """
+    herm = _hermitian_part(h, what)
+    # one values-only solve costs about what one factorization does, so
+    # only a stack of several matrices tries the certificate
+    if herm.ndim == 3 and len(herm) > 1 and _certified(herm, edge):
+        return np.ones(len(herm), dtype=bool)
+    finite = np.isfinite(herm).all(axis=(-2, -1))
+    if finite.all():
+        ok = _decided_min(herm, h, edge, exact) >= edge
+    else:
+        # LAPACK may not converge on a matrix whose Hermitian part
+        # overflowed, so only the finite ones are solved
+        ok = np.zeros(finite.shape, dtype=bool)
+        ok[finite] = _decided_min(
+            herm[finite], as_stack(h)[finite], edge, exact
+        ) >= edge
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,9 +37,12 @@ class DensityOperator:
     same dims, n = dim_a * dim_b.  Invariants checked on construction, on
     every matrix: finite entries, Hermitian within TOL_HERM, unit trace
     within TOL_TRACE, and no eigenvalue below -TOL_NEG.  The positivity
-    verdict comes from linalg.decision_min, whose edge cases are re-solved
-    by the whole-matrix values-only solve, so it is that solve's verdict.
-    A failure raises for the first matrix that breaks the first failing
+    verdict comes from linalg.min_at_least: one Cholesky factorization
+    certifies a stack of valid states, and a lone state or a stack it
+    cannot certify is decided by linalg.decision_min's solve, whose edge
+    cases are re-solved by the whole-matrix values-only solve, so it is
+    that solve's verdict.  A
+    failure raises for the first matrix that breaks the first failing
     invariant, with the same message a lone matrix would give.  The stored
     array is made read-only.
     """
@@ -70,8 +73,8 @@ class DensityOperator:
         # the trace; the checks below name the fault, and numpy's warnings
         # would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            # the decision solve raises first if a matrix is not Hermitian
-            wmin = linalg.decision_min(
+            # the verdict raises first if a matrix is not Hermitian
+            psd = linalg.min_at_least(
                 stack, -TOL_NEG, _whole_min,
                 what="hermiticity invariant failed",
             )
@@ -81,10 +84,9 @@ class DensityOperator:
                 raise InvariantViolationError(
                     f"trace invariant failed: trace = {tr[bad][0].item()!r}"
                 )
-            # an overflowed solve leaves a NaN minimum, which fails too
-            bad = ~(wmin >= -TOL_NEG)
-            if bad.any():
-                first = stack[np.flatnonzero(bad)[0]]
+            # a matrix whose Hermitian part overflowed fails too
+            if not psd.all():
+                first = stack[np.flatnonzero(~psd)[0]]
                 raise NotPSDError(
                     f"positivity invariant failed: min eigenvalue = "
                     f"{_whole_min(first):.6e}"
@@ -170,12 +172,12 @@ def is_ppt(rho: DensityOperator):
     side B, has no eigenvalue below -TOL_NEG.
 
     A bool for one state, a bool array with one verdict per state for a
-    stack.  The verdict is eigh's: linalg.decision_min re-solves a minimum
-    near -TOL_NEG with eigh.
+    stack.  The verdict is eigh's: linalg.min_at_least certifies a stack of
+    PPT states with one Cholesky factorization, and otherwise decides with
+    linalg.decision_min's solve, which re-solves a minimum near -TOL_NEG
+    with eigh.
     """
-    wmin = linalg.decision_min(apply_witness(TRANSPOSE_B, rho), -TOL_NEG)
-    ppt = wmin >= -TOL_NEG
-    return bool(ppt) if rho.mat.ndim == 2 else ppt
+    return linalg.min_at_least(apply_witness(TRANSPOSE_B, rho), -TOL_NEG)
 
 
 def schmidt_rank(psi: PureState):

@@ -11,7 +11,14 @@ from boundfilter.errors import (
 )
 from boundfilter.tolerances import TOL_RECON, TOL_RESID
 
-from .oracles import brute_eigvals, herm_defect, kron_loops, random_herm
+from .oracles import (
+    brute_eigvals,
+    herm_defect,
+    kron_loops,
+    random_herm,
+    random_psd,
+    random_unitary,
+)
 
 
 def test_eigh_identity(kernel_path):
@@ -136,6 +143,112 @@ def test_decision_min_resolves_near_the_edge():
     assert list(linalg.decision_min(h, 0.0, exact)) == [0.5, 7.0, 7.0]
     assert calls == [(2, 4, 4)]  # one call, for the two near the edge
     assert linalg.decision_min(h[1], 0.0, exact) == 7.0
+
+
+def _spy_solves(monkeypatch):
+    """Record (name, shape) of every factorization and eigenvalue solve."""
+    calls = []
+    for name in ("cholesky", "eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def _with_spectrum(rng, w):
+    u = random_unitary(rng, len(w))
+    return (u * np.asarray(w)) @ u.conj().T
+
+
+def test_min_at_least_certifies_a_positive_stack_without_solving(monkeypatch):
+    rng = np.random.default_rng(17)
+    stack = np.stack([random_psd(rng, 9) + 1e-3 * np.eye(9) for _ in range(8)])
+    calls = _spy_solves(monkeypatch)
+    ok = linalg.min_at_least(stack, -1e-10)
+    assert ok.dtype == bool and ok.shape == (8,) and ok.all()
+    # a minimum 2e-12 above the edge clears the margin at scale 1
+    assert list(linalg.min_at_least(np.stack([np.diag([1, 2e-12])] * 2), 0)) \
+        == [True, True]
+    assert calls == [("cholesky", (8, 9, 9)), ("cholesky", (2, 2, 2))]
+    # one solve costs what one factorization does: a lone matrix and a
+    # stack of one are solved
+    calls.clear()
+    assert linalg.min_at_least(stack[3], -1e-10) is True
+    assert list(linalg.min_at_least(stack[3:4], -1e-10)) == [True]
+    assert calls == [("eigvalsh", (9, 9)), ("eigvalsh", (1, 9, 9))]
+
+
+def test_min_at_least_falls_back_for_the_whole_stack(monkeypatch):
+    # one matrix below the edge fails the stack's factorization: every
+    # verdict then comes from the solve, and equals the lone verdict
+    rng = np.random.default_rng(18)
+    w = np.linspace(0.1, 1.0, 9)
+    stack = np.stack([_with_spectrum(rng, w) for _ in range(5)])
+    stack[2] = _with_spectrum(rng, np.r_[-1e-6, w[1:]])
+    stack[4] = _with_spectrum(rng, np.r_[-2e-6, w[1:]])
+    calls = _spy_solves(monkeypatch)
+    ok = linalg.min_at_least(stack, -1e-10)
+    assert list(ok) == [True, True, False, True, False]
+    assert calls == [("cholesky", (5, 9, 9)), ("eigvalsh", (5, 9, 9))]
+    assert [linalg.min_at_least(m, -1e-10) for m in stack] == list(ok)
+    with pytest.raises(NotHermitianError, match="^gate: "):
+        linalg.min_at_least(np.array([[0, 1], [0, 0]]), 0.0, what="gate")
+
+
+def test_min_at_least_fails_an_overflowing_matrix(monkeypatch):
+    # the Hermitian part of the off-diagonal 1e308 pair is inf, whose
+    # factor OpenBLAS returns as NaN without raising: no certificate
+    off = np.array([[0.5, 1e308], [1e308, 0.5]])
+    big = np.eye(3) + 1e308 * (np.eye(3, k=1) + np.eye(3, k=-1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert linalg.min_at_least(off, -1e-10) is False
+        assert linalg.min_at_least(big, -1e-10) is False
+        ok = linalg.min_at_least(np.stack([np.eye(2), off, np.eye(2)]), 0.5)
+        assert list(ok) == [True, False, True]
+        assert np.isnan(linalg.eigvalsh(off)).all()
+        assert np.isnan(linalg.eigvalsh(big)).all()
+    # a factor that is not finite is no certificate, on any LAPACK
+    monkeypatch.setattr(
+        np.linalg, "cholesky", lambda a: np.full(a.shape, np.nan, complex)
+    )
+    calls = _spy_solves(monkeypatch)
+    two = np.stack([np.eye(3)] * 2)
+    assert list(linalg.min_at_least(two, 0.5)) == [True, True]
+    assert list(linalg.min_at_least(two, 1.5)) == [False, False]
+    assert [name for name, _ in calls] == ["cholesky", "eigvalsh"] * 2
+
+
+def test_min_at_least_scales_its_margin(monkeypatch):
+    # at max |H_ii| ~ 1e4 rounding is ~1e-12, beyond the unscaled margin: a
+    # minimum just below the edge is left to the reference solver
+    edge = -1e-10
+    rng = np.random.default_rng(19)
+    w = np.linspace(5e3, 1e4, 9)
+    stack = np.stack([_with_spectrum(rng, w) for _ in range(4)])
+    stack[1] = _with_spectrum(rng, np.r_[edge - 5e-11, w[1:]])
+    ref = linalg.min_eigenvalue(stack) >= edge
+    assert list(ref) == [True, False, True, True]
+    assert list(linalg.min_at_least(stack, edge)) == list(ref)
+    assert linalg.min_at_least(stack[1], edge) is False
+    # the factored matrices are shifted by edge + EDGE_MARGIN * s, with
+    # s = max(1, max |H_ii|): the margin that covers the rounding
+    factored = []
+    real = np.linalg.cholesky
+    monkeypatch.setattr(
+        np.linalg, "cholesky", lambda a: factored.append(a.copy()) or real(a)
+    )
+    small = stack / 1e5
+    for h in (stack, small):
+        linalg.min_at_least(h, edge)
+        s = np.maximum(1.0, np.abs(np.diagonal(h, axis1=1, axis2=2)).max(1))
+        assert s.max() > 5e3 if h is stack else (s == 1.0).all()
+        shift = np.diagonal(h - factored.pop(), axis1=1, axis2=2).real
+        want = np.broadcast_to((edge + linalg.EDGE_MARGIN * s)[:, None], (4, 9))
+        assert np.allclose(shift, want, rtol=1e-3, atol=0)
 
 
 def test_svd_identity(kernel_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,26 @@ def test_postselect_diag_rejects_bad_input():
         measure.postselect_diag([0.5, 0.5, 0.5], non_herm)
     with pytest.raises(DimensionMismatchError):
         measure.postselect_intermediate([0.5, 0.5], np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "rho, shown",
+    [
+        (np.diag([1.0, -0.5, 0.2]), "-5.000000e-01"),
+        # the Hermitian part overflows, so the minimum is NaN
+        (np.array([[0.5, 1e308], [1e308, 0.5]]), "nan"),
+        (np.full((3, 3), np.nan), "nan"),
+    ],
+    ids=["negative", "overflowing", "nan"],
+)
+def test_postselect_diag_rejects_a_nan_minimum(rho, shown):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPSDError) as err:
+            measure.postselect_diag(np.full(len(rho), 0.5), rho)
+    assert str(err.value) == (
+        f"postselection input not PSD: min eigenvalue {shown}"
+    )
 
 
 def test_embed_with_ancilla_layout():

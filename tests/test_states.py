@@ -101,6 +101,9 @@ def test_density_operator_stack():
         (np.diag([0.75, 0.75, -0.25, -0.25]), NotPSDError),
         (np.eye(4) / 2, InvariantViolationError),
         (np.eye(4) / 4 + 0.1 * np.eye(4, k=1), NotHermitianError),
+        # entries that overflow the Hermitian part: a NaN minimum
+        (np.eye(4) / 4 + 1e308 * (np.eye(4, k=1) + np.eye(4, k=-1)),
+         NotPSDError),
     ],
 )
 def test_density_operator_stack_reports_like_a_lone_matrix(bad, error):
@@ -217,12 +220,16 @@ def test_decision_solves_match_eigh_at_the_edges(seed, parts, dense, dists):
         found = [size for size, count, _ in groups for _ in range(count)]
         assert sorted(found) == sorted(sizes)
 
-    # sign grid (edge 0) and is_ppt (edge -TOL_NEG): eigh's verdicts exactly
+    # sign grid (edge 0) and is_ppt (edge -TOL_NEG): eigh's verdicts
+    # exactly, from decision_min and from the certificate of min_at_least
     mats = _blocked_stack(rng, sizes, dists, False)
+    ref = reference(mats)
     signs = np.sign(linalg.decision_min(mats, 0.0))
-    assert np.array_equal(signs, np.sign(reference(mats)))
+    assert np.array_equal(signs, np.sign(ref))
+    assert np.array_equal(linalg.min_at_least(mats, 0.0), ref >= 0.0)
     mats = _blocked_stack(rng, sizes, [-TOL_NEG + d for d in dists], True)
     ref = reference(mats)
+    assert np.array_equal(linalg.min_at_least(mats, -TOL_NEG), ref >= -TOL_NEG)
     rho = raw_density(pt_b_loops(mats, 3, 3), 3, 3)
     assert np.array_equal(states.is_ppt(rho), ref >= -TOL_NEG)
     for k in range(len(dists)):
