@@ -41,8 +41,7 @@ from .filters import apply_filter, filter_from_json_dict
 from .formats import fmt_num
 from .measure import protocol_analytic
 from .states import is_ppt, state_from_json_dict, state_to_json_dict
-from .tolerances import TOL_NEG
-from .witness import TRANSPOSE_B, apply_witness, detect, parse_witness_spec
+from .witness import apply_witness, detect, parse_witness_spec
 
 DEFAULT_SEED = 2024
 DEFAULT_SHOTS = 1000
@@ -129,9 +128,7 @@ def _scan_rows(xs, t, w, filt) -> str:
     """CSV rows for the grid points xs, evaluated as one stack."""
     rho = catalog.rho_xt(xs, t)
     unf = linalg.min_eigenvalue(apply_witness(w, rho))
-    # under transpose:B the unfiltered column is the PPT test's own minimum,
-    # from eigh, whose verdict is_ppt gives
-    ppt = unf >= -TOL_NEG if w == TRANSPOSE_B else is_ppt(rho)
+    ppt = is_ppt(rho)
     cols = [[fmt_num(x) for x in xs], [fmt_num(v) for v in unf]]
     if filt is not None:
         filtered, _ = apply_filter(filt, rho)

@@ -141,7 +141,12 @@ def eigvalsh(h: np.ndarray, what: str = "matrix is not Hermitian"):
     part is not finite (its entries overflow) gets NaN eigenvalues, since
     LAPACK may not converge on it.
     """
-    herm = _hermitian_part(h, what)
+    return _values(_hermitian_part(h, what))
+
+
+def _values(herm):
+    """np.linalg.eigvalsh of each matrix, with NaN values for a matrix whose
+    entries are not finite: LAPACK may not converge on it."""
     finite = np.isfinite(herm).all(axis=(-2, -1))
     if finite.all():
         return np.linalg.eigvalsh(herm)
@@ -197,20 +202,21 @@ def _split_min(h: np.ndarray):
     union of its nonzero entries; each block size is one LAPACK call.  The
     index arrays are cached by the pattern.  A lone matrix, or a stack with
     one block, is solved whole: the split's fixed cost (~30 us) is more than
-    one 9 x 9 solve.
+    one 9 x 9 solve.  A matrix whose entries are not finite gets NaN.
     """
     if h.ndim == 2 or h.shape[0] < 2:
-        return np.linalg.eigvalsh(h)[..., 0]
+        return _values(h)[..., 0]
     count, n = h.shape[0], h.shape[-1]
     # symmetrized entries are exact conjugate pairs: the pattern is symmetric
     groups = _block_index(n, (h != 0).any(axis=0).tobytes())
     if groups is None:
-        return np.linalg.eigvalsh(h)[:, 0]
+        return _values(h)[:, 0]
     flat = h.reshape(count, n * n)
     wmin = None
     for size, k, idx in groups:
         blocks = np.take(flat, idx, axis=1).reshape(count * k, size, size)
-        w = np.linalg.eigvalsh(blocks)[:, 0].reshape(count, k).min(axis=1)
+        # a NaN block minimum carries through min and minimum
+        w = _values(blocks)[:, 0].reshape(count, k).min(axis=1)
         wmin = w if wmin is None else np.minimum(wmin, w)
     return wmin
 
@@ -223,8 +229,9 @@ def decision_min(h, edge: float, exact=min_eigenvalue,
     error message starts with `what`.  The values come from the block-split
     values-only solve, except that a minimum within EDGE_MARGIN of edge is
     replaced by exact(h[k]), so comparing the result with edge gives the
-    verdict of `exact`.  A float64 for one matrix, (N,) for a stack.  For a
-    verdict alone, min_at_least is cheaper on a stack whose answer is yes.
+    verdict of `exact`.  A float64 for one matrix, (N,) for a stack; NaN
+    for a matrix whose Hermitian part is not finite.  For a verdict alone,
+    min_at_least is cheaper on a stack whose answer is yes.
     """
     return _decided_min(_hermitian_part(h, what), h, edge, exact)
 
@@ -279,24 +286,15 @@ def min_at_least(h, edge: float, exact=min_eigenvalue,
     and a stack the factorization cannot certify (a matrix fails to factor,
     or the factor is not finite) give decision_min(h, edge, exact, what)
     >= edge instead, so every verdict is that of `exact`.  A matrix whose
-    Hermitian part is not finite (its entries overflow) has no minimum to
-    compare and fails.
+    Hermitian part is not finite (its entries overflow) gets a NaN minimum
+    there, and fails.
     """
     herm = _hermitian_part(h, what)
     # one values-only solve costs about what one factorization does, so
     # only a stack of several matrices tries the certificate
     if herm.ndim == 3 and len(herm) > 1 and _certified(herm, edge):
         return np.ones(len(herm), dtype=bool)
-    finite = np.isfinite(herm).all(axis=(-2, -1))
-    if finite.all():
-        ok = _decided_min(herm, h, edge, exact) >= edge
-    else:
-        # LAPACK may not converge on a matrix whose Hermitian part
-        # overflowed, so only the finite ones are solved
-        ok = np.zeros(finite.shape, dtype=bool)
-        ok[finite] = _decided_min(
-            herm[finite], as_stack(h)[finite], edge, exact
-        ) >= edge
+    ok = _decided_min(herm, h, edge, exact) >= edge
     return bool(ok) if ok.ndim == 0 else ok
 
 

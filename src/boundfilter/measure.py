@@ -30,7 +30,7 @@ import numpy as np
 from . import linalg
 from .errors import BadDiagonalError, DimensionMismatchError, NotPSDError
 from .filters import LocalFilter, check_compatible
-from .states import DensityOperator, _whole_min, normalize
+from .states import DensityOperator, normalize
 from .tolerances import TOL_NEG
 
 
@@ -111,23 +111,20 @@ def postselect_diag(d, rho: np.ndarray):
     The block equals D rho D; the probability is its trace.  Input must be
     PSD Hermitian (a bare matrix, not necessarily unit trace): raises
     NotHermitianError or NotPSDError otherwise, also for a matrix whose
-    minimum is NaN (NaN entries, or entries that overflow).  The verdict is
-    the DensityOperator gate's: linalg.min_at_least, with the whole-matrix
-    values-only solve at the edge and in the message.
+    minimum is NaN (NaN entries, or entries that overflow).
     """
     rho = linalg.as_matrix(rho)
     n = linalg.require_square(rho, "postselection input")
     # an overflowing matrix fails with the error alone, without numpy's
     # warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if not linalg.min_at_least(
-            rho, -TOL_NEG, _whole_min,
-            what="postselection input not Hermitian",
-        ):
-            raise NotPSDError(
-                f"postselection input not PSD: min eigenvalue "
-                f"{_whole_min(rho):.6e}"
-            )
+        wmin = linalg.eigvalsh(
+            rho, what="postselection input not Hermitian"
+        )[0]
+    if not wmin >= -TOL_NEG:
+        raise NotPSDError(
+            f"postselection input not PSD: min eigenvalue {wmin:.6e}"
+        )
     full = postselect_intermediate(d, rho)
     block = full[:n, :n]
     return block, float(np.trace(block).real)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boundfilter import catalog, cli, linalg, states
+from boundfilter import catalog, cli, linalg
 from boundfilter.cli import main
 from boundfilter.errors import BoundFilterError
 from boundfilter.filters import apply_filter, filter_to_json_dict
@@ -108,14 +108,9 @@ def test_scan_bad_witness_spec(capsys):
     assert "<kind>:<side>" in err
 
 
-def eigh_ppt(rho):
-    return np.linalg.eigh(pt_b_loops(rho.mat, 3, 3))[0][0] >= -TOL_NEG
-
-
-def per_point_scan(t, x_min, x_max, steps, spec, filt_label, ppt=eigh_ppt):
-    """scan's CSV built one DensityOperator at a time, with ppt(rho) as the
-    verdict; stops at the first invalid point and returns (csv text, that
-    point's error message)."""
+def per_point_scan(t, x_min, x_max, steps, spec, filt_label):
+    """scan's CSV built one DensityOperator at a time; stops at the first
+    invalid point and returns (csv text, that point's error message)."""
     w = parse_witness_spec(spec)
     filt = filt_label and catalog.from_label("filter", filt_label)
     text = "x,min_eig_unfiltered,"
@@ -129,7 +124,8 @@ def per_point_scan(t, x_min, x_max, steps, spec, filt_label, ppt=eigh_ppt):
                 filtered, _ = apply_filter(filt, rho)
                 wmin = linalg.min_eigenvalue(apply_witness(w, filtered))
                 cols.append(fmt_num(wmin))
-            cols.append("true" if ppt(rho) else "false")
+            pt_min = np.linalg.eigh(pt_b_loops(rho.mat, 3, 3))[0][0]
+            cols.append("true" if pt_min >= -TOL_NEG else "false")
         except BoundFilterError as e:
             return text, str(e)
         text += ",".join(cols) + "\n"
@@ -154,28 +150,6 @@ def test_scan_blocks_match_per_point_reference(capsys, spec, filt):
     assert ref_err is None
     assert (code, err) == (0, "")
     assert out == ref
-
-
-@pytest.mark.parametrize("filt", [None, "choi-example"])
-def test_transpose_scan_ppt_column_is_per_point_is_ppt(capsys, filt):
-    # under transpose:B the ppt column is read off the unfiltered column;
-    # at x = 1 the partial transpose is singular, with an eigh minimum of
-    # -5.6e-17, which must still print true
-    argv = [
-        "scan", "--t", "1.0", "--x-min", "0.0", "--x-max", "1.0",
-        "--steps", "130", "--witness", "transpose:B",
-    ]
-    if filt:
-        argv += ["--filter", filt]
-    code, out, err = run_cli(capsys, *argv)
-    ref, ref_err = per_point_scan(
-        1.0, 0.0, 1.0, 130, "transpose:B", filt, states.is_ppt
-    )
-    assert ref_err is None
-    assert (code, err) == (0, "")
-    assert out == ref
-    last = out.split("\n")[-2].split(",")
-    assert float(last[1]) < 0 and last[-1] == "true"
 
 
 def test_scan_error_keeps_rows_before_first_invalid_point(capsys):

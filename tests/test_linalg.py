@@ -211,6 +211,12 @@ def test_min_at_least_fails_an_overflowing_matrix(monkeypatch):
         assert list(ok) == [True, False, True]
         assert np.isnan(linalg.eigvalsh(off)).all()
         assert np.isnan(linalg.eigvalsh(big)).all()
+        # decision_min gives NaN for it, also from a block of a split stack
+        split = np.stack([np.eye(4), np.eye(4)])
+        split[1, 0, 1] = split[1, 1, 0] = 1e308
+        assert list(np.isnan(linalg.decision_min(split, 0.5))) \
+            == [False, True]
+        assert list(linalg.min_at_least(split, 0.5)) == [True, False]
     # a factor that is not finite is no certificate, on any LAPACK
     monkeypatch.setattr(
         np.linalg, "cholesky", lambda a: np.full(a.shape, np.nan, complex)
@@ -247,7 +253,9 @@ def test_min_at_least_scales_its_margin(monkeypatch):
         s = np.maximum(1.0, np.abs(np.diagonal(h, axis1=1, axis2=2)).max(1))
         assert s.max() > 5e3 if h is stack else (s == 1.0).all()
         shift = np.diagonal(h - factored.pop(), axis1=1, axis2=2).real
-        want = np.broadcast_to((edge + linalg.EDGE_MARGIN * s)[:, None], (4, 9))
+        want = np.broadcast_to(
+            (edge + linalg.EDGE_MARGIN * s)[:, None], (4, 9)
+        )
         assert np.allclose(shift, want, rtol=1e-3, atol=0)
 
 
