@@ -35,7 +35,10 @@ from .witness import (
 # eigenvalue under (choi-psi, side B)
 UPB_FILTERED_MIN_EIG = -0.008806706057633812
 
-# window edges as printed (rederived: 0.6044284958305746, 0.6554730509561605)
+# window edges as printed: at t = 1/20, the roots of the integer cubics
+# 6400000x^3 + 11739600x^2 - 5702109 (lower edge, 0.60442849583057445...)
+# and 8000x^3 + 16800x^2 - 9471 (upper edge, 0.65547305095615981...),
+# truncated to 4 decimals
 WINDOW_LO = 0.6044
 WINDOW_HI = 0.6554
 
@@ -206,8 +209,9 @@ def check_choi_window() -> CheckResult:
     f = catalog.choi_example_filter()
     w = Witness("choi-phi", Side.A)
 
-    def minima(xs, solve):
-        # unfiltered and filtered witness minima, one block of points at a time
+    def columns(xs, solve):
+        # solve of the unfiltered and filtered witness images, one block of
+        # points at a time
         unf, fil = [], []
         for start in range(0, xs.size, catalog.SWEEP_BLOCK):
             rho = catalog.rho_xt(xs[start : start + catalog.SWEEP_BLOCK], t)
@@ -216,27 +220,25 @@ def check_choi_window() -> CheckResult:
             fil.append(solve(apply_witness(w, filtered)))
         return np.concatenate(unf), np.concatenate(fil)
 
-    unf_vals, fil_vals = minima(
+    unf_vals, fil_vals = columns(
         np.linspace(WINDOW_LO, WINDOW_HI, 52)[1:-1], linalg.min_eigenvalue
     )
     unf_floor = unf_vals.min()
     fil_ceil = fil_vals.max()
     window_ok = bool(unf_floor >= -TOL_NEG and fil_ceil < -TOL_NEG)
 
-    # only the signs of the grid minima are read: they come from the
-    # decision solve, which re-solves a minimum near zero with eigh
+    # on the grid only whether each minimum is at least zero is read
     grid = np.linspace(0.58, 0.68, 1000)
-    unf_vals, fil_vals = minima(grid, lambda h: linalg.decision_min(h, 0.0))
+    unf_ok, fil_ok = columns(grid, lambda h: linalg.min_at_least(h, 0.0))
 
-    def crossings(vals):
-        s = np.sign(vals)
-        idx = np.nonzero(s[:-1] != s[1:])[0]
+    def crossings(ok):
+        idx = np.flatnonzero(ok[:-1] != ok[1:])
         return [(grid[i] + grid[i + 1]) / 2 for i in idx]
 
-    # the filtered column crosses zero at the lower edge, the unfiltered
-    # one at the upper edge
-    lo_edges = crossings(fil_vals)
-    hi_edges = crossings(unf_vals)
+    # the filtered verdict flips at the lower edge, the unfiltered one at
+    # the upper edge
+    lo_edges = crossings(fil_ok)
+    hi_edges = crossings(unf_ok)
     edges_ok = (
         len(lo_edges) == 1
         and len(hi_edges) == 1

@@ -124,15 +124,6 @@ def identity_filter(dim_a: int, dim_b: int) -> LocalFilter:
     return make_filter(np.eye(dim_a), np.eye(dim_b))
 
 
-def compose(outer: LocalFilter, inner: LocalFilter) -> LocalFilter:
-    """The filter acting as `inner` first, then `outer`."""
-    if outer.dims != inner.dims:
-        raise DimensionMismatchError(
-            f"cannot compose filters of dims {outer.dims} and {inner.dims}"
-        )
-    return make_filter(outer.l @ inner.l, outer.m @ inner.m)
-
-
 def check_compatible(f: LocalFilter, state) -> None:
     """Raise DimensionMismatchError unless f can act on state.
 

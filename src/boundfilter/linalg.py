@@ -7,21 +7,18 @@ the same numbers, bit for bit, as its matrices taken one at a time.  The
 eigensolvers and the SVD are LAPACK's, so small singular values are resolved
 to machine precision and rank decisions at TOL_RANK are sound.
 
-Three kinds of solve serve three kinds of caller.  eigh (and min_eigenvalue)
+Two kinds of solve serve two kinds of caller.  eigh (and min_eigenvalue)
 gives the eigenvalues that reports print or compare against a pinned
-figure.  min_at_least serves yes/no positivity verdicts whose value is never
-printed: one Cholesky factorization of a whole stack, shifted past the
-edge by EDGE_MARGIN times the matrix scale, certifies every matrix at once,
-and a lone matrix or a stack it cannot certify goes to decision_min's
-solve.
-decision_min serves decisions that need the value (a sign): a values-only
-solve that splits a stack into the exact blocks of its joint zero pattern
-and solves each block size with one LAPACK call.  The split follows exact
-zeros only, never a threshold, so the blocks hold the same spectrum; the
-minima agree with eigh's to rounding, not bit for bit.  A minimum within
-EDGE_MARGIN of the decision edge is re-solved by the caller's reference
-solver (eigh by default), so every verdict of either function equals that
-solver's.  eigvalsh is the plain values-only solve of whole matrices.
+figure.  min_at_least gives yes/no positivity verdicts, each equal to
+eigh's.  With s = max(1, max |H_ii|) for each matrix, one Cholesky
+factorization of a whole stack, shifted past the edge by EDGE_MARGIN * s,
+certifies every matrix at once.  A lone matrix, or a stack it cannot
+certify, takes a values-only solve that splits a stack into the exact
+blocks of its joint zero pattern, one LAPACK call per block size; the split
+follows exact zeros only, never a threshold, so the blocks hold the same
+spectrum.  A minimum within EDGE_MARGIN * s of the edge is re-solved with
+eigh.  eigvalsh, the plain values-only solve of whole matrices, words the
+errors those verdicts raise.
 """
 
 import functools
@@ -32,12 +29,10 @@ import numpy as np
 from .errors import DimensionMismatchError, NonSquareError, NotHermitianError
 from .tolerances import TOL_HERM
 
-# a decision minimum this close to its edge is re-solved by the reference
-# solver; the values-only and blocked solves are backward stable, with
-# errors near n * eps * |H| ~ 2e-15 for 9 x 9 matrices of norm ~1 (states,
-# their partial transposes and witness images), far inside this margin.
-# min_at_least certifies a minimum only when it clears the edge by this
-# margin times the matrix scale.
+# min_at_least certifies a minimum only when it clears its edge by this
+# margin times the matrix scale s, and re-solves with eigh a values-only
+# minimum this close to the edge; both solves are backward stable, with
+# errors near n * eps * s ~ 2e-15 * s for 9 x 9 matrices, far inside it.
 EDGE_MARGIN = 1e-12
 
 
@@ -129,19 +124,18 @@ def eigh(h: np.ndarray):
     return np.linalg.eigh(_hermitian_part(h, "matrix is not Hermitian"))
 
 
-def eigvalsh(h: np.ndarray, what: str = "matrix is not Hermitian"):
+def eigvalsh(h: np.ndarray):
     """Ascending eigenvalues only, from LAPACK's values-only solve of each
     whole matrix.
 
-    Same Hermiticity check (at TOL_HERM) and symmetrization as eigh; the
-    error message starts with `what`.  The values agree with eigh's to
-    rounding, not bit for bit: they back positivity gates (postselect_diag,
-    the DensityOperator gate near its edge) and the messages of the errors
-    those gates raise, never a reported figure.  A matrix whose Hermitian
+    Same Hermiticity check (at TOL_HERM) and symmetrization as eigh.  The
+    values agree with eigh's to rounding, not bit for bit: they word the
+    errors of the positivity gates (the DensityOperator gate,
+    postselect_diag), never a reported figure.  A matrix whose Hermitian
     part is not finite (its entries overflow) gets NaN eigenvalues, since
     LAPACK may not converge on it.
     """
-    return _values(_hermitian_part(h, what))
+    return _values(_hermitian_part(h, "matrix is not Hermitian"))
 
 
 def _values(herm):
@@ -221,50 +215,13 @@ def _split_min(h: np.ndarray):
     return wmin
 
 
-def decision_min(h, edge: float, exact=min_eigenvalue,
-                 what: str = "matrix is not Hermitian"):
-    """Smallest eigenvalue of each matrix, for a decision against `edge`.
-
-    Same Hermiticity check (at TOL_HERM) and symmetrization as eigh; the
-    error message starts with `what`.  The values come from the block-split
-    values-only solve, except that a minimum within EDGE_MARGIN of edge is
-    replaced by exact(h[k]), so comparing the result with edge gives the
-    verdict of `exact`.  A float64 for one matrix, (N,) for a stack; NaN
-    for a matrix whose Hermitian part is not finite.  For a verdict alone,
-    min_at_least is cheaper on a stack whose answer is yes.
-    """
-    return _decided_min(_hermitian_part(h, what), h, edge, exact)
-
-
-def _decided_min(herm, h, edge: float, exact):
-    """decision_min of h, given herm, its symmetrized matrices."""
-    wmin = _split_min(herm)
-    near = np.abs(wmin - edge) <= EDGE_MARGIN
-    if not near.any():
-        return wmin
-    h = as_stack(h)
-    if h.ndim == 2:
-        return exact(h)
-    wmin = wmin.copy()
-    wmin[near] = exact(h[near])
-    return wmin
-
-
-def _certified(herm, edge: float) -> bool:
+def _certified(herm, shift) -> bool:
     """Whether one Cholesky factorization of the stack herm, each matrix
-    shifted down by edge + EDGE_MARGIN * s with s = max(1, max |H_ii|),
-    proves that every minimum lies above edge.
-
-    The factorization's backward error is about n^2 eps s (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., Thm 10.5), far inside
-    EDGE_MARGIN * s, so a factor proves lambda_min > edge: the reference
-    solver's verdict.
-    """
+    shifted down by its entry of shift, proves that no matrix has an
+    eigenvalue at or below its shift."""
     count, n = herm.shape[0], herm.shape[-1]
     shifted = herm.copy()
-    diag = shifted.reshape(count, n * n)[:, :: n + 1]  # a view
-    scale = np.maximum(1.0, np.abs(diag.real).max(axis=1))
-    diag -= (edge + EDGE_MARGIN * scale)[:, None]
+    shifted.reshape(count, n * n)[:, :: n + 1] -= shift[:, None]
     try:
         factor = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:  # raised for the whole stack
@@ -274,27 +231,36 @@ def _certified(herm, edge: float) -> bool:
     return bool(np.isfinite(factor).all())
 
 
-def min_at_least(h, edge: float, exact=min_eigenvalue,
-                 what: str = "matrix is not Hermitian"):
-    """Whether each matrix has no eigenvalue below `edge`.
+def min_at_least(h, edge: float, what: str = "matrix is not Hermitian"):
+    """Whether each matrix has no eigenvalue below `edge`: eigh's verdict.
 
     A bool for one matrix, a bool array for a stack.  Same Hermiticity
     check (at TOL_HERM) and symmetrization as eigh; the error message
-    starts with `what`.  A stack of several matrices is first tried with
-    one shifted Cholesky factorization (_certified), which can prove that
-    every minimum lies above edge.  A lone matrix, a stack of one,
-    and a stack the factorization cannot certify (a matrix fails to factor,
-    or the factor is not finite) give decision_min(h, edge, exact, what)
-    >= edge instead, so every verdict is that of `exact`.  A matrix whose
-    Hermitian part is not finite (its entries overflow) gets a NaN minimum
-    there, and fails.
+    starts with `what`.  Each matrix has the scale s = max(1, max |H_ii|).
+    A stack of several matrices is first tried with one Cholesky
+    factorization, each matrix shifted down by edge + EDGE_MARGIN * s.  Its
+    backward error is about n^2 eps s (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.5), far inside EDGE_MARGIN * s,
+    so a factor proves every minimum above edge.  A lone matrix, a stack of
+    one, and a stack the factorization cannot certify (a matrix fails to
+    factor, or the factor is not finite) take the block-split values-only
+    solve, and a minimum within EDGE_MARGIN * s of edge is re-solved with
+    eigh.  A matrix whose Hermitian part is not finite (its entries
+    overflow) gets a NaN minimum there, and fails.
     """
     herm = _hermitian_part(h, what)
+    diag = herm.diagonal(0, -2, -1).real
+    margin = EDGE_MARGIN * np.abs(diag).max(axis=-1, initial=1.0)
     # one values-only solve costs about what one factorization does, so
     # only a stack of several matrices tries the certificate
-    if herm.ndim == 3 and len(herm) > 1 and _certified(herm, edge):
+    if herm.ndim == 3 and len(herm) > 1 and _certified(herm, edge + margin):
         return np.ones(len(herm), dtype=bool)
-    ok = _decided_min(herm, h, edge, exact) >= edge
+    wmin = _split_min(herm)
+    near = np.abs(wmin - edge) <= margin
+    if near.any():
+        wmin = np.array(wmin)  # a copy, 0-d for one matrix
+        wmin[near] = min_eigenvalue(herm[near])
+    ok = wmin >= edge
     return bool(ok) if ok.ndim == 0 else ok
 
 

@@ -109,22 +109,24 @@ def postselect_diag(d, rho: np.ndarray):
 
     Returns (unnormalized post-measurement block, success probability).
     The block equals D rho D; the probability is its trace.  Input must be
-    PSD Hermitian (a bare matrix, not necessarily unit trace): raises
+    PSD Hermitian (a bare matrix, not necessarily unit trace), by
+    linalg.min_at_least's verdict against -TOL_NEG: raises
     NotHermitianError or NotPSDError otherwise, also for a matrix whose
-    minimum is NaN (NaN entries, or entries that overflow).
+    minimum is NaN (NaN entries, or entries that overflow).  The error
+    quotes the minimum of linalg.eigvalsh.
     """
     rho = linalg.as_matrix(rho)
     n = linalg.require_square(rho, "postselection input")
     # an overflowing matrix fails with the error alone, without numpy's
     # warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        wmin = linalg.eigvalsh(
-            rho, what="postselection input not Hermitian"
-        )[0]
-    if not wmin >= -TOL_NEG:
-        raise NotPSDError(
-            f"postselection input not PSD: min eigenvalue {wmin:.6e}"
-        )
+        if not linalg.min_at_least(
+            rho, -TOL_NEG, what="postselection input not Hermitian"
+        ):
+            raise NotPSDError(
+                f"postselection input not PSD: min eigenvalue "
+                f"{linalg.eigvalsh(rho)[0]:.6e}"
+            )
     full = postselect_intermediate(d, rho)
     block = full[:n, :n]
     return block, float(np.trace(block).real)

@@ -23,12 +23,6 @@ from .tolerances import TOL_NEG, TOL_RANK, TOL_RECON, TOL_TRACE
 from .witness import TRANSPOSE_B, apply_witness
 
 
-def _whole_min(m):
-    """Smallest eigenvalue from the values-only solve of each whole matrix:
-    the positivity gate's reference near its edge and in its messages."""
-    return linalg.eigvalsh(m)[..., 0]
-
-
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A validated bipartite density matrix, or a stack of them.
@@ -37,14 +31,10 @@ class DensityOperator:
     same dims, n = dim_a * dim_b.  Invariants checked on construction, on
     every matrix: finite entries, Hermitian within TOL_HERM, unit trace
     within TOL_TRACE, and no eigenvalue below -TOL_NEG.  The positivity
-    verdict comes from linalg.min_at_least: one Cholesky factorization
-    certifies a stack of valid states, and a lone state or a stack it
-    cannot certify is decided by linalg.decision_min's solve, whose edge
-    cases are re-solved by the whole-matrix values-only solve, so it is
-    that solve's verdict.  A
-    failure raises for the first matrix that breaks the first failing
-    invariant, with the same message a lone matrix would give.  The stored
-    array is made read-only.
+    verdict is linalg.min_at_least's, which is eigh's; the error quotes the
+    minimum of linalg.eigvalsh.  A failure raises for the first matrix that
+    breaks the first failing invariant, with the same message a lone matrix
+    would give.  The stored array is made read-only.
     """
 
     dim_a: int
@@ -75,8 +65,7 @@ class DensityOperator:
         with np.errstate(over="ignore", invalid="ignore"):
             # the verdict raises first if a matrix is not Hermitian
             psd = linalg.min_at_least(
-                stack, -TOL_NEG, _whole_min,
-                what="hermiticity invariant failed",
+                stack, -TOL_NEG, what="hermiticity invariant failed"
             )
             tr = np.trace(stack, axis1=1, axis2=2).real
             bad = np.abs(tr - 1.0) > TOL_TRACE
@@ -89,7 +78,7 @@ class DensityOperator:
                 first = stack[np.flatnonzero(~psd)[0]]
                 raise NotPSDError(
                     f"positivity invariant failed: min eigenvalue = "
-                    f"{_whole_min(first):.6e}"
+                    f"{linalg.eigvalsh(first)[0]:.6e}"
                 )
         m = m.copy()
         m.setflags(write=False)
@@ -172,10 +161,7 @@ def is_ppt(rho: DensityOperator):
     side B, has no eigenvalue below -TOL_NEG.
 
     A bool for one state, a bool array with one verdict per state for a
-    stack.  The verdict is eigh's: linalg.min_at_least certifies a stack of
-    PPT states with one Cholesky factorization, and otherwise decides with
-    linalg.decision_min's solve, which re-solves a minimum near -TOL_NEG
-    with eigh.
+    stack.  The verdict is linalg.min_at_least's, which is eigh's.
     """
     return linalg.min_at_least(apply_witness(TRANSPOSE_B, rho), -TOL_NEG)
 

@@ -8,11 +8,13 @@ call in a fresh session.
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from boundfilter import acceptance, catalog, witness
+from boundfilter import acceptance, catalog, linalg, witness
+from boundfilter.filters import apply_filter
 
 from . import oracles
 
@@ -34,6 +36,49 @@ def test_choi_window_detection():
     result = acceptance.check_choi_window()
     elapsed = time.perf_counter() - start
     _gate(result, budget=5.0, elapsed=elapsed)
+
+
+def _cubic_root(c):
+    """The root in (1/2, 7/10) of the integer cubic with coefficients c
+    (highest power first), bracketed to 2^-64 by exact bisection."""
+    def p(x):
+        return ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
+
+    lo, hi = Fraction(1, 2), Fraction(7, 10)
+    assert p(lo) < 0 < p(hi)
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if p(mid) < 0 else (lo, mid)
+    return lo
+
+
+def test_choi_window_edges_are_the_roots_of_two_cubics():
+    # at t = 1/20 the choi-phi:A image of rho_xt is singular at the upper
+    # edge, and its image after choi-example at the lower edge, where these
+    # integer factors of the determinants vanish
+    lo = _cubic_root((6400000, 11739600, 0, -5702109))
+    hi = _cubic_root((8000, 16800, 0, -9471))
+    assert abs(lo - Fraction("0.60442849583057445")) < Fraction(1, 10**17)
+    assert abs(hi - Fraction("0.65547305095615981")) < Fraction(1, 10**17)
+    for root, printed in (
+        (lo, acceptance.WINDOW_LO), (hi, acceptance.WINDOW_HI)
+    ):
+        assert Fraction(int(root * 10**4), 10**4) == Fraction(str(printed))
+
+    # the minima change sign across each root +- 1e-6 (not at adjacent
+    # floats, where eigh reads ~1e-17 and another LAPACK could flip it)
+    w = witness.Witness("choi-phi", witness.Side.A)
+
+    def minima(x, filtered):
+        rho = catalog.rho_xt(np.array([x - 1e-6, x + 1e-6]), 0.05)
+        if filtered:
+            rho, _ = apply_filter(catalog.choi_example_filter(), rho)
+        return linalg.min_eigenvalue(witness.apply_witness(w, rho))
+
+    below, above = minima(float(hi), False)
+    assert below > 0 > above
+    below, above = minima(float(lo), True)
+    assert below > 0 > above
 
 
 def test_upb_state_filtered_detection():

@@ -90,28 +90,6 @@ def test_identity_filter_is_neutral():
     assert np.abs(out.mat - rho.mat).max() < 1e-12
 
 
-def test_compose_order():
-    rng = np.random.default_rng(41)
-    f1 = filters.make_filter(
-        random_invertible(rng, 3), random_invertible(rng, 3)
-    )
-    f2 = filters.make_filter(
-        random_invertible(rng, 3), random_invertible(rng, 3)
-    )
-    both = filters.compose(f2, f1)
-    rho = DensityOperator(3, 3, random_density_mat(rng, 9))
-    step, w1 = filters.apply_filter(f1, rho)
-    two_step, w2 = filters.apply_filter(f2, step)
-    direct, w = filters.apply_filter(both, rho)
-    assert np.abs(direct.mat - two_step.mat).max() < 1e-10
-    assert w == pytest.approx(w1 * w2, rel=1e-10)
-
-
-def test_compose_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        filters.compose(filters.identity_filter(2, 2), filters.identity_filter(3, 3))
-
-
 def test_apply_filter_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         filters.apply_filter(catalog.choi_example_filter(), catalog.bell_state())

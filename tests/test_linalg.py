@@ -96,55 +96,6 @@ def test_eigh_checks_each_matrix_of_a_stack():
         linalg.eigh(np.zeros((2, 2, 2, 2)))
 
 
-def test_decision_min_whole_solve_without_a_split():
-    # a lone matrix, and a stack whose pattern is one block, take the plain
-    # values-only solve: the same bits as np.linalg.eigvalsh
-    rng = np.random.default_rng(16)
-    stack = np.stack([random_herm(rng, 9) for _ in range(4)])
-    ref = np.linalg.eigvalsh(stack)[:, 0]
-    assert np.array_equal(linalg.decision_min(stack, -1.0), ref)
-    assert linalg.decision_min(stack[2], -1.0) == ref[2]
-
-
-def test_decision_min_splits_on_exact_zeros_only():
-    # entries 0 and 5 hold the same value, coupled by a tiny eps: the pair's
-    # eigenvalues are w +- eps, so the minimum sits 3e-12 below the edge
-    # (outside the re-solve margin) only if eps is kept.  A split that
-    # dropped small entries would see w, above the edge.
-    edge, eps = -1e-10, 3e-12
-    h = np.zeros((3, 9, 9), dtype=complex)
-    h[:, range(9), range(9)] = np.arange(1, 10) / 10
-    h[:, 0, 0] = h[:, 5, 5] = edge + 1.5e-12
-    h[1:, 0, 5] = h[1:, 5, 0] = eps
-    h[:, 1, 2] = h[:, 2, 1] = 0.05j
-    h[:, 2, 1] *= -1
-    ref = np.linalg.eigh(h)[0][:, 0]
-    wmin = linalg.decision_min(h, edge)
-    assert np.abs(wmin - ref).max() < 1e-15
-    assert list(wmin < edge) == [False, True, True]
-    assert abs(wmin[1] - (edge - 1.5e-12)) < 1e-15
-    # blocks {0, 5}, {1, 2} and five single entries
-    groups = linalg._block_index(9, (h != 0).any(axis=0).tobytes())
-    assert [(size, count) for size, count, _ in groups] == [(1, 5), (2, 2)]
-
-
-def test_decision_min_resolves_near_the_edge():
-    # minima within EDGE_MARGIN of the edge take the reference solver's
-    # value, the others the block solve's
-    h = np.zeros((3, 4, 4))
-    h[:, range(4), range(4)] = 1.0
-    h[:, 3, 3] = [0.5, 1e-13, -1e-13]
-    calls = []
-
-    def exact(m):
-        calls.append(m.shape)
-        return np.full(m.shape[:-2], 7.0)
-
-    assert list(linalg.decision_min(h, 0.0, exact)) == [0.5, 7.0, 7.0]
-    assert calls == [(2, 4, 4)]  # one call, for the two near the edge
-    assert linalg.decision_min(h[1], 0.0, exact) == 7.0
-
-
 def _spy_solves(monkeypatch):
     """Record (name, shape) of every factorization and eigenvalue solve."""
     calls = []
@@ -162,6 +113,64 @@ def _spy_solves(monkeypatch):
 def _with_spectrum(rng, w):
     u = random_unitary(rng, len(w))
     return (u * np.asarray(w)) @ u.conj().T
+
+
+def test_min_at_least_whole_solve_without_a_split(monkeypatch):
+    # a lone matrix, and a stack whose pattern is one block, take the plain
+    # values-only solve of each whole matrix
+    rng = np.random.default_rng(16)
+    stack = np.stack([random_herm(rng, 9) for _ in range(4)])
+    ref = np.linalg.eigvalsh(stack)[:, 0]
+    edge = np.median(ref)
+    calls = _spy_solves(monkeypatch)
+    assert list(linalg.min_at_least(stack, edge)) == list(ref >= edge)
+    assert linalg.min_at_least(stack[2], edge) == (ref[2] >= edge)
+    assert calls == [
+        ("cholesky", (4, 9, 9)), ("eigvalsh", (4, 9, 9)), ("eigvalsh", (9, 9))
+    ]
+
+
+def test_min_at_least_splits_on_exact_zeros_only(monkeypatch):
+    # entries 0 and 5 hold the same value, coupled by a tiny eps: the pair's
+    # eigenvalues are w +- eps, so the minimum sits 1.5e-12 below the edge
+    # (outside the re-solve margin) only if eps is kept.  A split that
+    # dropped small entries would see w, above the edge.
+    edge, eps = -1e-10, 3e-12
+    h = np.zeros((3, 9, 9), dtype=complex)
+    h[:, range(9), range(9)] = np.arange(1, 10) / 10
+    h[:, 0, 0] = h[:, 5, 5] = edge + 1.5e-12
+    h[1:, 0, 5] = h[1:, 5, 0] = eps
+    h[:, 1, 2] = h[:, 2, 1] = 0.05j
+    h[:, 2, 1] *= -1
+    ref = np.linalg.eigh(h)[0][:, 0]
+    assert list(ref < edge) == [False, True, True]
+    calls = _spy_solves(monkeypatch)
+    assert list(linalg.min_at_least(h, edge)) == [True, False, False]
+    # blocks {0, 5}, {1, 2} and five single entries, no re-solve
+    assert calls == [
+        ("cholesky", (3, 9, 9)), ("eigvalsh", (15, 1, 1)),
+        ("eigvalsh", (6, 2, 2)),
+    ]
+
+
+def test_min_at_least_resolves_near_the_edge(monkeypatch):
+    # minima within EDGE_MARGIN of the edge take eigh's verdict, in one
+    # call for all of them; the others the block solve's
+    h = np.zeros((3, 4, 4))
+    h[:, range(4), range(4)] = 1.0
+    h[:, 3, 3] = [0.5, 1e-13, -1e-13]
+    calls = _spy_solves(monkeypatch)
+    assert list(linalg.min_at_least(h, 0.0)) == [True, True, False]
+    assert linalg.min_at_least(h[2], 0.0) is False
+    assert calls == [
+        ("cholesky", (3, 4, 4)), ("eigvalsh", (12, 1, 1)), ("eigh", (2, 4, 4)),
+        ("eigvalsh", (4, 4)), ("eigh", (1, 4, 4)),
+    ]
+    # the re-solved verdicts are eigh's own
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda a: (np.full(a.shape[:-1], 7.0), None)
+    )
+    assert list(linalg.min_at_least(h, 0.0)) == [True, True, True]
 
 
 def test_min_at_least_certifies_a_positive_stack_without_solving(monkeypatch):
@@ -211,11 +220,9 @@ def test_min_at_least_fails_an_overflowing_matrix(monkeypatch):
         assert list(ok) == [True, False, True]
         assert np.isnan(linalg.eigvalsh(off)).all()
         assert np.isnan(linalg.eigvalsh(big)).all()
-        # decision_min gives NaN for it, also from a block of a split stack
+        # also from a block of a split stack
         split = np.stack([np.eye(4), np.eye(4)])
         split[1, 0, 1] = split[1, 1, 0] = 1e308
-        assert list(np.isnan(linalg.decision_min(split, 0.5))) \
-            == [False, True]
         assert list(linalg.min_at_least(split, 0.5)) == [True, False]
     # a factor that is not finite is no certificate, on any LAPACK
     monkeypatch.setattr(
@@ -230,7 +237,7 @@ def test_min_at_least_fails_an_overflowing_matrix(monkeypatch):
 
 def test_min_at_least_scales_its_margin(monkeypatch):
     # at max |H_ii| ~ 1e4 rounding is ~1e-12, beyond the unscaled margin: a
-    # minimum just below the edge is left to the reference solver
+    # minimum just below the edge is left to eigh
     edge = -1e-10
     rng = np.random.default_rng(19)
     w = np.linspace(5e3, 1e4, 9)
@@ -240,6 +247,17 @@ def test_min_at_least_scales_its_margin(monkeypatch):
     assert list(ref) == [True, False, True, True]
     assert list(linalg.min_at_least(stack, edge)) == list(ref)
     assert linalg.min_at_least(stack[1], edge) is False
+    # the values-only and eigh minima differ by ~1e-12 here: a minimum that
+    # close to the edge is re-solved with eigh, on a lone matrix and in a
+    # stack the certificate fails
+    for seed in range(16):
+        for delta in (1e-12, 5e-13):
+            u = random_unitary(np.random.default_rng(seed), 9)
+            h = (u * np.r_[edge - delta, w[1:]]) @ u.conj().T
+            want = linalg.min_eigenvalue(h) >= edge
+            assert linalg.min_at_least(h, edge) == want
+            pair = np.stack([h, (u * w) @ u.conj().T])
+            assert list(linalg.min_at_least(pair, edge)) == [want, True]
     # the factored matrices are shifted by edge + EDGE_MARGIN * s, with
     # s = max(1, max |H_ii|): the margin that covers the rounding
     factored = []

@@ -220,13 +220,12 @@ def test_decision_solves_match_eigh_at_the_edges(seed, parts, dense, dists):
         found = [size for size, count, _ in groups for _ in range(count)]
         assert sorted(found) == sorted(sizes)
 
-    # sign grid (edge 0) and is_ppt (edge -TOL_NEG): eigh's verdicts
-    # exactly, from decision_min and from the certificate of min_at_least
+    # choi-window grid (edge 0) and is_ppt (edge -TOL_NEG): eigh's verdicts
+    # exactly, for a stack and for each lone matrix
     mats = _blocked_stack(rng, sizes, dists, False)
     ref = reference(mats)
-    signs = np.sign(linalg.decision_min(mats, 0.0))
-    assert np.array_equal(signs, np.sign(ref))
     assert np.array_equal(linalg.min_at_least(mats, 0.0), ref >= 0.0)
+    assert [linalg.min_at_least(m, 0.0) for m in mats] == list(ref >= 0.0)
     mats = _blocked_stack(rng, sizes, [-TOL_NEG + d for d in dists], True)
     ref = reference(mats)
     assert np.array_equal(linalg.min_at_least(mats, -TOL_NEG), ref >= -TOL_NEG)
@@ -236,18 +235,22 @@ def test_decision_solves_match_eigh_at_the_edges(seed, parts, dense, dists):
         lone = raw_density(pt_b_loops(mats[k], 3, 3), 3, 3)
         assert states.is_ppt(lone) == (ref[k] >= -TOL_NEG)
 
-    # the gate decides near its edge with the whole-matrix values-only
-    # solve, which agrees with eigh once a minimum is clear of rounding;
-    # nudges of k * 1e-15 away from the edge make every offender print a
-    # different figure
+    # the gate's verdict is eigh's at every distance, also within rounding
+    # of the edge; nudges of k * 1e-15 away from the edge make the
+    # offenders print different figures
     gate = [d + np.sign(d) * k * 1e-15 for k, d in enumerate(dists)]
-    gate = [d for d in gate if abs(d) >= 1e-13]
-    if not gate:
-        return
     mats = _blocked_stack(rng, sizes, [-TOL_NEG + d for d in gate], True)
     ref = reference(mats)
     offenders = np.flatnonzero(ref < -TOL_NEG)
-    assert list(offenders) == [k for k, d in enumerate(gate) if d < 0]
+    clear = [k for k, d in enumerate(gate) if abs(d) >= 1e-13]
+    assert [k for k in clear if ref[k] < -TOL_NEG] \
+        == [k for k in clear if gate[k] < 0]
+    for k, m in enumerate(mats):
+        if ref[k] < -TOL_NEG:
+            with pytest.raises(NotPSDError):
+                states.DensityOperator(3, 3, m)
+        else:
+            states.DensityOperator(3, 3, m)
     if offenders.size == 0:
         states.DensityOperator(3, 3, mats)
         return
