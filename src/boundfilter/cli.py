@@ -129,12 +129,17 @@ def _scan_rows(xs, t, w, filt) -> str:
     rho = catalog.rho_xt(xs, t)
     unf = linalg.min_eigenvalue(apply_witness(w, rho))
     ppt = is_ppt(rho)
-    cols = [[fmt_num(x) for x in xs], [fmt_num(v) for v in unf]]
+    # tolist() hands fmt_num Python floats, which convert and format faster
+    # than numpy scalars
+    cols = [
+        [fmt_num(v) for v in xs.tolist()],
+        [fmt_num(v) for v in unf.tolist()],
+    ]
     if filt is not None:
         filtered, _ = apply_filter(filt, rho)
         wmin = linalg.min_eigenvalue(apply_witness(w, filtered))
-        cols.append([fmt_num(v) for v in wmin])
-    cols.append(["true" if p else "false" for p in ppt])
+        cols.append([fmt_num(v) for v in wmin.tolist()])
+    cols.append(["true" if p else "false" for p in ppt.tolist()])
     return "".join(",".join(row) + "\n" for row in zip(*cols))
 
 

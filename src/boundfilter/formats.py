@@ -13,14 +13,18 @@ import numpy as np
 from .errors import ParseError
 
 
-def fmt_num(v: float, sig: int = 15) -> str:
-    """Format with `sig` significant digits; scientific below 1e-4."""
+def fmt_num(v: float) -> str:
+    """Format with 15 significant digits; scientific below 1e-4.
+
+    Either zero prints as 0.  v may be a Python or a numpy real; a Python
+    float (as ndarray.tolist() gives) converts fastest.
+    """
     v = float(v)
     if v == 0.0:
         return "0"
     if abs(v) < 1e-4:
-        return f"{v:.{sig - 1}e}"
-    return f"{v:.{sig}g}"
+        return f"{v:.14e}"
+    return f"{v:.15g}"
 
 
 def matrix_to_pairs(m: np.ndarray):

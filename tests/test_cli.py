@@ -108,6 +108,31 @@ def test_scan_bad_witness_spec(capsys):
     assert "<kind>:<side>" in err
 
 
+@pytest.mark.parametrize("kind", [float, np.float64])
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (0.0, "0"),
+        (-0.0, "0"),
+        (1e-4, "0.0001"),
+        (-1e-4, "-0.0001"),
+        (float(np.nextafter(1e-4, 0.0)), "1.00000000000000e-04"),
+        (float(np.nextafter(-1e-4, 0.0)), "-1.00000000000000e-04"),
+        (5e-324, "4.94065645841247e-324"),
+        (-5e-324, "-4.94065645841247e-324"),
+        (sys.float_info.max, "1.79769313486232e+308"),
+        (-sys.float_info.max, "-1.79769313486232e+308"),
+        (1 / 3, "0.333333333333333"),
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+    ],
+)
+def test_fmt_num_prints_fixed_strings(value, text, kind):
+    # 15 significant digits, scientific below 1e-4, either zero as 0
+    assert fmt_num(kind(value)) == text
+
+
 def per_point_scan(t, x_min, x_max, steps, spec, filt_label):
     """scan's CSV built one DensityOperator at a time; stops at the first
     invalid point and returns (csv text, that point's error message)."""

@@ -371,6 +371,82 @@ def test_is_ppt_verdicts():
     assert states.is_ppt(bell) is False
 
 
+def _mixed_3x3_stack(rng):
+    """Six rho-xt points (t = 0.05), each followed by a random separable
+    state and a random NPT state (a noisy random pure state)."""
+    family = catalog.rho_xt(np.linspace(0.0, 0.98, 6), 0.05).mat
+    mats = []
+    for point in family:
+        weights = rng.dirichlet(np.ones(3))
+        sep = sum(
+            w * np.kron(random_density_mat(rng, 3), random_density_mat(rng, 3))
+            for w in weights
+        )
+        psi = rng.normal(size=9) + 1j * rng.normal(size=9)
+        psi /= np.linalg.norm(psi)
+        npt = 0.9 * np.outer(psi, psi.conj()) + 0.1 * np.eye(9) / 9
+        mats += [point, sep, npt]
+    return np.stack(mats)
+
+
+def _spy_min_at_least(monkeypatch):
+    """Record the shape of every linalg.min_at_least argument."""
+    calls = []
+    real = linalg.min_at_least
+
+    def spy(h, *args, **kwargs):
+        calls.append(np.shape(h))
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "min_at_least", spy)
+    return calls
+
+
+def test_is_ppt_on_a_mixed_stack_is_the_solved_verdict():
+    mats = _mixed_3x3_stack(np.random.default_rng(41))
+    rho = states.DensityOperator(3, 3, mats)
+    ref = linalg.min_at_least(apply_witness(TRANSPOSE_B, rho), -TOL_NEG)
+    # the family and the separable states pass, the NPT states fail
+    assert ref.tolist() == [True, True, False] * 6
+    verdict = states.is_ppt(rho)
+    assert verdict.dtype == bool and np.array_equal(verdict, ref)
+    for k, m in enumerate(mats):
+        lone = states.is_ppt(states.DensityOperator(3, 3, m))
+        assert type(lone) is bool and lone == ref[k]
+
+
+def test_is_ppt_solves_only_states_unlike_their_transpose(monkeypatch):
+    family = catalog.rho_xt(np.linspace(0.0, 0.98, 130), 0.05)
+    lone = [catalog.rho_xt(0.63, 0.05), catalog.rho_upb(), catalog.max_mixed()]
+    mixed = states.DensityOperator(
+        3, 3, _mixed_3x3_stack(np.random.default_rng(42))
+    )
+    calls = _spy_min_at_least(monkeypatch)
+    assert states.is_ppt(family).all()
+    for rho in lone:
+        assert states.is_ppt(rho) is True
+    assert calls == []
+    # the separable and NPT states go to the solve as one sub-stack
+    assert states.is_ppt(mixed).tolist() == [True, True, False] * 6
+    assert calls == [(12, 9, 9)]
+
+
+def test_is_ppt_solves_a_state_unlike_its_transpose_in_a_zero_sign(
+    monkeypatch,
+):
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = complex(-0.0, 0.0)  # the transpose on B moves it to [1, 0]
+    rho = states.DensityOperator(2, 2, m)
+    pair = states.DensityOperator(2, 2, np.stack([np.eye(4) / 4, m]))
+    pt = apply_witness(TRANSPOSE_B, rho)
+    assert np.array_equal(pt, rho.mat)  # equal as numbers, not as bits
+    assert np.signbit(rho.mat[0, 1].real) != np.signbit(pt[0, 1].real)
+    calls = _spy_min_at_least(monkeypatch)
+    assert states.is_ppt(rho) is True
+    assert states.is_ppt(pair).tolist() == [True, True]
+    assert calls == [(4, 4), (1, 4, 4)]
+
+
 def test_product_states_are_ppt():
     rng = np.random.default_rng(23)
     for _ in range(100):
