@@ -10,7 +10,12 @@ The randomized checks draw all their cases first, from fixed seeds in a
 fixed order, and evaluate them as stacks.  There is one draw path: the
 whole batch, then _screened redraws, from the same generator, only the
 filter factors that fail the invertibility screen.  No factor fails it
-at the shipped seeds, so nothing is redrawn there.
+at the shipped seeds, so nothing is redrawn there.  A stack holds matrices
+of one size, so the projector-algebra and postselection-block cases, whose
+sizes vary, are evaluated as one stack per size.  Their figures are
+maxima, which do not depend on the order of the cases, and the rank-one
+terms are still summed term by term, so each figure is the one that
+evaluating the cases one at a time gives.
 """
 
 from dataclasses import dataclass
@@ -193,6 +198,69 @@ def _separable_states(weights, ga, gb, dim_a, dim_b) -> DensityOperator:
     return normalize(m, dim_a, dim_b)[0]
 
 
+def _by_size(items, size):
+    """items in groups of equal size(item), sizes ascending, each group in
+    item order."""
+    groups = {}
+    for item in items:
+        groups.setdefault(size(item), []).append(item)
+    return [groups[n] for n in sorted(groups)]
+
+
+def _postselection_cases(rng, count):
+    """count (d, g) cases of the postselection block, drawn one after
+    another: a size n in 2..4, a diagonal d in [0.05, 1)^n, then the
+    complex Gaussian n x n seed g of its state."""
+    cases = []
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        cases.append((rng.uniform(0.05, 1.0, size=n), _gaussian(rng, n)))
+    return cases
+
+
+def _worst_block(rng, count) -> float:
+    """Largest entrywise deviation of postselect_diag's block from the
+    sandwich D rho D over count drawn cases, rho = g g^dag / tr.
+
+    The cases are drawn first; each size is then one stack.
+    """
+    worst = 0.0
+    cases = _postselection_cases(rng, count)
+    for group in _by_size(cases, lambda c: len(c[0])):
+        d, g = (np.array(v) for v in zip(*group))
+        rho = g @ linalg.adjoint(g)
+        rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        block, _ = measure.postselect_diag(d, rho)
+        dm = np.eye(d.shape[1]) * d[:, None, :]
+        worst = max(worst, float(np.abs(block - dm @ rho @ dm).max()))
+    return worst
+
+
+def _worst_projector_deviation(diags) -> float:
+    """Largest deviation of the projector algebra over the diagonals:
+    P^2 - P, P - P^dag, tr P - n, the overlaps of distinct rank-one terms
+    and their running sum minus P.  Each size is one stack."""
+    worst = 0.0
+    for group in _by_size(diags, len):
+        d = np.array(group)
+        n = d.shape[1]
+        p = measure.build_projector(d)
+        worst = max(worst, float(np.abs(p @ p - p).max()))
+        worst = max(worst, float(np.abs(p - linalg.adjoint(p)).max()))
+        worst = max(
+            worst, float(np.abs(np.trace(p, axis1=1, axis2=2) - n).max())
+        )
+        terms = measure.rank_one_projectors(d)
+        # summed term by term, in order, as the residue is printed
+        total = np.zeros_like(p)
+        for i, ti in enumerate(terms):
+            total += ti
+            for j in range(i + 1, n):
+                worst = max(worst, float(np.abs(ti @ terms[j]).max()))
+        worst = max(worst, float(np.abs(total - p).max()))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # the eight checks
 # ---------------------------------------------------------------------------
@@ -361,7 +429,9 @@ def check_measurement_equivalence() -> CheckResult:
     """Closed-form protocol output equals direct filtering; ancilla
     postselection block equals the diagonal sandwich.
 
-    Each filter's 20 random states are drawn first and run as one stack.
+    Each filter's 20 random states are drawn first and run as one stack;
+    then the 50 postselection cases are drawn and run as one stack per
+    size.
     """
     rng = np.random.default_rng(20240813)
     worst_state = 0.0
@@ -380,16 +450,7 @@ def check_measurement_equivalence() -> CheckResult:
         worst_state = max(worst_state, float(dev.max()))
         worst_prob = max(worst_prob, float(pdev.max()))
         bad += int(np.count_nonzero((dev > 1e-10) | (pdev > 1e-10)))
-    worst_block = 0.0
-    for _ in range(50):
-        n = int(rng.integers(2, 5))
-        d = rng.uniform(0.05, 1.0, size=n)
-        g = _gaussian(rng, n)
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        block, _ = measure.postselect_diag(d, rho)
-        oracle = np.diag(d) @ rho @ np.diag(d)
-        worst_block = max(worst_block, float(np.abs(block - oracle).max()))
+    worst_block = _worst_block(rng, 50)
     passed = bad == 0 and worst_block <= 1e-12
     return CheckResult(
         name="measurement-equivalence",
@@ -407,7 +468,9 @@ def check_measurement_equivalence() -> CheckResult:
 
 
 def check_projector_algebra() -> CheckResult:
-    """P is a Hermitian projector of trace n with orthogonal rank-1 terms."""
+    """P is a Hermitian projector of trace n with orthogonal rank-1 terms,
+    for the catalog filters' diagonals and 50 drawn ones, one stack per
+    length."""
     rng = np.random.default_rng(20240814)
     diags = []
     for label, (kind, _, _) in catalog.LABELS.items():
@@ -420,20 +483,7 @@ def check_projector_algebra() -> CheckResult:
     for _ in range(50):
         n = int(rng.integers(2, 6))
         diags.append(rng.uniform(0.02, 1.0, size=n))
-    worst = 0.0
-    for d in diags:
-        p = measure.build_projector(d)
-        n = d.size
-        worst = max(worst, float(np.abs(p @ p - p).max()))
-        worst = max(worst, float(np.abs(p - p.T.conj()).max()))
-        worst = max(worst, abs(float(np.trace(p)) - n))
-        terms = measure.rank_one_projectors(d)
-        total = np.zeros_like(p)
-        for i, ti in enumerate(terms):
-            total += ti
-            for j in range(i + 1, n):
-                worst = max(worst, float(np.abs(ti @ terms[j]).max()))
-        worst = max(worst, float(np.abs(total - p).max()))
+    worst = _worst_projector_deviation(diags)
     return CheckResult(
         name="projector-algebra",
         expected=(

@@ -23,6 +23,12 @@ the doubled space; build_projector and postselect_diag keep it explicit
 for the checks.  protocol_analytic keeps the last weight, the total
 success probability; the simulator divides successive weights into
 conditional branch probabilities.
+
+The explicit functions take stacks as the rest of the package does: an
+(N, n) array is N diagonals, paired with an (N, n, n) stack of states.
+Each member comes out bit for bit as it would alone, and an error names
+the first offending member; the checks evaluate their cases that way,
+one stack per size.
 """
 
 import numpy as np
@@ -34,30 +40,58 @@ from .states import DensityOperator, normalize
 from .tolerances import TOL_NEG
 
 
+def _entry(bad) -> str:
+    """Where the first True of bad lies: "entry j" for one diagonal,
+    "k entry j" (diagonal k) for a stack."""
+    idx = np.argwhere(bad)[0]
+    return f"entry {idx[0]}" if bad.ndim == 1 else f"{idx[0]} entry {idx[1]}"
+
+
 def _check_diag(d) -> np.ndarray:
-    d = np.asarray(d, dtype=np.float64).reshape(-1)
+    """d as float64: (n,) for one diagonal, (N, n) for a stack of N.
+
+    Every entry must be real and in (0, 1].  A failure names the first
+    offending entry, row by row for a stack.
+    """
+    d = np.atleast_1d(np.asarray(d))
+    if d.ndim > 2:
+        raise DimensionMismatchError(
+            f"expected a diagonal or a stack of diagonals, got ndim={d.ndim}"
+        )
     if d.size == 0:
         raise BadDiagonalError("empty diagonal")
-    for j, val in enumerate(d):
-        if not np.isfinite(val) or val <= 0.0 or val > 1.0:
+    if np.iscomplexobj(d):
+        bad = d.imag != 0.0
+        if bad.any():
             raise BadDiagonalError(
-                f"diagonal entry {j} = {val.item()!r} is outside (0, 1]"
+                f"diagonal {_entry(bad)} = {d[bad][0].item()!r} is not real"
             )
+        d = d.real
+    d = np.asarray(d, dtype=np.float64)
+    # NaN fails both comparisons
+    bad = ~((d > 0.0) & (d <= 1.0))
+    if bad.any():
+        raise BadDiagonalError(
+            f"diagonal {_entry(bad)} = {d[bad][0].item()!r} is outside (0, 1]"
+        )
     return d
 
 
 def build_projector(d) -> np.ndarray:
     """The 2n x 2n projector P = [[D, Delta], [Delta, I - D]] for d in
-    (0, 1]^n."""
+    (0, 1]^n.
+
+    A 2-d d is a stack of N diagonals and gives an (N, 2n, 2n) stack.
+    """
     d = _check_diag(d)
-    n = d.size
-    dm = np.diag(d)
-    delta = np.diag(np.sqrt(d * (1.0 - d)))
-    p = np.zeros((2 * n, 2 * n))
-    p[:n, :n] = dm
-    p[:n, n:] = delta
-    p[n:, :n] = delta
-    p[n:, n:] = np.eye(n) - dm
+    n = d.shape[-1]
+    j = np.arange(n)
+    delta = np.sqrt(d * (1.0 - d))
+    p = np.zeros(d.shape[:-1] + (2 * n, 2 * n))
+    p[..., j, j] = d
+    p[..., j, n + j] = delta
+    p[..., n + j, j] = delta
+    p[..., n + j, n + j] = 1.0 - d
     return p
 
 
@@ -66,25 +100,27 @@ def rank_one_projectors(d) -> list:
 
     Term j is the projector onto sqrt(d_j)|0, j> + sqrt(1 - d_j)|1, j>;
     the terms are mutually orthogonal and sum to the block matrix of
-    build_projector.
+    build_projector.  For a stack of diagonals, term j is the (N, 2n, 2n)
+    stack of each diagonal's term j.
     """
     d = _check_diag(d)
-    n = d.size
+    n = d.shape[-1]
     out = []
     for j in range(n):
-        vec = np.zeros(2 * n)
-        vec[j] = np.sqrt(d[j])
-        vec[n + j] = np.sqrt(1.0 - d[j])
-        out.append(np.outer(vec, vec))
+        vec = np.zeros(d.shape[:-1] + (2 * n,))
+        vec[..., j] = np.sqrt(d[..., j])
+        vec[..., n + j] = np.sqrt(1.0 - d[..., j])
+        out.append(vec[..., :, None] * vec[..., None, :])
     return out
 
 
 def embed_with_ancilla(rho: np.ndarray) -> np.ndarray:
-    """|0><0| x rho on the doubled space (ancilla coordinates first)."""
-    rho = linalg.as_matrix(rho)
+    """|0><0| x rho on the doubled space (ancilla coordinates first), for
+    one matrix or each matrix of a stack."""
+    rho = linalg.as_stack(rho)
     n = linalg.require_square(rho, "state to embed")
-    out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    out[:n, :n] = rho
+    out = np.zeros(rho.shape[:-2] + (2 * n, 2 * n), dtype=np.complex128)
+    out[..., :n, :n] = rho
     return out
 
 
@@ -92,14 +128,19 @@ def postselect_intermediate(d, rho: np.ndarray) -> np.ndarray:
     """The full 2n x 2n matrix P (|0><0| x rho) P before postselection.
 
     Debug accessor: the four n x n blocks are D rho D, D rho Delta,
-    Delta rho D and Delta rho Delta.
+    Delta rho D and Delta rho Delta.  A stack of N diagonals takes a stack
+    of N states, one per diagonal.
     """
     p = build_projector(d)
-    n = p.shape[0] // 2
-    rho = linalg.as_matrix(rho)
-    if rho.shape != (n, n):
+    n = p.shape[-1] // 2
+    rho = linalg.as_stack(rho)
+    if rho.shape != p.shape[:-2] + (n, n):
+        want = (
+            f"diagonal length {n}" if p.ndim == 2
+            else f"diagonal stack shape {p.shape[:-2] + (n,)}"
+        )
         raise DimensionMismatchError(
-            f"state shape {rho.shape} does not match diagonal length {n}"
+            f"state shape {rho.shape} does not match {want}"
         )
     return linalg.sandwich(p, embed_with_ancilla(rho))
 
@@ -114,22 +155,33 @@ def postselect_diag(d, rho: np.ndarray):
     NotHermitianError or NotPSDError otherwise, also for a matrix whose
     minimum is NaN (NaN entries, or entries that overflow).  The error
     quotes the minimum of linalg.eigvalsh.
+
+    A stack of N diagonals with a stack of N matrices gives an (N, n, n)
+    block and an (N,) probability array, each member bit for bit as it
+    would come alone; one min_at_least call gates the whole stack, and a
+    NotPSDError names the first matrix that fails.
     """
-    rho = linalg.as_matrix(rho)
+    rho = linalg.as_stack(rho)
     n = linalg.require_square(rho, "postselection input")
     # an overflowing matrix fails with the error alone, without numpy's
     # warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if not linalg.min_at_least(
+        ok = linalg.min_at_least(
             rho, -TOL_NEG, what="postselection input not Hermitian"
-        ):
+        )
+        if not np.all(ok):
+            if rho.ndim == 2:
+                which, first = "", rho
+            else:
+                k = np.flatnonzero(~ok)[0]
+                which, first = f" {k}", rho[k]
             raise NotPSDError(
-                f"postselection input not PSD: min eigenvalue "
-                f"{linalg.eigvalsh(rho)[0]:.6e}"
+                f"postselection input{which} not PSD: min eigenvalue "
+                f"{linalg.eigvalsh(first)[0]:.6e}"
             )
-    full = postselect_intermediate(d, rho)
-    block = full[:n, :n]
-    return block, float(np.trace(block).real)
+    block = postselect_intermediate(d, rho)[..., :n, :n]
+    prob = np.trace(block, axis1=-2, axis2=-1).real
+    return block, (float(prob) if prob.ndim == 0 else prob)
 
 
 def rescaled_diag(svdres: linalg.SVDResult):

@@ -1,8 +1,10 @@
 """Independent reference routes used to check the package's answers.
 
-Nothing here calls back into the package's numerical code paths (the one
-exception is raw_density, which builds a DensityOperator while bypassing
-its validation so tests can probe how downstream code treats bad input).
+Nothing here calls back into the package's numerical code paths, with two
+exceptions: raw_density builds a DensityOperator while bypassing its
+validation so tests can probe how downstream code treats bad input, and
+the per-case loops of two acceptance checks call the measure functions
+they batch.
 main_per_call reruns the package's cmd_* functions: it is a reference for
 the argument parsing and dispatch around them, not for their results.
 """
@@ -13,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from boundfilter import cli
+from boundfilter import cli, measure
 from boundfilter.errors import BoundFilterError
 from boundfilter.states import DensityOperator
 
@@ -245,6 +247,47 @@ def ppt_draws_loop(rng, da, db, count, floor, terms=4):
         m = invertible_loop(rng, db, floor)
         cases.append((weights, ga, gb, l, m))
     return tuple(np.array(v) for v in zip(*cases))
+
+
+# The projector-algebra and postselection-block loops of the acceptance
+# checks, one case at a time, as the checks first ran them.  They call the
+# package's measure functions on lone cases: they are a reference for the
+# checks' batching and draw order, not for those functions' results.
+
+
+def projector_deviation_loop(diags):
+    """Worst projector-algebra deviation, one diagonal at a time."""
+    worst = 0.0
+    for d in diags:
+        p = measure.build_projector(d)
+        n = d.size
+        worst = max(worst, float(np.abs(p @ p - p).max()))
+        worst = max(worst, float(np.abs(p - p.T.conj()).max()))
+        worst = max(worst, abs(float(np.trace(p)) - n))
+        terms = measure.rank_one_projectors(d)
+        total = np.zeros_like(p)
+        for i, ti in enumerate(terms):
+            total += ti
+            for j in range(i + 1, n):
+                worst = max(worst, float(np.abs(ti @ terms[j]).max()))
+        worst = max(worst, float(np.abs(total - p).max()))
+    return worst
+
+
+def worst_block_loop(rng, count):
+    """Worst postselected-block deviation over count cases, each drawn and
+    evaluated in turn."""
+    worst_block = 0.0
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        d = rng.uniform(0.05, 1.0, size=n)
+        g = gaussian_loop(rng, n)
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        block, _ = measure.postselect_diag(d, rho)
+        oracle = np.diag(d) @ rho @ np.diag(d)
+        worst_block = max(worst_block, float(np.abs(block - oracle).max()))
+    return worst_block
 
 
 def raw_density(mat, da, db) -> DensityOperator:

@@ -259,3 +259,34 @@ def test_checks_read_the_same_rows_from_per_draw_cases(monkeypatch):
         acceptance.check_schmidt_invariance(),
         acceptance.check_ppt_invariance(),
     ] == batched
+
+
+def test_measure_checks_read_the_same_rows_from_per_case_loops(monkeypatch):
+    batched = [
+        acceptance.check_measurement_equivalence(),
+        acceptance.check_projector_algebra(),
+    ]
+    monkeypatch.setattr(acceptance, "_worst_block", oracles.worst_block_loop)
+    monkeypatch.setattr(
+        acceptance,
+        "_worst_projector_deviation",
+        oracles.projector_deviation_loop,
+    )
+    assert [
+        acceptance.check_measurement_equivalence(),
+        acceptance.check_projector_algebra(),
+    ] == batched
+
+    # the 50 postselection cases are the loop's draws, in its order, and
+    # leave the generator where the loop leaves it
+    rng = np.random.default_rng(20240813)
+    cases = acceptance._postselection_cases(rng, 50)
+    ref = np.random.default_rng(20240813)
+    for d, g in cases:
+        n = int(ref.integers(2, 5))
+        assert np.array_equal(d, ref.uniform(0.05, 1.0, size=n))
+        assert np.array_equal(g, oracles.gaussian_loop(ref, n))
+    ref = np.random.default_rng(20240813)
+    oracles.worst_block_loop(ref, 50)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert sorted({len(d) for d, _ in cases}) == [2, 3, 4]

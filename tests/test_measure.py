@@ -80,6 +80,113 @@ def test_diag_guard_names_the_entry_as_a_plain_float():
     assert str(err.value) == "diagonal entry 1 = 1.5 is outside (0, 1]"
 
 
+@pytest.mark.parametrize("wrap", [list, np.array], ids=["list", "array"])
+def test_diag_guard_rejects_a_complex_entry(wrap):
+    # a complex array once lost its imaginary parts with only a warning
+    with pytest.raises(BadDiagonalError) as err:
+        measure.build_projector(wrap([0.5, 0.5 + 0.3j]))
+    assert str(err.value) == "diagonal entry 1 = (0.5+0.3j) is not real"
+    # a complex dtype with zero imaginary parts is the real diagonal
+    assert np.array_equal(
+        measure.build_projector([0.5 + 0j, 0.25]),
+        measure.build_projector([0.5, 0.25]),
+    )
+
+
+def test_diag_guard_names_the_first_bad_member_of_a_stack():
+    d = np.full((4, 3), 0.5)
+    d[2, 1] = 1.5
+    d[3, 0] = 0.0
+    with pytest.raises(BadDiagonalError) as err:
+        measure.build_projector(d)
+    assert str(err.value) == "diagonal 2 entry 1 = 1.5 is outside (0, 1]"
+    d = np.full((2, 2), 0.5, dtype=complex)
+    d[1, 0] += 1e-3j
+    with pytest.raises(BadDiagonalError) as err:
+        measure.rank_one_projectors(d)
+    assert str(err.value) == "diagonal 1 entry 0 = (0.5+0.001j) is not real"
+    with pytest.raises(DimensionMismatchError):
+        measure.build_projector(np.full((2, 2, 2), 0.5))
+
+
+# ---------------------------------------------------------------------------
+# stacks
+# ---------------------------------------------------------------------------
+
+
+def _stack_cases(rng, count=5, n=3):
+    d = rng.uniform(0.05, 1.0, size=(count, n))
+    rho = np.stack([random_density_mat(rng, n) for _ in range(count)])
+    return d, rho
+
+
+def test_a_2d_diagonal_is_a_stack():
+    p = measure.build_projector(np.full((2, 2), 0.5))
+    assert p.shape == (2, 4, 4)
+    assert np.array_equal(p[0], measure.build_projector([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_projectors_of_a_stack_match_one_at_a_time(n):
+    d, _ = _stack_cases(np.random.default_rng(65), n=n)
+    p = measure.build_projector(d)
+    terms = measure.rank_one_projectors(d)
+    assert p.shape == (5, 2 * n, 2 * n) and len(terms) == n
+    for k in range(5):
+        assert np.array_equal(p[k], measure.build_projector(d[k]))
+        lone = measure.rank_one_projectors(d[k])
+        assert isinstance(lone, list)
+        for t, one in zip(terms, lone):
+            assert np.array_equal(t[k], one)
+
+
+def test_postselection_of_a_stack_matches_one_at_a_time():
+    d, rho = _stack_cases(np.random.default_rng(66))
+    full = measure.postselect_intermediate(d, rho)
+    block, prob = measure.postselect_diag(d, rho)
+    assert full.shape == (5, 6, 6) and block.shape == (5, 3, 3)
+    assert prob.shape == (5,)
+    for k in range(5):
+        assert np.array_equal(
+            full[k], measure.postselect_intermediate(d[k], rho[k])
+        )
+        one, p = measure.postselect_diag(d[k], rho[k])
+        assert isinstance(p, float)
+        assert np.array_equal(block[k], one) and prob[k] == p
+
+
+def test_postselection_of_a_stack_checks_its_shapes():
+    d, rho = _stack_cases(np.random.default_rng(67))
+    with pytest.raises(DimensionMismatchError) as err:
+        measure.postselect_intermediate(d[:4], rho)
+    assert str(err.value) == (
+        "state shape (5, 3, 3) does not match diagonal stack shape (4, 3)"
+    )
+    with pytest.raises(DimensionMismatchError):
+        measure.postselect_diag(d[0], rho)
+
+
+def test_postselection_of_a_stack_names_its_first_non_psd_member(monkeypatch):
+    d, rho = _stack_cases(np.random.default_rng(68), count=6)
+    rho[3] = np.diag([1.0, -0.5, 0.2])
+    rho[4] = np.diag([1.0, -0.7, 0.2])
+    calls = []
+    real = linalg.min_at_least
+
+    def spy(h, *args, **kwargs):
+        calls.append(np.shape(h))
+        return real(h, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "min_at_least", spy)
+    with pytest.raises(NotPSDError) as err:
+        measure.postselect_diag(d, rho)
+    assert str(err.value) == (
+        "postselection input 3 not PSD: min eigenvalue -5.000000e-01"
+    )
+    # one verdict call gates the whole stack
+    assert calls == [(6, 3, 3)]
+
+
 # ---------------------------------------------------------------------------
 # postselection
 # ---------------------------------------------------------------------------
