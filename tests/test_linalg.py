@@ -21,13 +21,13 @@ from .oracles import (
 )
 
 
-def test_eigh_identity():
+def test_eigh_identity(kernel_path):
     w, v = linalg.eigh(np.eye(3))
     assert np.allclose(w, [1, 1, 1], atol=1e-14)
     assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
 
 
-def test_eigh_pauli_x():
+def test_eigh_pauli_x(kernel_path):
     w, _ = linalg.eigh(np.array([[0, 1], [1, 0]], dtype=complex))
     assert np.allclose(w, [-1, 1], atol=1e-14)
 
