@@ -38,7 +38,7 @@ from .errors import (
     ParseError,
 )
 from .filters import apply_filter, filter_from_json_dict
-from .formats import fmt_num
+from .formats import dumps, fmt_num
 from .measure import protocol_analytic
 from .states import is_ppt, state_from_json_dict, state_to_json_dict
 from .witness import apply_witness, detect, parse_witness_spec
@@ -203,7 +203,7 @@ def cmd_detect(args) -> int:
         "min_eigenvalue": report.min_eigenvalue,
         "detected": report.detected,
     }
-    print(json.dumps(payload, indent=2))
+    print(dumps(payload))
     return 0
 
 
@@ -224,7 +224,7 @@ def cmd_simulate(args) -> int:
     else:
         run = mcsim.run_protocol(filt, rho, args.shots, seed)
         payload = run.to_json_dict()
-    print(json.dumps(payload, indent=2))
+    print(dumps(payload))
     return 0
 
 
@@ -241,7 +241,7 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_export(args) -> int:
-    print(json.dumps({"entries": catalog.catalog_entries()}, indent=2))
+    print(dumps({"entries": catalog.catalog_entries()}))
     return 0
 
 

@@ -817,3 +817,30 @@ def test_shared_parser_matches_a_parser_per_request(capsys, monkeypatch):
         assert got == _outcome(capsys, main_per_call, argv), argv
     codes = {code for code, _, _ in shared}
     assert codes == {0, 2, ("exit", 0), ("exit", 2)}
+
+
+def test_json_output_is_what_json_dumps_prints(capsys, monkeypatch, tmp_path):
+    # the CLI's own writer must print exactly json.dumps(indent=2)'s text
+    monkeypatch.delenv("BF_SEED", raising=False)
+    state_path = tmp_path / "state.json"
+    filt_path = tmp_path / "filter.json"
+    state_path.write_text(
+        json.dumps(state_to_json_dict(catalog.rho_xt(0.63, 0.05)))
+    )
+    filt_path.write_text(
+        json.dumps(filter_to_json_dict(catalog.choi_example_filter()))
+    )
+    requests = [
+        argv for group in MIXED_GROUPS for argv in group
+        if argv[0] in ("detect", "simulate", "export")
+    ] + [
+        ["simulate", str(state_path), str(filt_path), "--analytic"],
+        ["detect", str(state_path), "choi-phi:A", "--filter", str(filt_path)],
+    ]
+    printed = 0
+    for argv in requests:
+        code, out, _ = _outcome(capsys, main, argv)
+        if code == 0:
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+            printed += 1
+    assert printed == 12

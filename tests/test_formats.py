@@ -1,0 +1,119 @@
+import json
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boundfilter.formats import dumps, matrix_to_pairs
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+    sys.float_info.max, 1e16, 1e-7, 0.1,
+]
+
+floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(SPECIAL_FLOATS),
+)
+# keys and strings draw from all of Unicode but the surrogates: non-ASCII
+# letters, control characters, quotes and backslashes included
+text = st.one_of(
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "\"\\/\b\f\n\r\t", "é☃𝄞", " "]),
+)
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    floats,
+    floats.map(np.float64),
+    text,
+    # all-float lists take the writer's one-join path
+    st.lists(floats, max_size=4),
+    st.lists(floats.map(np.float64), max_size=4),
+)
+trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(text, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(trees)
+def test_dumps_matches_json_indent_2(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],
+        {},
+        (),
+        [[], {}, ()],
+        {"": {"": []}},
+        [True, 1, False, 0, 1.0, 0.0],
+        [1.0, True],
+        [1.0, 2],
+        [1.0, None],
+        [1.0, "1.0"],
+        [1.0, [2.0]],
+        [np.float64("nan"), 1.0, float("-inf")],
+        "\x00 é ☃ 𝄞",
+        -0.0,
+        np.float64(-0.0),
+        float("inf"),
+        10**400,
+        None,
+    ],
+)
+def test_dumps_matches_json_indent_2_on_edge_cases(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {1, 2},
+        np.bool_(True),
+        [1.0, np.bool_(False)],
+        {"detected": np.bool_(True)},
+        {1: "a"},
+        {"a": {None: 1}},
+        [1.0, np.float32(1.0)],
+        np.int64(3),
+    ],
+)
+def test_dumps_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        dumps(obj)
+
+
+def test_matrix_to_pairs_is_bit_identical_to_numpy_scalars():
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               1e308, -1e308, 1 / 3, -2.5]
+    rng = np.random.default_rng(3)
+    re = rng.choice(special, size=(9, 9))
+    im = rng.choice(special, size=(9, 9))
+    m = re + 1j * im
+    # keep the signs of zero that complex addition would lose
+    m.real, m.imag = re, im
+    pairs = matrix_to_pairs(m)
+    ref = [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    bits = np.array(pairs).view(np.uint64)
+    assert np.array_equal(bits, np.array(ref).view(np.uint64))
+    assert np.array_equal(bits[..., 0], re.view(np.uint64))
+    assert np.array_equal(bits[..., 1], im.view(np.uint64))
+    assert all(type(v) is float for row in pairs for z in row for v in z)
+    assert {float.__repr__(v) for row in pairs for z in row for v in z} >= {
+        "-0.0", "5e-324", "-5e-324", "1e+308", "-1e+308"
+    }
