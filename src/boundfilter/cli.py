@@ -69,6 +69,8 @@ def _load_json(path: str):
             f"{path}: invalid JSON at line {e.lineno} column {e.colno}: "
             f"{e.msg}"
         ) from None
+    except RecursionError:  # json's decoder recurses once per nesting level
+        raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def parse_state_arg(text: str):

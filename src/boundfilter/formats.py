@@ -17,6 +17,7 @@ and None.  Any other type, or a non-str key, raises TypeError.
 """
 
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -118,12 +119,53 @@ def pairs_to_matrix(obj, what: str = "matrix") -> np.ndarray:
 
     Non-finite numbers (the NaN and Infinity literals Python's json module
     accepts, and integers too large for a float) and booleans (JSON
-    true/false) are rejected.
+    true/false) are rejected.  A matrix whose rows are lists of one length,
+    whose cells are [re, im] pairs and whose numbers are plain ints and
+    floats, as json.load gives, converts in one numpy call; anything else
+    is walked cell by cell, which words the first error.
     """
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{what}: expected a non-empty list of rows")
+    nums = _plain_numbers(obj)
+    flat = None
+    if nums is not None:
+        try:
+            flat = np.array(nums, dtype=np.float64)
+        except OverflowError:  # an integer beyond float range, like 1e400
+            pass
+    if flat is None or not np.isfinite(flat).all():
+        # raises for the first bad row or cell: a matrix gets past it only
+        # through subclasses of list, tuple, int or float
+        flat = np.array(_walk_cells(obj, what), dtype=np.float64)
+    # the (re, im) float pairs are the complex entries' own bytes, -0.0
+    # included
+    return flat.view(np.complex128).reshape(len(obj), -1)
+
+
+_PAIR_TYPES = frozenset((list, tuple))
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _plain_numbers(obj):
+    """The numbers of obj, row by row and re before im, if every row is a
+    list of the first row's length, every cell a list or tuple of two, and
+    every number exactly an int or a float (not a bool); else None."""
+    if set(map(type, obj)) != {list} or len(set(map(len, obj))) != 1:
+        return None
+    cells = list(chain.from_iterable(obj))
+    if not set(map(type, cells)) <= _PAIR_TYPES:
+        return None
+    if not set(map(len, cells)) <= {2}:
+        return None
+    nums = list(chain.from_iterable(cells))
+    return nums if set(map(type, nums)) <= _NUMBER_TYPES else None
+
+
+def _walk_cells(obj, what):
+    """The numbers of obj as floats, row by row and re before im, checking
+    each row and cell in turn; raises ParseError for the first bad one."""
     ncols = None
-    rows = []
+    nums = []
     for r, row in enumerate(obj):
         if not isinstance(row, list):
             raise ParseError(f"{what} row {r}: expected a list")
@@ -133,7 +175,6 @@ def pairs_to_matrix(obj, what: str = "matrix") -> np.ndarray:
             raise ParseError(
                 f"{what} row {r}: has {len(row)} entries, expected {ncols}"
             )
-        vals = []
         for c, cell in enumerate(row):
             # JSON true/false decode to bool, a subclass of int
             if (
@@ -156,9 +197,8 @@ def pairs_to_matrix(obj, what: str = "matrix") -> np.ndarray:
                 raise ParseError(
                     f"{what} row {r} col {c}: entry is NaN or infinite"
                 )
-            vals.append(complex(re, im))
-        rows.append(vals)
-    return np.array(rows, dtype=np.complex128)
+            nums += (float(re), float(im))
+    return nums
 
 
 def require_key(obj: dict, key: str, what: str = "object"):

@@ -12,13 +12,17 @@ gives the eigenvalues that reports print or compare against a pinned
 figure.  min_at_least gives yes/no positivity verdicts, each equal to
 eigh's.  With s = max(1, max |H_ii|) for each matrix, one Cholesky
 factorization of a whole stack, shifted past the edge by EDGE_MARGIN * s,
-certifies every matrix at once.  A lone matrix, or a stack it cannot
-certify, takes a values-only solve that splits a stack into the exact
-blocks of its joint zero pattern, one LAPACK call per block size; the split
-follows exact zeros only, never a threshold, so the blocks hold the same
-spectrum.  A minimum within EDGE_MARGIN * s of the edge is re-solved with
-eigh.  eigvalsh, the plain values-only solve of whole matrices, words the
-errors those verdicts raise.
+certifies every matrix at once.  A stack it cannot certify takes a
+values-only solve that splits the stack into the exact blocks of its joint
+zero pattern, one LAPACK call per block size; the split follows exact zeros
+only, never a threshold, so the blocks hold the same spectrum.  A lone
+(n, n) matrix, the DensityOperator gate's case for a single state, never
+becomes a stack: its Hermiticity check, finiteness test and margin are
+whole-matrix reductions and scalars, and its verdict is one values-only
+solve of shape (n, n).  A minimum within EDGE_MARGIN * s of the edge is
+re-solved with eigh, on a stack (a lone matrix as a stack of one).
+eigvalsh, the plain values-only solve of whole matrices, words the errors
+those verdicts raise.
 """
 
 import functools
@@ -102,6 +106,13 @@ def _hermitian_part(h, what: str) -> np.ndarray:
     """
     h = as_stack(h)
     require_square(h, "Hermitian argument")
+    if h.ndim == 2:
+        # one matrix: a whole-matrix reduction and a scalar test
+        h_dag = h.conj().T
+        defect = np.abs(h - h_dag).max()
+        if defect > TOL_HERM:
+            raise NotHermitianError(f"{what}: max |a - a^dag| = {defect:.3e}")
+        return 0.5 * (h + h_dag)
     h_dag = adjoint(h)
     defect = np.abs(h - h_dag).max(axis=(-2, -1))
     bad = defect > TOL_HERM
@@ -141,6 +152,10 @@ def eigvalsh(h: np.ndarray):
 def _values(herm):
     """np.linalg.eigvalsh of each matrix, with NaN values for a matrix whose
     entries are not finite: LAPACK may not converge on it."""
+    if herm.ndim == 2:
+        if np.isfinite(herm).all():
+            return np.linalg.eigvalsh(herm)
+        return np.full(herm.shape[-1], np.nan)
     finite = np.isfinite(herm).all(axis=(-2, -1))
     if finite.all():
         return np.linalg.eigvalsh(herm)
@@ -190,16 +205,18 @@ def _block_index(n: int, pattern: bytes):
 
 
 def _split_min(h: np.ndarray):
-    """Smallest eigenvalue of each symmetrized matrix, values only.
+    """Smallest eigenvalue of each symmetrized matrix of a stack, values
+    only.
 
     A stack of more than one matrix is split into the exact blocks of the
     union of its nonzero entries; each block size is one LAPACK call.  The
-    index arrays are cached by the pattern.  A lone matrix, or a stack with
-    one block, is solved whole: the split's fixed cost (~30 us) is more than
-    one 9 x 9 solve.  A matrix whose entries are not finite gets NaN.
+    index arrays are cached by the pattern.  A stack of one, or a stack
+    with one block, is solved whole: the split's fixed cost (~30 us) is
+    more than one 9 x 9 solve.  A matrix whose entries are not finite gets
+    NaN.
     """
-    if h.ndim == 2 or h.shape[0] < 2:
-        return _values(h)[..., 0]
+    if h.shape[0] < 2:
+        return _values(h)[:, 0]
     count, n = h.shape[0], h.shape[-1]
     # symmetrized entries are exact conjugate pairs: the pattern is symmetric
     groups = _block_index(n, (h != 0).any(axis=0).tobytes())
@@ -241,27 +258,34 @@ def min_at_least(h, edge: float, what: str = "matrix is not Hermitian"):
     factorization, each matrix shifted down by edge + EDGE_MARGIN * s.  Its
     backward error is about n^2 eps s (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., Thm 10.5), far inside EDGE_MARGIN * s,
-    so a factor proves every minimum above edge.  A lone matrix, a stack of
-    one, and a stack the factorization cannot certify (a matrix fails to
-    factor, or the factor is not finite) take the block-split values-only
-    solve, and a minimum within EDGE_MARGIN * s of edge is re-solved with
-    eigh.  A matrix whose Hermitian part is not finite (its entries
-    overflow) gets a NaN minimum there, and fails.
+    so a factor proves every minimum above edge.  A stack of one, and a
+    stack the factorization cannot certify (a matrix fails to factor, or
+    the factor is not finite), take the block-split values-only solve.  A
+    lone (n, n) matrix takes one values-only solve of shape (n, n), with
+    whole-matrix reductions and a scalar margin.  Either way a minimum
+    within EDGE_MARGIN * s of edge is re-solved with eigh, on a stack, and
+    a matrix whose Hermitian part is not finite (its entries overflow) gets
+    a NaN minimum, and fails.
     """
     herm = _hermitian_part(h, what)
+    if herm.ndim == 2:
+        wmin = _values(herm)[0]
+        margin = EDGE_MARGIN * max(1.0, np.abs(herm.diagonal().real).max())
+        if abs(wmin - edge) <= margin:
+            wmin = min_eigenvalue(herm[None])[0]
+        return bool(wmin >= edge)
     diag = herm.diagonal(0, -2, -1).real
     margin = EDGE_MARGIN * np.abs(diag).max(axis=-1, initial=1.0)
     # one values-only solve costs about what one factorization does, so
     # only a stack of several matrices tries the certificate
-    if herm.ndim == 3 and len(herm) > 1 and _certified(herm, edge + margin):
+    if len(herm) > 1 and _certified(herm, edge + margin):
         return np.ones(len(herm), dtype=bool)
     wmin = _split_min(herm)
     near = np.abs(wmin - edge) <= margin
     if near.any():
-        wmin = np.array(wmin)  # a copy, 0-d for one matrix
+        wmin = wmin.copy()
         wmin[near] = min_eigenvalue(herm[near])
-    ok = wmin >= edge
-    return bool(ok) if ok.ndim == 0 else ok
+    return wmin >= edge
 
 
 @dataclass(frozen=True, eq=False)

@@ -190,7 +190,7 @@ def rescaled_diag(svdres: linalg.SVDResult):
     For a stacked SVD both are stacked: d is (N, n) and scale is (N,).
     """
     smax = svdres.sigma_max
-    if np.any(smax <= 0.0):
+    if (smax <= 0.0).any():
         raise BadDiagonalError("cannot rescale an all-zero singular spectrum")
     return svdres.d / svdres.d[..., :1], smax
 
@@ -206,24 +206,35 @@ def protocol_walk(f: LocalFilter, rho: DensityOperator):
     output equals the filtered state and the last weight is yield /
     (sigma_max(L) sigma_max(M))^2.  A stack of states or of filters gives
     a stack of outputs and (N, 4) weights.
+
+    A diagonal step multiplies the rows, then the columns, by the diagonal
+    of diag(d1) x I or I x diag(d2), without forming that n x n matrix.
+    Each nonzero entry is the one nonzero product of the matmul by the
+    diagonal matrix, rounded once.  A zero entry can differ from the
+    matmul's only in its sign, where d times a negative subnormal
+    underflows: the matmul's sign there depends on whether BLAS fuses the
+    multiply-add.  A signed zero cannot change a nonzero trace, and the
+    matmul by U1 x U2, whose sums start at 0.0, drops it, so the output
+    state and weights are the matmul walk's bit for bit
+    (tests/oracles.protocol_walk_matmul keeps that walk).
     """
     check_compatible(f, rho)
     da, db = rho.dims
     d1, _ = rescaled_diag(f.svd_l)
     d2, _ = rescaled_diag(f.svd_m)
     state = linalg.sandwich(linalg.kron(f.svd_l.v, f.svd_m.v), rho.mat)
-    # np.eye(k) * d[..., None, :] is diag(d), for each d of a stack
-    weights = []
-    for s in (
-        linalg.kron(np.eye(da) * d1[..., None, :], np.eye(db)),
-        linalg.kron(np.eye(da), np.eye(db) * d2[..., None, :]),
+    weights = np.empty(state.shape[:-2] + (4,))
+    # the diagonals of diag(d1) x I and I x diag(d2), for each d of a stack
+    for k, d in enumerate(
+        (np.repeat(d1, db, axis=-1), np.concatenate((d2,) * da, axis=-1))
     ):
-        weights.append(np.trace(s @ state, axis1=-2, axis2=-1).real)
-        state = linalg.sandwich(s, state)
-        weights.append(np.trace(state, axis1=-2, axis2=-1).real)
+        state = state * d[..., :, None]
+        weights[..., 2 * k] = state.trace(axis1=-2, axis2=-1).real
+        state = state * d[..., None, :]
+        weights[..., 2 * k + 1] = state.trace(axis1=-2, axis2=-1).real
     state = linalg.sandwich(linalg.kron(f.svd_l.u, f.svd_m.u), state)
     out, _ = normalize(state, da, db)
-    return out, np.stack(weights, axis=-1)
+    return out, weights
 
 
 def protocol_analytic(f: LocalFilter, rho: DensityOperator):

@@ -53,8 +53,7 @@ class DensityOperator:
                 f"dimension invariant failed: shape {m.shape} does not match "
                 f"dim_a * dim_b = {n}"
             )
-        stack = m.reshape(-1, n, n)
-        if not np.isfinite(stack).all():
+        if not np.isfinite(m).all():
             raise InvariantViolationError(
                 "finiteness invariant failed: matrix has NaN or infinite "
                 "entries"
@@ -63,19 +62,20 @@ class DensityOperator:
         # the trace; the checks below name the fault, and numpy's warnings
         # would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            # the verdict raises first if a matrix is not Hermitian
+            # the verdict raises first if a matrix is not Hermitian; a lone
+            # state goes to min_at_least as one (n, n) matrix
             psd = linalg.min_at_least(
-                stack, -TOL_NEG, what="hermiticity invariant failed"
+                m, -TOL_NEG, what="hermiticity invariant failed"
             )
-            tr = np.trace(stack, axis1=1, axis2=2).real
+            tr = m.trace(axis1=-2, axis2=-1).real
             bad = np.abs(tr - 1.0) > TOL_TRACE
             if bad.any():
                 raise InvariantViolationError(
                     f"trace invariant failed: trace = {tr[bad][0].item()!r}"
                 )
             # a matrix whose Hermitian part overflowed fails too
-            if not psd.all():
-                first = stack[np.flatnonzero(~psd)[0]]
+            if not (psd if m.ndim == 2 else psd.all()):
+                first = m if m.ndim == 2 else m[np.flatnonzero(~psd)[0]]
                 raise NotPSDError(
                     f"positivity invariant failed: min eigenvalue = "
                     f"{linalg.eigvalsh(first)[0]:.6e}"

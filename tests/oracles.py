@@ -1,23 +1,25 @@
 """Independent reference routes used to check the package's answers.
 
-Nothing here calls back into the package's numerical code paths, with two
+Nothing here calls back into the package's numerical code paths, with three
 exceptions: raw_density builds a DensityOperator while bypassing its
-validation so tests can probe how downstream code treats bad input, and
-the per-case loops of two acceptance checks call the measure functions
-they batch.
+validation so tests can probe how downstream code treats bad input, the
+per-case loops of two acceptance checks call the measure functions they
+batch, and the matmul protocol walk calls the linalg helpers and the
+normalize step that the walk itself calls.
 main_per_call reruns the package's cmd_* functions: it is a reference for
 the argument parsing and dispatch around them, not for their results.
 """
 
 import argparse
+import math
 import sys
 import warnings
 
 import numpy as np
 
-from boundfilter import cli, measure
-from boundfilter.errors import BoundFilterError
-from boundfilter.states import DensityOperator
+from boundfilter import cli, linalg, measure
+from boundfilter.errors import BoundFilterError, ParseError
+from boundfilter.states import DensityOperator, normalize
 
 MASK64 = (1 << 64) - 1
 
@@ -288,6 +290,71 @@ def worst_block_loop(rng, count):
         oracle = np.diag(d) @ rho @ np.diag(d)
         worst_block = max(worst_block, float(np.abs(block - oracle).max()))
     return worst_block
+
+
+def protocol_walk_matmul(f, rho):
+    """measure.protocol_walk with each diagonal step as the matmuls by the
+    kron'd diagonal matrix, as the walk first ran them: (output
+    DensityOperator, weights)."""
+    da, db = rho.dims
+    d1, _ = measure.rescaled_diag(f.svd_l)
+    d2, _ = measure.rescaled_diag(f.svd_m)
+    state = linalg.sandwich(linalg.kron(f.svd_l.v, f.svd_m.v), rho.mat)
+    # np.eye(k) * d[..., None, :] is diag(d), for each d of a stack
+    weights = []
+    for s in (
+        linalg.kron(np.eye(da) * d1[..., None, :], np.eye(db)),
+        linalg.kron(np.eye(da), np.eye(db) * d2[..., None, :]),
+    ):
+        weights.append(np.trace(s @ state, axis1=-2, axis2=-1).real)
+        state = linalg.sandwich(s, state)
+        weights.append(np.trace(state, axis1=-2, axis2=-1).real)
+    state = linalg.sandwich(linalg.kron(f.svd_l.u, f.svd_m.u), state)
+    out, _ = normalize(state, da, db)
+    return out, np.stack(weights, axis=-1)
+
+
+def pairs_to_matrix_loop(obj, what="matrix"):
+    """formats.pairs_to_matrix as one loop over the cells, each checked and
+    converted with complex(re, im) in turn, as it first decoded them."""
+    if not isinstance(obj, list) or not obj:
+        raise ParseError(f"{what}: expected a non-empty list of rows")
+    ncols = None
+    rows = []
+    for r, row in enumerate(obj):
+        if not isinstance(row, list):
+            raise ParseError(f"{what} row {r}: expected a list")
+        if ncols is None:
+            ncols = len(row)
+        elif len(row) != ncols:
+            raise ParseError(
+                f"{what} row {r}: has {len(row)} entries, expected {ncols}"
+            )
+        vals = []
+        for c, cell in enumerate(row):
+            if (
+                not isinstance(cell, (list, tuple))
+                or len(cell) != 2
+                or not isinstance(cell[0], (int, float))
+                or not isinstance(cell[1], (int, float))
+                or isinstance(cell[0], bool)
+                or isinstance(cell[1], bool)
+            ):
+                raise ParseError(
+                    f"{what} row {r} col {c}: expected a [re, im] pair"
+                )
+            re, im = cell
+            try:
+                finite = math.isfinite(re) and math.isfinite(im)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ParseError(
+                    f"{what} row {r} col {c}: entry is NaN or infinite"
+                )
+            vals.append(complex(re, im))
+        rows.append(vals)
+    return np.array(rows, dtype=np.complex128)
 
 
 def raw_density(mat, da, db) -> DensityOperator:

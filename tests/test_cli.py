@@ -518,6 +518,19 @@ def test_degenerate_json_input_prints_one_plain_error(capsys, tmp_path):
             assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    # json's decoder recurses once per nesting level: a file nested past
+    # the recursion limit is a parse error, as a state and as a filter
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    message = f"error: {path}: JSON nested too deeply\n"
+    for argv in (
+        ["detect", str(path), "choi-phi:A"],
+        ["simulate", "bell", str(path), "--analytic"],
+    ):
+        assert run_cli(capsys, *argv) == (2, "", message)
+
+
 HUGE_FILTER_ERROR = (
     "filter factors L and M are too large: sigma_max(L) * sigma_max(M) = "
     "1e+308 exceeds 1.3407807929942596e+154"

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundfilter.formats import dumps, matrix_to_pairs
+from boundfilter.errors import ParseError
+from boundfilter.formats import dumps, matrix_to_pairs, pairs_to_matrix
+
+from .oracles import pairs_to_matrix_loop
 
 SPECIAL_FLOATS = [
     0.0, -0.0, float("nan"), float("inf"), float("-inf"),
@@ -117,3 +120,85 @@ def test_matrix_to_pairs_is_bit_identical_to_numpy_scalars():
     assert {float.__repr__(v) for row in pairs for z in row for v in z} >= {
         "-0.0", "5e-324", "-5e-324", "1e+308", "-1e+308"
     }
+
+
+# numbers json.load can give, and a few it cannot but a caller might pass
+numbers = st.one_of(
+    floats,
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.sampled_from([0, -0.0, 10**400, -(10**400), 2**1024, 2**53 + 1]),
+)
+not_numbers = st.one_of(
+    st.booleans(), st.none(), st.sampled_from(["1", "-0.5", "NaN", ""])
+)
+FAULTS = (
+    None, "number", "nan", "tuple cell", "short cell", "long cell",
+    "tuple row", "ragged", "scalar cell",
+)
+
+
+def _decoded(decode, obj):
+    """(dtype, shape, bytes) of a decoded matrix, or its ParseError text."""
+    try:
+        m = decode(obj, "state matrix")
+    except ParseError as e:
+        return str(e)
+    return m.dtype, m.shape, m.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(1, 4),
+    cols=st.integers(0, 4),
+    fault=st.sampled_from(FAULTS),
+)
+def test_pairs_to_matrix_matches_the_cell_loop(data, rows, cols, fault):
+    # a well-formed matrix of drawn numbers, with at most one fault; the
+    # one-call decode must give the loop's bytes, or its first error text
+    obj = [
+        [data.draw(st.lists(numbers, min_size=2, max_size=2))
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    r = data.draw(st.integers(0, rows - 1))
+    if fault in ("tuple row", "ragged") or (fault and cols == 0):
+        if fault == "ragged":
+            obj[r] = obj[r][1:] if cols else [[0.5, 0.5]]
+        else:
+            obj[r] = tuple(obj[r])
+    elif fault:
+        c = data.draw(st.integers(0, cols - 1))
+        cell = obj[r][c]
+        if fault == "number":
+            cell[data.draw(st.integers(0, 1))] = data.draw(not_numbers)
+        elif fault == "nan":
+            cell[data.draw(st.integers(0, 1))] = data.draw(
+                st.sampled_from([float("nan"), float("inf"), -float("inf")])
+            )
+        elif fault == "tuple cell":
+            cell = tuple(cell)
+        elif fault == "short cell":
+            cell = cell[:1]
+        elif fault == "long cell":
+            cell = cell + [0.0]
+        else:
+            cell = cell[0]
+        obj[r][c] = cell
+    assert _decoded(pairs_to_matrix, obj) == _decoded(pairs_to_matrix_loop, obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [], {}, "[]", None, [[]], [[], []], [[[-0.0, -0.0]]],
+        [[[5e-324, -5e-324], [0, 1]], [[1, 0], [-0.0, 0.0]]],
+        [[[10**400, 0]]], [[[float("nan"), 0]]], [[[0, float("-inf")]]],
+        [[[True, 0]]], [[["1", 0]]], [[[None, 0]]], [[(1, 2)]],
+        [([1, 2],)], [[[1, 2]], [[1, 2], [3, 4]]], [[[1]]], [[[1, 2, 3]]],
+        [[[np.float64(0.25), -0.0]]], [[[np.True_, 0]]],
+    ],
+)
+def test_pairs_to_matrix_matches_the_cell_loop_on_edge_cases(obj):
+    assert _decoded(pairs_to_matrix, obj) == _decoded(pairs_to_matrix_loop, obj)

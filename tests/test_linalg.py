@@ -8,8 +8,10 @@ from boundfilter.errors import (
     DimensionMismatchError,
     NonSquareError,
     NotHermitianError,
+    NotPSDError,
 )
-from boundfilter.tolerances import TOL_RECON, TOL_RESID
+from boundfilter.states import DensityOperator
+from boundfilter.tolerances import TOL_NEG, TOL_RECON, TOL_RESID
 
 from .oracles import (
     brute_eigvals,
@@ -171,6 +173,44 @@ def test_min_at_least_resolves_near_the_edge(monkeypatch):
         np.linalg, "eigh", lambda a: (np.full(a.shape[:-1], 7.0), None)
     )
     assert list(linalg.min_at_least(h, 0.0)) == [True, True, True]
+
+
+def _gate(m):
+    """The DensityOperator gate's verdict on m: None, or its error text."""
+    try:
+        DensityOperator(3, 3, m)
+    except NotPSDError as e:
+        return str(e)
+    return None
+
+
+def test_lone_verdicts_are_the_stack_of_one_verdicts(monkeypatch):
+    # unit-trace 9 x 9 matrices whose minimum lies off the edge -TOL_NEG by
+    # deltas outside the re-solve margin (1e-12 at scale 1), inside it, and
+    # at it: a lone min_at_least and a lone DensityOperator give the verdict
+    # and the error of a stack of one, from one values-only solve of shape
+    # (9, 9), and eigh on (1, 9, 9) near the edge
+    edge = -TOL_NEG
+    calls = _spy_solves(monkeypatch)
+    for seed in range(12):
+        rng = np.random.default_rng(200 + seed)
+        for delta in (-1e-3, -3e-12, -5e-13, 0.0, 5e-13, 3e-12, 1e-3):
+            rest = rng.uniform(0.5, 1.0, 8)
+            w = np.r_[edge + delta, rest * (1 - edge - delta) / rest.sum()]
+            m = _with_spectrum(rng, w)
+            near = abs(delta) < linalg.EDGE_MARGIN
+            calls.clear()
+            lone = linalg.min_at_least(m, edge)
+            want = [("eigvalsh", (9, 9))] + [("eigh", (1, 9, 9))] * near
+            assert calls == want
+            assert [lone] == list(linalg.min_at_least(m[None], edge))
+            assert lone is (delta >= 0) or near
+            calls.clear()
+            verdict = _gate(m)
+            # a failed gate solves once more, to word its error
+            assert calls == want + [("eigvalsh", (9, 9))] * (verdict is not None)
+            assert (verdict is None) is lone
+            assert verdict == _gate(m[None])
 
 
 def test_min_at_least_certifies_a_positive_stack_without_solving(monkeypatch):

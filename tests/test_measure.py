@@ -15,6 +15,7 @@ from boundfilter.states import DensityOperator
 
 from .oracles import (
     ancilla_protocol,
+    protocol_walk_matmul,
     random_density_mat,
     random_psd,
     random_unitary,
@@ -434,6 +435,71 @@ def test_walk_weights_on_a_stack():
         assert np.array_equal(weights[k], w)
     # each outcome can only lower the weight
     assert (np.diff(weights, axis=-1) <= 1e-15).all()
+
+
+def _signed_zero_states(rng, n, count):
+    """Diagonal-dominant states whose off-diagonal entries include +-0.0 and
+    subnormals of either sign, in both parts."""
+    odd = [
+        complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
+        complex(-5e-324, -5e-324), complex(-1e-323, 0.0), 5e-324 - 1e-310j,
+        -2.2e-308 + 4e-320j, complex(1e-3, -0.0),
+    ]
+    mats = []
+    for _ in range(count):
+        p = rng.uniform(0.5, 1.0, n)
+        m = np.diag(p / p.sum()).astype(complex)
+        for i, j in rng.integers(n, size=(2 * n, 2)):
+            if i != j:
+                m[i, j] = odd[rng.integers(len(odd))]
+                m[j, i] = np.conj(m[i, j])
+        mats.append(m)
+    return mats
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_walk_is_the_matmul_walk_bit_for_bit():
+    # the diagonal steps scale rows and columns where the walk once
+    # multiplied by the kron'd diagonal matrix: state and weights must keep
+    # their bytes, for catalog pairs, random filters, lone states and
+    # stacks.  With diagonal and permutation factors, d times a negative
+    # subnormal underflows inside the walk to a zero whose sign the
+    # scaling and the matmul (with or without FMA) may give differently;
+    # the output must not show it
+    rng = np.random.default_rng(65)
+    cases = [(f, rho) for _, f, rho in walk_cases()]
+    for da, db in ((2, 2), (3, 3), (2, 3)):
+        mats = _signed_zero_states(rng, da * db, 3)
+        mats.append(random_density_mat(rng, da * db))
+        filters = [
+            make_filter(
+                rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da)),
+                rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db)),
+            ),
+            make_filter(
+                np.diag(rng.uniform(0.1, 1, da)),
+                np.diag(rng.uniform(0.1, 1, db)),
+            ),
+            make_filter(
+                np.eye(da)[rng.permutation(da)] * rng.uniform(0.1, 1, da),
+                np.diag(rng.uniform(0.1, 1, db)),
+            ),
+            make_filter(
+                np.stack([rng.normal(size=(da, da)) + 2 * np.eye(da)] * 4),
+                np.stack([np.diag(rng.uniform(0.1, 1, db)) for _ in range(4)]),
+            ),
+        ]
+        for f in filters:
+            cases += [(f, DensityOperator(da, db, m)) for m in mats]
+            cases.append((f, DensityOperator(da, db, np.stack(mats))))
+    for f, rho in cases:
+        out, weights = measure.protocol_walk(f, rho)
+        ref, ref_weights = protocol_walk_matmul(f, rho)
+        assert _same_bytes(out.mat, ref.mat)
+        assert _same_bytes(weights, ref_weights)
 
 
 def test_protocol_dim_mismatch():
