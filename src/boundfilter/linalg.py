@@ -10,22 +10,20 @@ to machine precision and rank decisions at TOL_RANK are sound.
 Two kinds of solve serve two kinds of caller.  eigh (and min_eigenvalue)
 gives the eigenvalues that reports print or compare against a pinned
 figure.  min_at_least gives yes/no positivity verdicts, each equal to
-eigh's.  With s = max(1, max |H_ii|) for each matrix, one Cholesky
-factorization of a whole stack, shifted past the edge by EDGE_MARGIN * s,
-certifies every matrix at once.  A stack it cannot certify takes a
-values-only solve that splits the stack into the exact blocks of its joint
-zero pattern, one LAPACK call per block size; the split follows exact zeros
-only, never a threshold, so the blocks hold the same spectrum.  A lone
-(n, n) matrix, the DensityOperator gate's case for a single state, never
-becomes a stack: its Hermiticity check, finiteness test and margin are
-whole-matrix reductions and scalars, and its verdict is one values-only
-solve of shape (n, n).  A minimum within EDGE_MARGIN * s of the edge is
-re-solved with eigh, on a stack (a lone matrix as a stack of one).
-eigvalsh, the plain values-only solve of whole matrices, words the errors
-those verdicts raise.
+eigh's, from two certificates and a residual solve.  One shifted Cholesky
+factorization of a whole stack proves every matrix above the edge.  When
+it fails, one test vector v proves each matrix with v^dag H v clear below
+the edge below it (Courant-Fischer: lambda_min <= v^dag H v for a unit v;
+the form's rounding, about 2 n^2 eps max |H_ij|, lies far inside the
+margin EDGE_MARGIN * max(1, max |H_ij|)), and the matrices left are
+factored once more.  Whatever neither certificate decides takes one
+values-only solve of each whole matrix, and a minimum near the edge is
+re-solved with eigh.  A lone (n, n) matrix, the DensityOperator gate's
+case for a single state, never becomes a stack: its verdict is one
+values-only solve of shape (n, n).  eigvalsh, the plain values-only solve
+of whole matrices, words the errors those verdicts raise.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +32,10 @@ from .errors import DimensionMismatchError, NonSquareError, NotHermitianError
 from .tolerances import TOL_HERM
 
 # min_at_least certifies a minimum only when it clears its edge by this
-# margin times the matrix scale s, and re-solves with eigh a values-only
-# minimum this close to the edge; both solves are backward stable, with
-# errors near n * eps * s ~ 2e-15 * s for 9 x 9 matrices, far inside it.
+# margin times the matrix scale (s, or max(1, max |H_ij|) for the test
+# vector), and re-solves with eigh a values-only minimum within EDGE_MARGIN
+# * s of the edge; the solves are backward stable, with errors near
+# n * eps * s ~ 2e-15 * s for 9 x 9 matrices, far inside it.
 EDGE_MARGIN = 1e-12
 
 
@@ -169,67 +168,30 @@ def min_eigenvalue(h: np.ndarray):
     return np.take(eigh(h)[0], 0, axis=-1)
 
 
-@functools.lru_cache(maxsize=64)
-def _block_index(n: int, pattern: bytes):
-    """Blocks of a symmetric n x n zero pattern, grouped by size.
+def _below(herm, edge):
+    """Whether one test vector v proves that each matrix of the stack herm
+    has an eigenvalue below edge (see min_at_least).
 
-    The blocks are the connected components of the pattern's graph.
-    Returns None for a single component, else a tuple of (size, count,
-    flat index), where the flat index gathers the count blocks of that
-    size, row-major and each block's rows in ascending order, from a
-    matrix raveled to n * n entries.
+    v is the lowest eigenvector (one eigh of shape (n, n)) of the matrix
+    with the lowest Gershgorin bound.  Only matrices whose entries are at
+    most 1e300 in size take part: with |v| = 1 no partial sum of v^dag H v
+    exceeds n max |H_ij|, so none overflows, and a matrix whose entries are
+    not finite is never the representative and is never proved below.
     """
-    mask = np.frombuffer(pattern, dtype=bool).reshape(n, n)
-    seen = np.zeros(n, dtype=bool)
-    comps = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        comp, todo = [root], [root]
-        while todo:
-            for j in np.flatnonzero(mask[todo.pop()] & ~seen):
-                seen[j] = True
-                comp.append(int(j))
-                todo.append(int(j))
-        comps.append(sorted(comp))
-    if len(comps) == 1:
-        return None
-    groups = []
-    for size in sorted({len(c) for c in comps}):
-        idx = np.array([c for c in comps if len(c) == size])
-        flat = (idx[:, :, None] * n + idx[:, None, :]).ravel()
-        flat.setflags(write=False)  # cached: every caller shares it
-        groups.append((size, idx.shape[0], flat))
-    return tuple(groups)
-
-
-def _split_min(h: np.ndarray):
-    """Smallest eigenvalue of each symmetrized matrix of a stack, values
-    only.
-
-    A stack of more than one matrix is split into the exact blocks of the
-    union of its nonzero entries; each block size is one LAPACK call.  The
-    index arrays are cached by the pattern.  A stack of one, or a stack
-    with one block, is solved whole: the split's fixed cost (~30 us) is
-    more than one 9 x 9 solve.  A matrix whose entries are not finite gets
-    NaN.
-    """
-    if h.shape[0] < 2:
-        return _values(h)[:, 0]
-    count, n = h.shape[0], h.shape[-1]
-    # symmetrized entries are exact conjugate pairs: the pattern is symmetric
-    groups = _block_index(n, (h != 0).any(axis=0).tobytes())
-    if groups is None:
-        return _values(h)[:, 0]
-    flat = h.reshape(count, n * n)
-    wmin = None
-    for size, k, idx in groups:
-        blocks = np.take(flat, idx, axis=1).reshape(count * k, size, size)
-        # a NaN block minimum carries through min and minimum
-        w = _values(blocks)[:, 0].reshape(count, k).min(axis=1)
-        wmin = w if wmin is None else np.minimum(wmin, w)
-    return wmin
+    below = np.zeros(len(herm), dtype=bool)
+    size = np.abs(herm)
+    # NaN or inf for a matrix with an entry that is not finite
+    scale = size.max(axis=(-2, -1), initial=1.0)
+    fit = np.flatnonzero(scale <= 1e300)
+    if fit.size == 0:
+        return below
+    mats, size, scale = herm[fit], size[fit], scale[fit]
+    # Gershgorin: every eigenvalue is at least min_i H_ii - sum_j!=i |H_ij|
+    diag = mats.diagonal(0, -2, -1).real
+    bound = (diag + np.abs(diag) - size @ np.ones(herm.shape[-1])).min(axis=-1)
+    v = np.linalg.eigh(mats[np.argmin(bound)])[1][:, 0]
+    below[fit] = ((mats @ v) @ v.conj()).real < edge - EDGE_MARGIN * scale
+    return below
 
 
 def _certified(herm, shift) -> bool:
@@ -248,24 +210,46 @@ def _certified(herm, shift) -> bool:
     return bool(np.isfinite(factor).all())
 
 
+def _solved(herm, edge, margin):
+    """Whether each matrix of the stack herm has no eigenvalue below edge,
+    from one values-only solve, with eigh re-solving each minimum within
+    its margin of edge.  A matrix whose entries are not finite gets a NaN
+    minimum, and fails."""
+    wmin = _values(herm)[:, 0]
+    near = np.abs(wmin - edge) <= margin
+    if near.any():
+        wmin[near] = min_eigenvalue(herm[near])
+    return wmin >= edge
+
+
 def min_at_least(h, edge: float, what: str = "matrix is not Hermitian"):
     """Whether each matrix has no eigenvalue below `edge`: eigh's verdict.
 
     A bool for one matrix, a bool array for a stack.  Same Hermiticity
     check (at TOL_HERM) and symmetrization as eigh; the error message
     starts with `what`.  Each matrix has the scale s = max(1, max |H_ii|).
+
     A stack of several matrices is first tried with one Cholesky
     factorization, each matrix shifted down by edge + EDGE_MARGIN * s.  Its
     backward error is about n^2 eps s (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., Thm 10.5), far inside EDGE_MARGIN * s,
-    so a factor proves every minimum above edge.  A stack of one, and a
-    stack the factorization cannot certify (a matrix fails to factor, or
-    the factor is not finite), take the block-split values-only solve.  A
-    lone (n, n) matrix takes one values-only solve of shape (n, n), with
-    whole-matrix reductions and a scalar margin.  Either way a minimum
-    within EDGE_MARGIN * s of edge is re-solved with eigh, on a stack, and
-    a matrix whose Hermitian part is not finite (its entries overflow) gets
-    a NaN minimum, and fails.
+    so a factor proves every minimum above edge.  When it fails, one test
+    vector v, the lowest eigenvector of the matrix with the lowest
+    Gershgorin bound, proves each matrix with Re(v^dag H v) below
+    edge - EDGE_MARGIN * max(1, max |H_ij|) below the edge.  By
+    Courant-Fischer lambda_min <= v^dag H v for a unit v, and the form's
+    rounding (about 2 n^2 eps max |H_ij|, 2e-14 max |H_ij| at n = 9) and
+    eigh's backward error lie far inside that margin, so each such verdict
+    is eigh's.  If v proves some but leaves several, one Cholesky
+    factorization of those is tried.  What remains takes one values-only
+    solve of each whole matrix, and a minimum within EDGE_MARGIN * s of
+    edge is re-solved with eigh.
+
+    A stack of one takes that values-only solve and re-solve directly, and
+    a lone (n, n) matrix the same with a solve of shape (n, n), whole-matrix
+    reductions and a scalar margin: one solve costs about what one
+    factorization does.  A matrix whose Hermitian part is not finite (its
+    entries overflow) gets a NaN minimum, and fails.
     """
     herm = _hermitian_part(h, what)
     if herm.ndim == 2:
@@ -276,16 +260,19 @@ def min_at_least(h, edge: float, what: str = "matrix is not Hermitian"):
         return bool(wmin >= edge)
     diag = herm.diagonal(0, -2, -1).real
     margin = EDGE_MARGIN * np.abs(diag).max(axis=-1, initial=1.0)
-    # one values-only solve costs about what one factorization does, so
-    # only a stack of several matrices tries the certificate
-    if len(herm) > 1 and _certified(herm, edge + margin):
+    if len(herm) < 2:
+        return _solved(herm, edge, margin)
+    if _certified(herm, edge + margin):
         return np.ones(len(herm), dtype=bool)
-    wmin = _split_min(herm)
-    near = np.abs(wmin - edge) <= margin
-    if near.any():
-        wmin = wmin.copy()
-        wmin[near] = min_eigenvalue(herm[near])
-    return wmin >= edge
+    ok = np.zeros(len(herm), dtype=bool)
+    rest = np.flatnonzero(~_below(herm, edge))
+    if 1 < len(rest) < len(herm) and _certified(
+        herm[rest], edge + margin[rest]
+    ):
+        ok[rest] = True
+    elif len(rest):
+        ok[rest] = _solved(herm[rest], edge, margin[rest])
+    return ok
 
 
 @dataclass(frozen=True, eq=False)

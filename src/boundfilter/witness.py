@@ -26,6 +26,14 @@ most two exactly halved input entries, so it is correctly rounded whatever
 order the matrix product adds in.  Coefficients that leave (1/2)(C - I)
 outside {0, +-1/2} lose that guarantee.
 
+Only the filter factor on the witness's side can change a verdict.  For a
+map Phi on side A and a filter L x M,
+(Phi x id)((L x M) rho (L x M)^dag) = (I x M) [(Phi_L x id)(rho)] (I x M)^dag
+with Phi_L(X) = Phi(L X L^dag), and likewise with the sides swapped.  I x M
+is invertible, so by Sylvester's law of inertia both sides have the same
+number of negative eigenvalues, and the yield is a positive scale.  The
+opposite factor sets only the depth of the floor and the yield.
+
 detect reads the negativity threshold tolerances.TOL_NEG when it is
 called.
 """

@@ -8,6 +8,7 @@ batch, and the matmul protocol walk calls the linalg helpers and the
 normalize step that the walk itself calls.
 main_per_call reruns the package's cmd_* functions: it is a reference for
 the argument parsing and dispatch around them, not for their results.
+spy_solves records which LAPACK solves a package call makes.
 """
 
 import argparse
@@ -376,6 +377,20 @@ def splitmix64_py(seed, n):
 
 def uniform_py(seed, n):
     return (splitmix64_py(seed, n) >> 11) / float(1 << 53)
+
+
+def spy_solves(monkeypatch):
+    """Record (name, shape) of every factorization and eigenvalue solve."""
+    calls = []
+    for name in ("cholesky", "eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
 
 
 def random_herm(rng, n):

@@ -20,6 +20,7 @@ from .oracles import (
     random_herm,
     random_psd,
     random_unitary,
+    spy_solves,
 )
 
 
@@ -98,45 +99,33 @@ def test_eigh_checks_each_matrix_of_a_stack():
         linalg.eigh(np.zeros((2, 2, 2, 2)))
 
 
-def _spy_solves(monkeypatch):
-    """Record (name, shape) of every factorization and eigenvalue solve."""
-    calls = []
-    for name in ("cholesky", "eigvalsh", "eigh"):
-        real = getattr(np.linalg, name)
-
-        def spy(a, *args, _real=real, _name=name, **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, spy)
-    return calls
-
-
 def _with_spectrum(rng, w):
     u = random_unitary(rng, len(w))
     return (u * np.asarray(w)) @ u.conj().T
 
 
 def test_min_at_least_whole_solve_without_a_split(monkeypatch):
-    # a lone matrix, and a stack whose pattern is one block, take the plain
-    # values-only solve of each whole matrix
+    # a lone matrix, and a stack of unrelated matrices that neither the
+    # factorization nor the test vector of the lowest Gershgorin bound
+    # decides, take the plain values-only solve of each whole matrix
     rng = np.random.default_rng(16)
     stack = np.stack([random_herm(rng, 9) for _ in range(4)])
     ref = np.linalg.eigvalsh(stack)[:, 0]
     edge = np.median(ref)
-    calls = _spy_solves(monkeypatch)
+    calls = spy_solves(monkeypatch)
     assert list(linalg.min_at_least(stack, edge)) == list(ref >= edge)
     assert linalg.min_at_least(stack[2], edge) == (ref[2] >= edge)
     assert calls == [
-        ("cholesky", (4, 9, 9)), ("eigvalsh", (4, 9, 9)), ("eigvalsh", (9, 9))
+        ("cholesky", (4, 9, 9)), ("eigh", (9, 9)), ("eigvalsh", (4, 9, 9)),
+        ("eigvalsh", (9, 9)),
     ]
 
 
 def test_min_at_least_splits_on_exact_zeros_only(monkeypatch):
     # entries 0 and 5 hold the same value, coupled by a tiny eps: the pair's
     # eigenvalues are w +- eps, so the minimum sits 1.5e-12 below the edge
-    # (outside the re-solve margin) only if eps is kept.  A split that
-    # dropped small entries would see w, above the edge.
+    # (outside the re-solve margin) only if eps is kept.  A test vector or a
+    # solve that dropped small entries would see w, above the edge.
     edge, eps = -1e-10, 3e-12
     h = np.zeros((3, 9, 9), dtype=complex)
     h[:, range(9), range(9)] = np.arange(1, 10) / 10
@@ -146,31 +135,34 @@ def test_min_at_least_splits_on_exact_zeros_only(monkeypatch):
     h[:, 2, 1] *= -1
     ref = np.linalg.eigh(h)[0][:, 0]
     assert list(ref < edge) == [False, True, True]
-    calls = _spy_solves(monkeypatch)
+    calls = spy_solves(monkeypatch)
     assert list(linalg.min_at_least(h, edge)) == [True, False, False]
-    # blocks {0, 5}, {1, 2} and five single entries, no re-solve
+    # the test vector proves matrices 1 and 2 below the edge; matrix 0 is
+    # solved whole, with no re-solve
     assert calls == [
-        ("cholesky", (3, 9, 9)), ("eigvalsh", (15, 1, 1)),
-        ("eigvalsh", (6, 2, 2)),
+        ("cholesky", (3, 9, 9)), ("eigh", (9, 9)), ("eigvalsh", (1, 9, 9)),
     ]
 
 
 def test_min_at_least_resolves_near_the_edge(monkeypatch):
     # minima within EDGE_MARGIN of the edge take eigh's verdict, in one
-    # call for all of them; the others the block solve's
+    # call for all of them; the others the values-only solve's.  The test
+    # vector e_3 reads -1e-13, inside the margin, so it proves nothing.
     h = np.zeros((3, 4, 4))
     h[:, range(4), range(4)] = 1.0
     h[:, 3, 3] = [0.5, 1e-13, -1e-13]
-    calls = _spy_solves(monkeypatch)
+    calls = spy_solves(monkeypatch)
     assert list(linalg.min_at_least(h, 0.0)) == [True, True, False]
     assert linalg.min_at_least(h[2], 0.0) is False
     assert calls == [
-        ("cholesky", (3, 4, 4)), ("eigvalsh", (12, 1, 1)), ("eigh", (2, 4, 4)),
-        ("eigvalsh", (4, 4)), ("eigh", (1, 4, 4)),
+        ("cholesky", (3, 4, 4)), ("eigh", (4, 4)), ("eigvalsh", (3, 4, 4)),
+        ("eigh", (2, 4, 4)), ("eigvalsh", (4, 4)), ("eigh", (1, 4, 4)),
     ]
-    # the re-solved verdicts are eigh's own
+    # the re-solved verdicts are eigh's own (its test vector e_0 reads 1)
     monkeypatch.setattr(
-        np.linalg, "eigh", lambda a: (np.full(a.shape[:-1], 7.0), None)
+        np.linalg, "eigh", lambda a: (
+            np.full(a.shape[:-1], 7.0), np.broadcast_to(np.eye(4), a.shape)
+        )
     )
     assert list(linalg.min_at_least(h, 0.0)) == [True, True, True]
 
@@ -191,7 +183,7 @@ def test_lone_verdicts_are_the_stack_of_one_verdicts(monkeypatch):
     # and the error of a stack of one, from one values-only solve of shape
     # (9, 9), and eigh on (1, 9, 9) near the edge
     edge = -TOL_NEG
-    calls = _spy_solves(monkeypatch)
+    calls = spy_solves(monkeypatch)
     for seed in range(12):
         rng = np.random.default_rng(200 + seed)
         for delta in (-1e-3, -3e-12, -5e-13, 0.0, 5e-13, 3e-12, 1e-3):
@@ -216,7 +208,7 @@ def test_lone_verdicts_are_the_stack_of_one_verdicts(monkeypatch):
 def test_min_at_least_certifies_a_positive_stack_without_solving(monkeypatch):
     rng = np.random.default_rng(17)
     stack = np.stack([random_psd(rng, 9) + 1e-3 * np.eye(9) for _ in range(8)])
-    calls = _spy_solves(monkeypatch)
+    calls = spy_solves(monkeypatch)
     ok = linalg.min_at_least(stack, -1e-10)
     assert ok.dtype == bool and ok.shape == (8,) and ok.all()
     # a minimum 2e-12 above the edge clears the margin at scale 1
@@ -232,17 +224,22 @@ def test_min_at_least_certifies_a_positive_stack_without_solving(monkeypatch):
 
 
 def test_min_at_least_falls_back_for_the_whole_stack(monkeypatch):
-    # one matrix below the edge fails the stack's factorization: every
-    # verdict then comes from the solve, and equals the lone verdict
+    # one matrix below the edge fails the stack's factorization.  The test
+    # vector proves only its own matrix below (the others' eigenvectors are
+    # unrelated), the other negative matrix fails the second factorization,
+    # and every verdict left comes from the solve and equals the lone verdict
     rng = np.random.default_rng(18)
     w = np.linspace(0.1, 1.0, 9)
     stack = np.stack([_with_spectrum(rng, w) for _ in range(5)])
     stack[2] = _with_spectrum(rng, np.r_[-1e-6, w[1:]])
     stack[4] = _with_spectrum(rng, np.r_[-2e-6, w[1:]])
-    calls = _spy_solves(monkeypatch)
+    calls = spy_solves(monkeypatch)
     ok = linalg.min_at_least(stack, -1e-10)
     assert list(ok) == [True, True, False, True, False]
-    assert calls == [("cholesky", (5, 9, 9)), ("eigvalsh", (5, 9, 9))]
+    assert calls == [
+        ("cholesky", (5, 9, 9)), ("eigh", (9, 9)), ("cholesky", (4, 9, 9)),
+        ("eigvalsh", (4, 9, 9)),
+    ]
     assert [linalg.min_at_least(m, -1e-10) for m in stack] == list(ok)
     with pytest.raises(NotHermitianError, match="^gate: "):
         linalg.min_at_least(np.array([[0, 1], [0, 0]]), 0.0, what="gate")
@@ -260,7 +257,7 @@ def test_min_at_least_fails_an_overflowing_matrix(monkeypatch):
         assert list(ok) == [True, False, True]
         assert np.isnan(linalg.eigvalsh(off)).all()
         assert np.isnan(linalg.eigvalsh(big)).all()
-        # also from a block of a split stack
+        # also within a stack that fails the factorization
         split = np.stack([np.eye(4), np.eye(4)])
         split[1, 0, 1] = split[1, 1, 0] = 1e308
         assert list(linalg.min_at_least(split, 0.5)) == [True, False]
@@ -268,11 +265,15 @@ def test_min_at_least_fails_an_overflowing_matrix(monkeypatch):
     monkeypatch.setattr(
         np.linalg, "cholesky", lambda a: np.full(a.shape, np.nan, complex)
     )
-    calls = _spy_solves(monkeypatch)
+    calls = spy_solves(monkeypatch)
     two = np.stack([np.eye(3)] * 2)
     assert list(linalg.min_at_least(two, 0.5)) == [True, True]
     assert list(linalg.min_at_least(two, 1.5)) == [False, False]
-    assert [name for name, _ in calls] == ["cholesky", "eigvalsh"] * 2
+    # at 0.5 the test vector reads 1 and proves nothing, so the stack is
+    # solved; at 1.5 it proves both matrices below, with nothing left
+    assert [name for name, _ in calls] == [
+        "cholesky", "eigh", "eigvalsh", "cholesky", "eigh"
+    ]
 
 
 def test_min_at_least_scales_its_margin(monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from .oracles import (
     random_density_mat,
     random_unitary,
     raw_density,
+    spy_solves,
 )
 
 
@@ -211,15 +214,6 @@ def test_decision_solves_match_eigh_at_the_edges(seed, parts, dense, dists):
         herm = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
         return np.linalg.eigh(herm)[0][:, 0]
 
-    # the split really happens: the blocks are the ones built
-    mats = _blocked_stack(rng, sizes, [0.0] * len(dists), False)
-    groups = linalg._block_index(9, (mats != 0).any(axis=0).tobytes())
-    if len(sizes) == 1:
-        assert groups is None
-    else:
-        found = [size for size, count, _ in groups for _ in range(count)]
-        assert sorted(found) == sorted(sizes)
-
     # choi-window grid (edge 0) and is_ppt (edge -TOL_NEG): eigh's verdicts
     # exactly, for a stack and for each lone matrix
     mats = _blocked_stack(rng, sizes, dists, False)
@@ -234,6 +228,52 @@ def test_decision_solves_match_eigh_at_the_edges(seed, parts, dense, dists):
     for k in range(len(dists)):
         lone = raw_density(pt_b_loops(mats[k], 3, 3), 3, 3)
         assert states.is_ppt(lone) == (ref[k] >= -TOL_NEG)
+
+    # an affine sweep a + x b across the edge 0, with b = a + I, keeps one
+    # lowest eigenvector: its test vector proves every x < 0 below, and one
+    # factorization of the rest (two or more) proves every x > 0 above
+    xs = [(k + 1) * (1e-3 if d >= 0 else -1e-3) for k, d in enumerate(dists)]
+    a = _blocked_stack(rng, sizes, [0.0], False)[0]
+    sweep = np.stack([a + x * (a + np.eye(9)) for x in xs])
+    below, above = sum(x < 0 for x in xs), sum(x > 0 for x in xs)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_solves(mp)
+        ok = linalg.min_at_least(sweep, 0.0)
+    assert np.array_equal(ok, reference(sweep) >= 0.0)
+    assert list(ok) == [x > 0 for x in xs]
+    rest = [("cholesky", (above, 9, 9))] if above > 1 else \
+        [("eigvalsh", (1, 9, 9))] * above
+    assert calls == [("cholesky", (len(xs), 9, 9))] + \
+        ([("eigh", (9, 9))] + rest) * (below > 0)
+
+    # unrelated negative matrices: the test vector proves only its own
+    # matrix below, and the rest take the values-only solve
+    mats = _blocked_stack(rng, [9], [-1e-3 - abs(d) for d in dists], False)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_solves(mp)
+        ok = linalg.min_at_least(mats, 0.0)
+    assert np.array_equal(ok, reference(mats) >= 0.0) and not ok.any()
+    left = len(dists) - 1
+    assert calls == [("cholesky", (len(dists), 9, 9)), ("eigh", (9, 9))] + \
+        [("cholesky", (left, 9, 9))] * (left > 1) + \
+        [("eigvalsh", (left, 9, 9))]
+
+    # a matrix that is not finite, first in a failing sweep, would have a
+    # NaN Gershgorin bound, which argmin picks: it is never the test
+    # vector's matrix, never proved below, and fails, with no RuntimeWarning
+    bad = sweep[0].copy()
+    bad[0, 1] = bad[1, 0] = np.nan
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        real = np.linalg.eigh
+        seen = []
+        mp.setattr(np.linalg, "eigh", lambda h: seen.append(h) or real(h))
+        mixed = np.concatenate([bad[None], sweep])
+        ok = linalg.min_at_least(mixed, 0.0)
+        proved = linalg._below(mixed, 0.0)
+    assert list(ok) == [False] + [x > 0 for x in xs]
+    assert list(proved) == [False] + [x < 0 for x in xs]
+    assert all(np.isfinite(h).all() for h in seen)
 
     # the gate's verdict is eigh's at every distance, also within rounding
     # of the edge; nudges of k * 1e-15 away from the edge make the

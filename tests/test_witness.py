@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boundfilter import catalog, linalg, witness
@@ -10,7 +10,7 @@ from boundfilter.errors import (
     NonSquareError,
     ParseError,
 )
-from boundfilter.filters import apply_filter
+from boundfilter.filters import apply_filter, make_filter
 from boundfilter.states import DensityOperator
 from boundfilter.witness import TRANSPOSE_B, Side, Witness
 
@@ -22,6 +22,7 @@ from .oracles import (
     random_density_mat,
     random_herm,
     random_psd,
+    random_unitary,
     superoperator_by_units,
 )
 
@@ -231,6 +232,45 @@ def test_apply_witness_preserves_trace():
         for side in Side:
             out = witness.apply_witness(Witness(kind, side), rho)
             assert abs(np.trace(out) - 1.0) < 1e-12
+
+
+def _conditioned(rng, cond):
+    """A complex 3 x 3 matrix with singular values in [1, cond]."""
+    s = rng.uniform(1.0, cond, 3)
+    return (random_unitary(rng, 3) * s) @ random_unitary(rng, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(list(witness.MAPS)),
+    side=st.sampled_from(list(Side)),
+    mix=st.floats(0.0, 1.0),
+)
+def test_opposite_factor_never_changes_a_verdict(seed, kind, side, mix):
+    # the factor opposite the witness is a congruence of the witness image
+    # (and the yield a positive scale), so by Sylvester's law of inertia it
+    # keeps the count of negative eigenvalues.  States mix a random pure
+    # state, entangled in general, into a full-rank one.
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    psi /= np.linalg.norm(psi)
+    rho = DensityOperator(
+        3, 3,
+        mix * np.outer(psi, psi.conj())
+        + (1 - mix) * random_density_mat(rng, 9),
+    )
+    w = Witness(kind, side)
+    near, far = _conditioned(rng, 10.0), _conditioned(rng, 10.0)
+
+    def image(opposite):
+        pair = (near, opposite) if side is Side.A else (opposite, near)
+        filtered, _ = apply_filter(make_filter(*pair), rho)
+        return linalg.eigvalsh(witness.apply_witness(w, filtered))
+
+    plain = image(np.eye(3))
+    assume(np.abs(plain).min() >= 1e-6)
+    assert (image(far) < 0).sum() == (plain < 0).sum()
 
 
 # ---------------------------------------------------------------------------
