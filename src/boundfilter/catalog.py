@@ -9,8 +9,17 @@ filters are small, explicit, and carry their SVD from construction.
 LABELS is the one table of catalog labels: kind, parameters with their
 defaults, and builder.  from_label parses a label with its parameters
 (rho-xt:0.63:0.05) through it, and catalog_entries lists it for export.
+
+The builders of the labels without parameters (rho_upb, bell_state,
+choi_example_filter, upb_rotation_filter, and max_mixed and
+filters.identity_filter per dims) are cached: each returns one shared
+object per process, built and validated on the first call.  Every array
+of those objects is read-only, so no caller can change what the next one
+gets.  rho_xt and gisin_filter, whose parameters rarely repeat, and JSON
+files, which can change between reads, build afresh on every call.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -75,6 +84,7 @@ def tiles_vectors() -> list:
     return [pure(v, 3, 3) for v in vecs]
 
 
+@functools.cache
 def rho_upb() -> DensityOperator:
     """Uniform state on the 4-dim complement of the five tile vectors.
 
@@ -91,10 +101,12 @@ def bell_pure() -> PureState:
     return pure([SQ2, 0, 0, SQ2], 2, 2)
 
 
+@functools.cache
 def bell_state() -> DensityOperator:
     return bell_pure().projector()
 
 
+@functools.cache
 def max_mixed(dim_a: int = 3, dim_b: int = 3) -> DensityOperator:
     n = dim_a * dim_b
     return DensityOperator(dim_a, dim_b, np.eye(n) / n)
@@ -105,11 +117,13 @@ def max_mixed(dim_a: int = 3, dim_b: int = 3) -> DensityOperator:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def choi_example_filter() -> LocalFilter:
     """diag(1, 5/8, 5/8) on side A, identity on side B."""
     return make_filter(np.diag([1.0, 5 / 8, 5 / 8]), np.eye(3))
 
 
+@functools.cache
 def upb_rotation_filter() -> LocalFilter:
     """Identity on side A, a 45-degree rotation in the 1-3 plane on side B.
 

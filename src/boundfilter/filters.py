@@ -9,6 +9,7 @@ a stack acts on a stack of N states (or kets) one to one, and on a single
 state as N different filterings of it.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,7 +121,9 @@ def make_filter(l, m) -> LocalFilter:
     )
 
 
+@functools.cache
 def identity_filter(dim_a: int, dim_b: int) -> LocalFilter:
+    """I x I on dim_a x dim_b: one shared, read-only filter per dims."""
     return make_filter(np.eye(dim_a), np.eye(dim_b))
 
 

@@ -150,7 +150,8 @@ def eigvalsh(h: np.ndarray):
 
 def _values(herm):
     """np.linalg.eigvalsh of each matrix, with NaN values for a matrix whose
-    entries are not finite: LAPACK may not converge on it."""
+    entries are not finite: LAPACK may not converge on it.  Those matrices
+    are never solved, and a stack with no finite matrix takes no solve."""
     if herm.ndim == 2:
         if np.isfinite(herm).all():
             return np.linalg.eigvalsh(herm)
@@ -159,7 +160,8 @@ def _values(herm):
     if finite.all():
         return np.linalg.eigvalsh(herm)
     w = np.full(herm.shape[:-1], np.nan)
-    w[finite] = np.linalg.eigvalsh(herm[finite])
+    if finite.any():
+        w[finite] = np.linalg.eigvalsh(herm[finite])
     return w
 
 
@@ -307,8 +309,11 @@ def svd(a: np.ndarray) -> SVDResult:
     """SVD of a square matrix or of each matrix in a stack (LAPACK).
 
     For a stack of shape (N, n, n), u and v are (N, n, n) and d is (N, n).
+    The three arrays are read-only, so a result can be shared.
     """
     a = as_stack(a)
     require_square(a, "svd argument")
     u, d, vh = np.linalg.svd(a)
+    for x in (u, d, vh):
+        x.setflags(write=False)
     return SVDResult(u=u, d=d, v=vh)

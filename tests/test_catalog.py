@@ -229,3 +229,45 @@ def test_label_builders_look_up_their_function_when_called(monkeypatch):
     monkeypatch.setattr(catalog, "rho_upb", lambda: calls.append(1) or real())
     catalog.from_label("state", "rho-upb")
     assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# one shared, read-only object per argument-free label
+# ---------------------------------------------------------------------------
+
+ARGUMENT_FREE = [
+    (kind, label)
+    for label, (kind, defaults, _) in catalog.LABELS.items()
+    if not defaults
+]
+
+
+def test_argument_free_labels_share_one_object():
+    assert len(ARGUMENT_FREE) == 6
+    for kind, label in ARGUMENT_FREE:
+        assert catalog.from_label(kind, label) is catalog.from_label(kind, label)
+    # identity is shared per dims
+    two = catalog.from_label("filter", "identity", dims=(2, 3))
+    assert two is catalog.from_label("filter", "identity", dims=(2, 3))
+    assert two is not catalog.from_label("filter", "identity")
+    # a parametric label builds afresh, with or without its parameters
+    for kind, label in (
+        ("filter", "gisin:0.6"), ("filter", "gisin"),
+        ("state", "rho-xt:0.6:0.1"), ("state", "rho-xt"),
+    ):
+        first = catalog.from_label(kind, label)
+        assert catalog.from_label(kind, label) is not first
+
+
+def test_shared_objects_cannot_be_written():
+    for kind, label in ARGUMENT_FREE:
+        obj = catalog.from_label(kind, label)
+        if kind == "state":
+            arrays = [obj.mat]
+        else:
+            arrays = [obj.l, obj.m, obj.product()] + [
+                getattr(s, k) for s in (obj.svd_l, obj.svd_m) for k in "udv"
+            ]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 7

@@ -2,8 +2,10 @@ import errno
 import json
 import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -857,3 +859,52 @@ def test_json_output_is_what_json_dumps_prints(capsys, monkeypatch, tmp_path):
             assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
             printed += 1
     assert printed == 12
+
+
+# ---------------------------------------------------------------------------
+# warm requests: the argument-free catalog objects are shared per process
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# each argument-free state label with a filter label of its dims, so that
+# every argument-free state and filter label is named once
+SHARED_PAIRS = [
+    ("rho-upb", "upb-rotation", "choi-psi:B"),
+    ("bell", "identity", "transpose:B"),
+    ("max-mixed", "choi-example", "choi-phi:A"),
+]
+SHARED_REQUESTS = [
+    argv
+    for state, filt, spec in SHARED_PAIRS
+    for argv in (
+        ["detect", state, spec, "--filter", filt],
+        ["simulate", state, filt, "--analytic"],
+        ["simulate", state, filt, "--shots", "200", "--seed", "3"],
+    )
+] + [["verify-paper"]]
+PARAMETRIC_REQUESTS = [
+    ["detect", "rho-xt:0.6:0.1", "choi-phi:A", "--filter", "choi-example"],
+    ["simulate", "rho-xt:0.63:0.05", "upb-rotation", "--analytic"],
+    ["simulate", "bell", "gisin:0.5", "--shots", "100", "--seed", "2"],
+]
+
+
+def test_warm_requests_print_what_a_fresh_process_prints(capsys, monkeypatch):
+    monkeypatch.delenv("BF_SEED", raising=False)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    fresh = []
+    for argv in SHARED_REQUESTS:
+        res = subprocess.run(
+            [sys.executable, "-m", "boundfilter", *argv],
+            env=env, capture_output=True,
+        )
+        assert (res.returncode, res.stderr) == (0, b""), argv
+        fresh.append(res.stdout)
+    for _ in range(2):
+        for i, argv in enumerate(SHARED_REQUESTS):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out.encode() == fresh[i], argv
+            extra = PARAMETRIC_REQUESTS[i % len(PARAMETRIC_REQUESTS)]
+            assert run_cli(capsys, *extra)[0] == 0, extra

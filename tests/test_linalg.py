@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,23 @@ def test_min_at_least_fails_an_overflowing_matrix(monkeypatch):
     assert [name for name, _ in calls] == [
         "cholesky", "eigh", "eigvalsh", "cholesky", "eigh"
     ]
+
+
+def test_no_solve_for_a_stack_without_a_finite_matrix(monkeypatch):
+    # a matrix that is not finite gets NaN values without a solve: a failing
+    # stack whose test vector leaves only such a matrix, or a stack with no
+    # finite matrix at all, takes no values-only solve
+    nan = np.full((3, 3), np.nan)
+    calls = spy_solves(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ok = linalg.min_at_least(np.stack([nan, -np.eye(3), -np.eye(3)]), 0.0)
+        assert calls == [("cholesky", (3, 3, 3)), ("eigh", (3, 3))]
+        calls.clear()
+        w = linalg.eigvalsh(np.stack([nan, nan]))
+        assert calls == []
+    assert ok.shape == (3,) and not ok.any()
+    assert w.shape == (2, 3) and np.isnan(w).all()
 
 
 def test_min_at_least_scales_its_margin(monkeypatch):

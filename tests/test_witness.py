@@ -273,6 +273,23 @@ def test_opposite_factor_never_changes_a_verdict(seed, kind, side, mix):
     assert (image(far) < 0).sum() == (plain < 0).sum()
 
 
+@pytest.mark.parametrize("kind", CHOI_KINDS)
+def test_diagonal_filter_stays_in_the_choi_family(kind):
+    # for D = diag(d), d > 0: D^-1 (1/2) Phi[C](D X D) D^-1 = (1/2)
+    # (diag(C' x) - X) with C'_ij = C_ij d_j^2 / d_i^2, a generalized Choi
+    # map whose C' is not circulant
+    a, b, c = witness.MAPS[kind]
+    circ = np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=float)
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        d = np.exp(rng.uniform(-1.5, 1.5, 3))
+        x = random_herm(rng, 3)
+        got = witness.apply_map(kind, d[:, None] * x * d) / np.outer(d, d)
+        c_prime = circ * d**2 / (d**2)[:, None]
+        want = 0.5 * (np.diag(c_prime @ np.diagonal(x).real) - x)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # ---------------------------------------------------------------------------
 # detection
 # ---------------------------------------------------------------------------
