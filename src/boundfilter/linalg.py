@@ -39,14 +39,6 @@ from .tolerances import TOL_HERM
 EDGE_MARGIN = 1e-12
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex128 array (copies only if needed)."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d array, got ndim={m.ndim}")
-    return m
-
-
 def as_stack(a) -> np.ndarray:
     """Coerce to complex128 of shape (n, n) or (N, n, n)."""
     m = np.asarray(a, dtype=np.complex128)

@@ -379,6 +379,25 @@ def uniform_py(seed, n):
     return (splitmix64_py(seed, n) >> 11) / float(1 << 53)
 
 
+def _mix64_np(z):
+    """The splitmix64 finalizer on a uint64 array, out of place."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def uniform_block(seed, start, shots):
+    """The (shots, 4) array of uniforms consumed by shots [start, start+shots).
+
+    Column k holds the k-th conditional draw of each shot: the lottery's
+    stream materialized, the reference its counts are checked against.
+    """
+    shot = np.arange(start, start + shots, dtype=np.uint64)[:, None]
+    n = shot * np.uint64(4) + np.arange(1, 5, dtype=np.uint64)[None, :]
+    z = np.uint64(seed & MASK64) + n * np.uint64(0x9E3779B97F4A7C15)
+    return (_mix64_np(z) >> np.uint64(11)) * (1.0 / float(1 << 53))
+
+
 def spy_solves(monkeypatch):
     """Record (name, shape) of every factorization and eigenvalue solve."""
     calls = []

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundfilter import catalog, kernels, mcsim
+from boundfilter import kernels
 
-from .oracles import splitmix64_py, uniform_py
+from .oracles import splitmix64_py, uniform_block, uniform_py
 
 # probabilities at the edges of the integer threshold: never, the smallest
 # nonzero uniform, the largest uniform, just above 1 (skipped) and NaN
@@ -22,13 +22,13 @@ EDGE_PROBS = [
 
 def block_count(seed, probs, shots, start=0):
     """The accept count read off the materialized stream."""
-    u = kernels.uniform_block(seed, start, shots)
+    u = uniform_block(seed, start, shots)
     return int(np.all(u < np.asarray(probs)[None, :], axis=1).sum())
 
 
 def test_uniform_block_matches_pure_python():
     seed = 987654321
-    block = kernels.uniform_block(seed, start=0, shots=5)
+    block = uniform_block(seed, start=0, shots=5)
     for shot in range(5):
         for k in range(4):
             assert block[shot, k] == uniform_py(seed, 4 * shot + k)
@@ -36,14 +36,14 @@ def test_uniform_block_matches_pure_python():
 
 def test_uniform_block_start_offset():
     seed = 42
-    whole = kernels.uniform_block(seed, 0, 100)
-    tail = kernels.uniform_block(seed, 60, 40)
+    whole = uniform_block(seed, 0, 100)
+    tail = uniform_block(seed, 60, 40)
     assert np.array_equal(whole[60:], tail)
 
 
 def test_uniforms_in_unit_interval():
     for seed in (0, 1, 2**63, (1 << 64) - 1):
-        u = kernels.uniform_block(seed, 0, 1000)
+        u = uniform_block(seed, 0, 1000)
         assert u.min() >= 0.0
         assert u.max() < 1.0
 
@@ -74,7 +74,7 @@ def test_accept_count_extremes():
     # double up accepts it; a word whose low 11 bits are zero lands exactly
     # on the integer threshold
     shots = 3000
-    u = kernels.uniform_block(9, 0, shots)
+    u = uniform_block(9, 0, shots)
     on_threshold = [
         j for j in range(shots) if splitmix64_py(9, 4 * j + 2) & 0x7FF == 0
     ]
@@ -165,44 +165,6 @@ def test_shipped_block_partial_final_block_and_wrap(probs):
     shots = 2 * kernels.LOTTERY_BLOCK + 17
     got = kernels.accept_count(77, probs, shots, start=start)
     assert got == block_count(77, probs, shots, start)
-
-
-def test_compaction_schedule(monkeypatch):
-    # compacting costs about one draw per element: the draws of the two
-    # simulate pairs below pass 70-85% of shots and never compact, while a
-    # draw that rejects most shots compacts once per block
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].size)
-        return compress(*args, **kwargs)
-
-    compress = np.compress
-    monkeypatch.setattr(np, "compress", spy)
-    shots = 2 * kernels.LOTTERY_BLOCK
-
-    def compacted(probs):
-        calls.clear()
-        kernels.accept_count(3, probs, shots)
-        return [k for k, _, compact in kernels._draws(list(probs)) if compact]
-
-    pairs = [("rho-xt:0.63:0.05", "choi-example"), ("bell", "gisin:0.6")]
-    for state, filt in pairs:
-        probs = mcsim.run_protocol(
-            catalog.from_label("filter", filt),
-            catalog.from_label("state", state),
-            shots=1,
-            seed=0,
-        ).branch_probs
-        assert compacted(probs) == []
-        assert calls == []
-    for probs in ([0.2, 0.9, 0.9, 0.9], [0.55, 0.6, 0.65, 0.7]):
-        assert compacted(probs) == [0]
-        assert calls == [kernels.LOTTERY_BLOCK] * 2
-    # the survival product restarts after each compaction
-    assert compacted([0.3] * 4) == [0, 1]
-    assert len(calls) == 4
-    assert compacted([0.9, 0.9, 0.9, 0.3]) == []
 
 
 def test_accept_count_matches_uniform_block():

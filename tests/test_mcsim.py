@@ -6,9 +6,9 @@ import pytest
 from boundfilter import catalog, mcsim
 from boundfilter.errors import BadParamError, DimensionMismatchError
 from boundfilter.filters import apply_filter, identity_filter, make_filter
-from boundfilter.kernels import accept_count, uniform_block
+from boundfilter.kernels import accept_count
 
-from .oracles import random_density_mat
+from .oracles import random_density_mat, uniform_block
 from boundfilter.states import DensityOperator, pure
 
 
@@ -173,6 +173,7 @@ def test_counts_at_two_million_shots():
     for state, filt, accepted in [
         ("rho-xt:0.63:0.05", "choi-example", 1182434),
         ("bell", "gisin:0.6", 720479),
+        ("bell", "gisin:0.3", 179876),
     ]:
         run = mcsim.run_protocol(
             catalog.from_label("filter", filt),
@@ -185,5 +186,6 @@ def test_counts_at_two_million_shots():
         ([0.55, 0.6, 0.65, 0.7], 300491),
         ([0.2, 0.9, 0.9, 0.9], 291350),
         ([0.9, 0.9, 0.9, 0.3], 437163),
+        ([0.3] * 4, 16163),
     ]:
         assert accept_count(2024, probs, 2_000_000) == accepted
