@@ -242,8 +242,11 @@ def min_at_least(h, edge: float, what: str = "matrix is not Hermitian"):
     A stack of one takes that values-only solve and re-solve directly, and
     a lone (n, n) matrix the same with a solve of shape (n, n), whole-matrix
     reductions and a scalar margin: one solve costs about what one
-    factorization does.  A matrix whose Hermitian part is not finite (its
-    entries overflow) gets a NaN minimum, and fails.
+    factorization does.  That lone branch, with those of _hermitian_part
+    and _values, pays: with a lone matrix taken as a stack of one,
+    protocol-mix req_per_s read 5.8% lower, in 4 of 5 pairs (BENCH_24.json,
+    ablation).  A matrix whose Hermitian part is not finite (its entries
+    overflow) gets a NaN minimum, and fails.
     """
     herm = _hermitian_part(h, what)
     if herm.ndim == 2:

@@ -164,7 +164,9 @@ def is_ppt(rho: DensityOperator):
     stack.  A state whose partial transpose equals its matrix bit for bit
     (signed zeros included), as every rho-xt point does, takes the verdict
     the DensityOperator gate already gave those bits: True.  The others go
-    to linalg.min_at_least.  Either way the verdict is eigh's.
+    to linalg.min_at_least.  Either way the verdict is eigh's.  The shortcut
+    pays: without it family-scan req_per_s read 6.2% lower, in 4 of 5
+    pairs (BENCH_24.json, ablation).
     """
     pt = apply_witness(TRANSPOSE_B, rho)
     # True where the gate already accepted these bits, by the same rule

@@ -156,7 +156,7 @@ def _decoded(decode, obj):
 )
 def test_pairs_to_matrix_matches_the_cell_loop(data, rows, cols, fault):
     # a well-formed matrix of drawn numbers, with at most one fault; the
-    # one-call decode must give the loop's bytes, or its first error text
+    # decoder must give the loop's bytes, or its first error text
     obj = [
         [data.draw(st.lists(numbers, min_size=2, max_size=2))
          for _ in range(cols)]
@@ -189,6 +189,23 @@ def test_pairs_to_matrix_matches_the_cell_loop(data, rows, cols, fault):
     assert _decoded(pairs_to_matrix, obj) == _decoded(pairs_to_matrix_loop, obj)
 
 
+def _nine_by_nine():
+    """A well-formed 9x9 matrix of ints and floats as json.loads returns
+    it: the size of the 3x3 states that protocol-mix decodes."""
+    return json.loads(json.dumps(
+        [[[r * 9 - c, (r - c) / 7] for c in range(9)] for r in range(9)]
+    ))
+
+
+# two faults each: the first in row-major order words the error
+NAN_BEFORE_TRUE = _nine_by_nine()
+NAN_BEFORE_TRUE[2][3][1] = float("nan")
+NAN_BEFORE_TRUE[6][1][0] = True
+HUGE_BEFORE_RAGGED = _nine_by_nine()
+HUGE_BEFORE_RAGGED[3][8][0] = 10**400
+del HUGE_BEFORE_RAGGED[5][4]
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -198,6 +215,9 @@ def test_pairs_to_matrix_matches_the_cell_loop(data, rows, cols, fault):
         [[[True, 0]]], [[["1", 0]]], [[[None, 0]]], [[(1, 2)]],
         [([1, 2],)], [[[1, 2]], [[1, 2], [3, 4]]], [[[1]]], [[[1, 2, 3]]],
         [[[np.float64(0.25), -0.0]]], [[[np.True_, 0]]],
+        pytest.param(_nine_by_nine(), id="json-9x9"),
+        pytest.param(NAN_BEFORE_TRUE, id="nan-before-true"),
+        pytest.param(HUGE_BEFORE_RAGGED, id="huge-before-ragged"),
     ],
 )
 def test_pairs_to_matrix_matches_the_cell_loop_on_edge_cases(obj):
