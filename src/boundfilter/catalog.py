@@ -38,22 +38,32 @@ SQ2 = 1.0 / np.sqrt(2.0)
 SWEEP_BLOCK = 64
 
 
+def require_t(t) -> np.ndarray:
+    """t as an array; BadParamError names its first value that is not finite
+    and positive or that overflows 4 + 3/t + 4t (t > 4.49e307, < 1.67e-308)."""
+    t = np.asarray(t)
+    with np.errstate(over="ignore", divide="ignore"):
+        norm = 4.0 + 3.0 / t + 4.0 * t
+    for ok, need in (
+        (np.isfinite(t), "be finite and positive"),
+        (t > 0, "be positive"),
+        (np.isfinite(norm), "keep 4 + 3/t + 4t finite"),
+    ):
+        if not ok.all():
+            raise BadParamError(f"t must {need}, got {t[~ok][0].item()!r}")
+    return t
+
+
 def rho_xt(x, t) -> DensityOperator:
     """Two-parameter 3x3-system family, normalization 1/(4 + 3/t + 4t).
 
     Diagonal pattern (1+t, t, 1/t | 1/t, 1+t, t | 1, 1/t, 1) and six
-    symmetric off-diagonal couplings of strength x.  Requires t > 0 and
-    0 <= x <= 1; positivity additionally needs x^2 <= min(1, 1/t), which
-    the DensityOperator invariants enforce.  x and t may be arrays: they
-    broadcast together and give a stack with one state per (x, t) pair.
+    symmetric off-diagonal couplings of strength x.  Requires a t that
+    require_t accepts and 0 <= x <= 1; positivity also needs x^2 <=
+    min(1, 1/t), which the DensityOperator invariants enforce.  x and t may
+    be arrays: they broadcast together into a stack of one state per pair.
     """
-    x, t = np.asarray(x), np.asarray(t)
-    for bad, need in (
-        (~np.isfinite(t), "finite and positive"),
-        (t <= 0, "positive"),
-    ):
-        if bad.any():
-            raise BadParamError(f"t must be {need}, got {t[bad][0].item()!r}")
+    x, t = np.asarray(x), require_t(t)
     bad = ~np.isfinite(x) | (x < 0) | (x > 1)
     if bad.any():
         raise BadParamError(f"x must lie in [0, 1], got {x[bad][0].item()!r}")

@@ -161,6 +161,7 @@ def cmd_scan(args) -> int:
         raise BadParamError(
             "scan range outside the family domain (x in [0, 1], t > 0)"
         )
+    catalog.require_t(args.t)
     w = parse_witness_spec(args.witness)
     filt = None
     if args.filter is not None:

@@ -16,15 +16,14 @@ vec(map(X)) = S vec(X), vec flattening row by row, whose column k * d + l
 is the image of the matrix unit E_kl (the Choi-Jamiolkowski picture).  It
 is built once per (kind, d), and building it is the one place where a Choi
 kind's dimension is checked.  A Witness is just a kind and a side: d is the
-dimension of the state it is applied to on that side.  One-sided
-application of a map to a bipartite state (or a stack of them) regroups
-the density matrix so the acted-on side's (row, column) pair forms one
-axis, multiplies by S on that axis, and undoes the regrouping.  Every
-entry of a Choi map's S is (1/2)(C - I), -1/2 or 0, which for the table's
-coefficients all lie in {0, +-1/2}; each output entry is then a sum of at
-most two exactly halved input entries, so it is correctly rounded whatever
-order the matrix product adds in.  Coefficients that leave (1/2)(C - I)
-outside {0, +-1/2} lose that guarantee.
+dimension of the state it is applied to on that side.  apply_map holds
+the one product with S; apply_witness only moves the acted-on side's
+(row, column) axes last and back.  No row of any S has more than two
+nonzero entries, each +-1/2 or 1 while (1/2)(C - I) lies in {0, +-1/2}
+as for the table's coefficients, so on normal-range input each output
+entry is a sum of at most two exact terms, correctly rounded whatever
+shape the product takes.  Halving a subnormal rounds, though, and the
+sign of a zero it underflows to can follow the product's orientation.
 
 Only the filter factor on the witness's side can change a verdict.  For a
 map Phi on side A and a filter L x M,
@@ -140,21 +139,13 @@ def apply_map(kind: str, x) -> np.ndarray:
     x = linalg.as_stack(x)
     d = linalg.require_square(x, "map argument")
     s = superoperator(kind, d)
-    lead = x.shape[:-2]
-    return (x.reshape(lead + (d * d,)) @ s.T).reshape(x.shape)
+    return (x.reshape(x.shape[:-2] + (d * d,)) @ s.T).reshape(x.shape)
 
 
-def _regroup(m: np.ndarray, d1: int, d2: int, e1: int, e2: int) -> np.ndarray:
-    """View each matrix of m with axes (d1, d2, e1, e2), swap the middle two
-    and merge to (d1 * e1, d2 * e2).
-
-    With (da, db, da, db) this regroups a bipartite matrix from rows (i, k)
-    and columns (j, l) to rows (i, j) and columns (k, l), i, j on side A and
-    k, l on side B; (da, da, db, db) undoes it.
-    """
-    lead = m.shape[:-2]
-    r = np.swapaxes(m.reshape(lead + (d1, d2, e1, e2)), -3, -2)
-    return r.reshape(lead + (d1 * e1, d2 * e2))
+# per side, the transposes of a (K, i, k, j, l) stack (i, j on side A, k, l
+# on side B) that move the side's (row, column) axes last and back
+_TO_END = {Side.A: (0, 2, 4, 1, 3), Side.B: (0, 1, 3, 2, 4)}
+_BACK = {Side.A: (0, 3, 1, 4, 2), Side.B: (0, 1, 3, 2, 4)}
 
 
 def apply_witness(w: Witness, rho) -> np.ndarray:
@@ -165,12 +156,9 @@ def apply_witness(w: Witness, rho) -> np.ndarray:
     per state.  Not a state in general: the interesting case is exactly
     when it has a negative eigenvalue.
     """
-    da, db = rho.dim_a, rho.dim_b
-    s = superoperator(w.kind, da if w.side is Side.A else db)
-    # rows index side A's (i, j) pair, columns side B's (k, l) pair
-    r = _regroup(rho.mat, da, db, da, db)
-    r = s @ r if w.side is Side.A else r @ s.T
-    return _regroup(r, da, da, db, db)
+    x = rho.mat.reshape((-1,) + rho.dims * 2).transpose(_TO_END[w.side])
+    y = apply_map(w.kind, x.reshape((-1,) + x.shape[-2:])).reshape(x.shape)
+    return y.transpose(_BACK[w.side]).reshape(rho.mat.shape)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from boundfilter import cli, linalg, measure
+from boundfilter import cli, linalg, measure, witness
 from boundfilter.errors import BoundFilterError, ParseError
 from boundfilter.states import DensityOperator, normalize
 
@@ -123,6 +123,27 @@ def superoperator_by_units(kind, d):
         unit[k] = 1.0
         s[:, k] = mapf(unit.reshape(d, d)).reshape(-1)
     return s
+
+
+def _regroup(m, d1, d2, e1, e2):
+    """View each matrix of m with axes (d1, d2, e1, e2), swap the middle two
+    and merge to (d1 * e1, d2 * e2)."""
+    lead = m.shape[:-2]
+    r = np.swapaxes(m.reshape(lead + (d1, d2, e1, e2)), -3, -2)
+    return r.reshape(lead + (d1 * e1, d2 * e2))
+
+
+def apply_witness_per_matrix(w, rho):
+    """witness.apply_witness by regrouping: each density matrix is regrouped
+    so that rows index side A's (i, j) pair and columns side B's (k, l)
+    pair, multiplied by the superoperator from the left (side A) or by its
+    transpose from the right (side B), one matrix at a time, and regrouped
+    back."""
+    da, db = rho.dim_a, rho.dim_b
+    s = witness.superoperator(w.kind, da if w.side is witness.Side.A else db)
+    r = _regroup(rho.mat, da, db, da, db)
+    r = s @ r if w.side is witness.Side.A else r @ s.T
+    return _regroup(r, da, da, db, db)
 
 
 def one_sided_phi_loops(rho, side, db_or_da):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,24 @@ def test_rho_xt_stack_guards_name_first_bad_value():
         catalog.rho_xt(0.5, np.array([1.0, -2.0, 0.0]))
     with pytest.raises(NotPSDError):
         catalog.rho_xt(np.array([0.5, 0.75]), 2.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rho_xt_rejects_t_that_overflows_the_normalization():
+    # 4 + 3/t + 4t overflows above about 4.5e307 and below about 1.7e-308:
+    # t is named before numpy computes anything that could warn
+    for t in (1e308, 4.5e307, 1.6e-308, 1e-308, 1e-320, 5e-324):
+        message = f"t must keep 4 + 3/t + 4t finite, got {t!r}"
+        with pytest.raises(BadParamError, match=f"^{re.escape(message)}$"):
+            catalog.rho_xt(0.5, t)
+    with pytest.raises(BadParamError, match=r"finite, got 1e-320$"):
+        catalog.rho_xt(0.5, np.array([0.05, 1e-320, 1e308]))
+    # the earlier rules on t still come first
+    with pytest.raises(BadParamError, match=r"^t must be positive, got -1\.0"):
+        catalog.rho_xt(0.5, np.array([1e308, -1.0]))
+    # values just inside the rule still build a state
+    for t in (1e306, 4e307, 4.4e307, 2e-308, 1e-306):
+        assert np.isfinite(catalog.rho_xt(0.5, t).mat).all()
 
 
 def test_rho_xt_positivity_boundary():

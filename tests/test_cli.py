@@ -520,6 +520,44 @@ def test_degenerate_json_input_prints_one_plain_error(capsys, tmp_path):
             assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+SCAN_RANGE = ["--x-min", "0", "--x-max", "0.5", "--steps", "3"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv, t",
+    [
+        (["detect", "rho-xt:0.5:1e308", "choi-phi:A"], "1e+308"),
+        (["detect", "rho-xt:0.5:1e-308", "choi-phi:A"], "1e-308"),
+        (["simulate", "rho-xt:0.5:1e-320", "choi-example", "--analytic"],
+         "1e-320"),
+        (["simulate", "rho-xt:0.5:1e-320", "choi-example", "--seed", "1"],
+         "1e-320"),
+        (["scan", "--t", "1e308", *SCAN_RANGE, "--witness", "choi-phi:A"],
+         "1e+308"),
+        (["scan", "--t", "1e-320", *SCAN_RANGE, "--witness", "choi-phi:A"],
+         "1e-320"),
+    ],
+    ids=["detect-big", "detect-small", "analytic", "simulate", "scan-big",
+         "scan-small"],
+)
+def test_overflowing_t_prints_one_error_naming_t(capsys, argv, t):
+    # no numpy warning, and scan writes no header
+    assert run_cli(capsys, *argv) == (
+        2, "", f"error: t must keep 4 + 3/t + 4t finite, got {t}\n"
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_extreme_t_inside_the_rule_gives_a_verdict(capsys):
+    for t in ("1e306", "4e307", "2e-308", "1e-306"):
+        code, out, err = run_cli(
+            capsys, "detect", f"rho-xt:0.5:{t}", "choi-phi:A"
+        )
+        assert (code, err) == (0, ""), t
+        assert json.loads(out)["detected"] is False
+
+
 def test_deeply_nested_json_exits_2(capsys, tmp_path):
     # json's decoder recurses once per nesting level: a file nested past
     # the recursion limit is a parse error, as a state and as a filter

@@ -15,6 +15,7 @@ from boundfilter.states import DensityOperator
 from boundfilter.witness import TRANSPOSE_B, Side, Witness
 
 from .oracles import (
+    apply_witness_per_matrix,
     herm_defect,
     one_sided_phi_loops,
     one_sided_psi_loops,
@@ -209,6 +210,102 @@ def test_stacked_apply_witness_matches_kraus_oracle(
     assert out.shape == mats.shape
     for m, got in zip(mats, out):
         assert np.abs(got - kraus_oracle(kind, side, m, da, db)).max() < 1e-13
+
+
+def _byte_sources(dims):
+    """(name, stack) of states on dims: seeded random complex states and,
+    on 3 x 3, rho-xt grids (exact zeros) and rho-upb, on 2 x 2 bell."""
+    rng = np.random.default_rng(sum(dims))
+    n = dims[0] * dims[1]
+    yield "random", np.stack([random_density_mat(rng, n) for _ in range(64)])
+    if dims == (3, 3):
+        yield "rho-xt", catalog.rho_xt(np.linspace(0, 1, 64), 0.05).mat
+        yield "rho-xt-t2", catalog.rho_xt(np.linspace(0, 0.7, 64), 2.0).mat
+        yield "rho-upb", catalog.rho_upb().mat[None]
+    if dims == (2, 2):
+        yield "bell", catalog.bell_state().mat[None]
+
+
+@pytest.mark.parametrize(
+    "kind, side, dims",
+    [
+        pytest.param(
+            kind, side, dims, id=f"{kind}-{side.value}-{dims[0]}x{dims[1]}"
+        )
+        for kind in witness.MAPS
+        for side in Side
+        for dims in [(2, 2), (3, 3), (2, 3), (3, 2)]
+        if kind == "transpose" or dims[side is Side.B] == 3
+    ],
+)
+def test_apply_witness_is_the_per_matrix_product_byte_for_byte(
+    kind, side, dims
+):
+    # every superoperator row holds at most two entries in {-1/2, 1/2, 1}
+    # (test_superoperator_rows_round_exactly), so on normal-range input the
+    # shape of the product cannot move a bit, signs of zeros included
+    w = Witness(kind, side)
+    for name, stack in _byte_sources(dims):
+        for mats in (stack[0], stack[:1], stack, stack[:0]):
+            rho = DensityOperator(*dims, mats)
+            got = witness.apply_witness(w, rho)
+            ref = apply_witness_per_matrix(w, rho)
+            assert got.shape == mats.shape, name
+            assert got.tobytes() == ref.tobytes(), (name, mats.shape)
+
+
+@pytest.mark.parametrize(
+    "kind, side",
+    [
+        pytest.param(kind, side, id=f"{kind}-{side.value}")
+        for kind in witness.MAPS
+        for side in Side
+    ],
+)
+def test_apply_witness_on_subnormal_entries_equals_the_per_matrix_product(
+    kind, side
+):
+    # halving a subnormal rounds, and an entry that underflows to zero may
+    # take its sign from the product's orientation: values are equal, bytes
+    # need not be (on side A some zeros of the Choi maps can differ in sign)
+    rng = np.random.default_rng(25)
+    g = rng.integers(-3, 4, (40, 9, 9)) + 1j * rng.integers(-3, 4, (40, 9, 9))
+    off = (g + linalg.adjoint(g)) * 5e-324
+    mats = off + np.eye(9) / 9 - off * np.eye(9)
+    small = np.abs(mats[:, ~np.eye(9, dtype=bool)])
+    assert (small < np.finfo(float).tiny).all() and small.any()
+    rho = DensityOperator(3, 3, mats)
+    w = Witness(kind, side)
+    got = witness.apply_witness(w, rho)
+    assert np.array_equal(got, apply_witness_per_matrix(w, rho))
+
+
+def test_apply_witness_keeps_rows_and_columns_apart(monkeypatch):
+    # every MAPS map commutes with the transpose, so only a map that does
+    # not, here X -> G X with S = G x I in the row-major vec, can tell the
+    # acted-on side's rows from its columns
+    rng = np.random.default_rng(26)
+    for side, dims in ((Side.A, (3, 2)), (Side.B, (2, 3))):
+        s = np.kron(rng.standard_normal((3, 3)), np.eye(3))
+        monkeypatch.setattr(witness, "superoperator", lambda kind, d, s=s: s)
+        mats = np.stack([random_density_mat(rng, 6) for _ in range(5)])
+        for m in (mats, mats[0]):
+            rho = DensityOperator(*dims, m)
+            w = Witness("transpose", side)
+            ref = apply_witness_per_matrix(w, rho)
+            assert np.abs(witness.apply_witness(w, rho) - ref).max() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "kind, d",
+    [("choi-phi", 3), ("choi-psi", 3)]
+    + [("transpose", d) for d in range(1, 6)],
+)
+def test_superoperator_rows_round_exactly(kind, d):
+    s = witness.superoperator(kind, d)
+    assert (s.imag == 0).all()
+    assert ((s != 0).sum(axis=1) <= 2).all()
+    assert set(s.real[s != 0].tolist()) <= {-0.5, 0.5, 1.0}
 
 
 @pytest.mark.parametrize(
