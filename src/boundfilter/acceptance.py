@@ -28,6 +28,7 @@ from .formats import fmt_num
 from .states import DensityOperator, PureState, is_ppt, normalize, schmidt_rank
 from .tolerances import TOL_NEG
 from .witness import (
+    MAPS,
     TRANSPOSE_B,
     Side,
     Witness,
@@ -275,7 +276,7 @@ def check_choi_window() -> CheckResult:
     """
     t = 0.05
     f = catalog.choi_example_filter()
-    w = Witness("choi-phi", Side.A)
+    w = Witness(MAPS["choi-phi"], Side.A)
 
     def columns(xs, solve):
         # solve of the unfiltered and filtered witness images, one block of
@@ -337,7 +338,7 @@ def check_upb() -> CheckResult:
     rho = catalog.rho_upb()
     # printed, so from detect's eigh; is_ppt would give the same verdict
     pt = detect(TRANSPOSE_B, rho)
-    w = Witness("choi-psi", Side.B)
+    w = Witness(MAPS["choi-psi"], Side.B)
     before = detect(w, rho)
     filtered, _ = apply_filter(catalog.upb_rotation_filter(), rho)
     after = detect(w, filtered)
@@ -533,16 +534,16 @@ def check_positive_not_cp() -> CheckResult:
     amps = np.zeros(9)
     amps[[0, 4, 8]] = 1.0 / np.sqrt(3.0)
     omega = DensityOperator(3, 3, np.outer(amps, amps))
-    kinds = ("choi-phi", "choi-psi")
+    maps = (MAPS["choi-phi"], MAPS["choi-psi"])
     negs = [
-        linalg.min_eigenvalue(apply_witness(Witness(kind, Side.A), omega))
-        for kind in kinds
+        linalg.min_eigenvalue(apply_witness(Witness(m, Side.A), omega))
+        for m in maps
     ]
     entangled_seen = all(v < -TOL_NEG for v in negs)
     rng = np.random.default_rng(20240815)
     g = _gaussian(rng, 3, 200)
     psd = g @ linalg.adjoint(g)
-    mapped = np.concatenate([apply_map(kind, psd) for kind in kinds])
+    mapped = np.concatenate([apply_map(m, psd) for m in maps])
     worst = linalg.min_eigenvalue(mapped).min()
     positivity_ok = worst >= -1e-10
     return CheckResult(

@@ -5,10 +5,10 @@ detect (one witness verdict, JSON), simulate (measurement protocol, JSON),
 verify-paper (the acceptance suite as a pass/fail table) and export
 (catalog listing, JSON).
 
-Grammar: witnesses are <kind>:<side> with the kinds of the witness.MAPS
-table (choi-phi, choi-psi, transpose) and sides A / B; a witness acts on
-the state's dimension on its side.  States and filters are labels of the
-catalog table (catalog.LABELS), parsed with their colon-separated
+Grammar: witnesses are <kind>:<side>, where a kind names one map value of
+witness.MAPS (choi-phi, choi-psi, transpose) and sides are A / B; a witness
+acts on the state's dimension on its side.  States and filters are labels
+of the catalog table (catalog.LABELS), parsed with their colon-separated
 parameters by catalog.from_label; anything with a path separator or a
 .json suffix is read as a JSON file.  BF_SEED overrides
 the default simulation seed; an explicit --seed beats both, and either must
@@ -146,9 +146,8 @@ def _scan_rows(xs, t, w, filt) -> str:
 
 
 def cmd_scan(args) -> int:
-    for name, value in (
-        ("t", args.t), ("x-min", args.x_min), ("x-max", args.x_max)
-    ):
+    catalog.require_t(args.t)
+    for name, value in (("x-min", args.x_min), ("x-max", args.x_max)):
         if not math.isfinite(value):
             raise BadParamError(f"{name} must be finite, got {value}")
     if not args.x_max > args.x_min:
@@ -157,11 +156,10 @@ def cmd_scan(args) -> int:
         )
     if args.steps < 2:
         raise BadParamError(f"steps must be >= 2, got {args.steps}")
-    if args.x_min < 0 or args.x_max > 1 or args.t <= 0:
+    if args.x_min < 0 or args.x_max > 1:
         raise BadParamError(
             "scan range outside the family domain (x in [0, 1], t > 0)"
         )
-    catalog.require_t(args.t)
     w = parse_witness_spec(args.witness)
     filt = None
     if args.filter is not None:
@@ -201,7 +199,7 @@ def cmd_detect(args) -> int:
     report = detect(w, rho)
     payload = {
         "label": label,
-        "kind": w.kind,
+        "kind": w.map.name,
         "side": w.side.value,
         "min_eigenvalue": report.min_eigenvalue,
         "detected": report.detected,

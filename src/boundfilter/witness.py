@@ -1,10 +1,11 @@
 """Entanglement witnesses built from positive-but-not-CP maps.
 
-Three maps are available: two qutrit Choi-type maps (positive, not
+Three map values are available: two qutrit Choi-type maps (positive, not
 completely positive, so applying one to a single side of an entangled state
 can expose a negative eigenvalue even when the partial transpose cannot)
 and the plain transpose as baseline: the transpose on side B is the PPT
-test (states.is_ppt).  MAPS is the one table of them.
+test (states.is_ppt).  MAPS holds the one PositiveMap instance of each,
+by name.
 
 The Choi maps are members of the Cho-Kye-Lee family (Lin. Alg. Appl. 171,
 213 (1992)), X -> (1/2) Phi[a,b,c](X) with Phi[a,b,c](X) = diag(C x) - X,
@@ -14,16 +15,16 @@ where x is the diagonal of X and C the circulant with rows (a, b, c),
 Every map is applied through its superoperator: the d^2 x d^2 matrix S with
 vec(map(X)) = S vec(X), vec flattening row by row, whose column k * d + l
 is the image of the matrix unit E_kl (the Choi-Jamiolkowski picture).  It
-is built once per (kind, d), and building it is the one place where a Choi
-kind's dimension is checked.  A Witness is just a kind and a side: d is the
-dimension of the state it is applied to on that side.  apply_map holds
-the one product with S; apply_witness only moves the acted-on side's
-(row, column) axes last and back.  No row of any S has more than two
-nonzero entries, each +-1/2 or 1 while (1/2)(C - I) lies in {0, +-1/2}
-as for the table's coefficients, so on normal-range input each output
-entry is a sum of at most two exact terms, correctly rounded whatever
-shape the product takes.  Halving a subnormal rounds, though, and the
-sign of a zero it underflows to can follow the product's orientation.
+is built once per (map value, d), and building it is the one place where a
+Choi map's dimension is checked.  A Witness is just a map value and a side:
+d is the dimension of the state it is applied to on that side.  apply_map
+holds the one product with S; apply_witness only moves the acted-on side's
+(row, column) axes last and back.  For the three named maps no row of S
+has more than two nonzero entries, each +-1/2 or 1, so on normal-range
+input each output entry is a sum of at most two exact terms, correctly
+rounded whatever shape the product takes.  Halving a subnormal rounds,
+though, and the sign of a zero it underflows to can follow the product's
+orientation.
 
 Only the filter factor on the witness's side can change a verdict.  For a
 map Phi on side A and a filter L x M,
@@ -44,12 +45,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadParamError, DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError, ParseError
 from .tolerances import TOL_NEG
 
-# witness kind -> Cho-Kye-Lee coefficients (a, b, c) of the qutrit map
-# (1/2) Phi[a,b,c], or None for the transpose (any dimension)
-MAPS = {"choi-phi": (2, 0, 1), "choi-psi": (2, 1, 0), "transpose": None}
+
+@dataclass(frozen=True, eq=False)
+class PositiveMap:
+    """A named positive map: the Cho-Kye-Lee coefficients (a, b, c) of the
+    qutrit map (1/2) Phi[a,b,c], or None for the transpose (any dimension).
+
+    Compared and hashed by identity, so superoperator's cache lookup stays
+    cheap; MAPS holds the one instance of each named map.
+    """
+
+    name: str
+    coef: tuple | None
+
+
+MAPS = {m.name: m for m in (
+    PositiveMap("choi-phi", (2, 0, 1)),
+    PositiveMap("choi-psi", (2, 1, 0)),
+    PositiveMap("transpose", None),
+)}
 
 
 class Side(enum.Enum):
@@ -57,32 +74,24 @@ class Side(enum.Enum):
     B = "B"
 
 
-def _unknown_kind(kind: str) -> str:
-    return f"unknown witness kind '{kind}' (valid: {', '.join(MAPS)})"
-
-
 @dataclass(frozen=True)
 class Witness:
-    """A positive map (a MAPS key) applied to one side of a bipartite state.
+    """A positive map applied to one side of a bipartite state.
 
     The map acts on whatever dimension the state has on that side;
-    superoperator rejects a Choi kind on a side that is not 3-dimensional.
+    superoperator rejects a Choi map on a side that is not 3-dimensional.
     """
 
-    kind: str
+    map: PositiveMap
     side: Side
-
-    def __post_init__(self):
-        if self.kind not in MAPS:
-            raise BadParamError(_unknown_kind(self.kind))
 
 
 # the partial transpose on side B, whose positivity is the PPT test
-TRANSPOSE_B = Witness("transpose", Side.B)
+TRANSPOSE_B = Witness(MAPS["transpose"], Side.B)
 
 
 def parse_witness_spec(text: str) -> Witness:
-    """The Witness of a 'kind:side' spec."""
+    """The Witness of a 'kind:side' spec; the one place a kind is checked."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ParseError(
@@ -90,55 +99,56 @@ def parse_witness_spec(text: str) -> Witness:
         )
     kind, side_txt = parts
     if kind not in MAPS:
-        raise ParseError(_unknown_kind(kind))
+        raise ParseError(
+            f"unknown witness kind '{kind}' (valid: {', '.join(MAPS)})"
+        )
     try:
         side = Side(side_txt)
     except ValueError:
         raise ParseError(
             f"unknown side '{side_txt}' (valid: A, B)"
         ) from None
-    return Witness(kind, side)
+    return Witness(MAPS[kind], side)
 
 
 @functools.cache
-def superoperator(kind: str, d: int) -> np.ndarray:
+def superoperator(m: PositiveMap, d: int) -> np.ndarray:
     """The d^2 x d^2 matrix of the map on d x d matrices (read-only, cached).
 
     Column k * d + l is the row-major flattening of the image of E_kl.
     """
-    coef = MAPS[kind]
-    if coef is None:
+    if m.coef is None:
         # E_kl -> E_lk: column k * d + l holds its 1 in row l * d + k
         s = np.eye(d * d, dtype=np.complex128).reshape(d, d, d * d)
         s = s.swapaxes(0, 1).reshape(d * d, d * d)
     else:
         if d != 3:
             raise DimensionMismatchError(
-                f"{kind} requires a 3-dimensional side, got local_dim={d}"
+                f"{m.name} requires a 3-dimensional side, got local_dim={d}"
             )
-        a, b, c = coef
+        a, b, c = m.coef
         circ = np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=float)
         # dg indexes the diagonal units E_00, E_11, E_22; every other unit
         # maps to -1/2 of itself.  The signs of the zeros count too (LAPACK's
         # Householder step reads them): halving the negated complex identity
         # gives the signs of a unit-by-unit build, and a test pins them.
         dg = [0, 4, 8]
-        m = -np.eye(9, dtype=np.complex128)
-        m[dg] = 0
-        m[np.ix_(dg, dg)] = circ - np.eye(3)
-        s = 0.5 * m
+        s = -np.eye(9, dtype=np.complex128)
+        s[dg] = 0
+        s[np.ix_(dg, dg)] = circ - np.eye(3)
+        s = 0.5 * s
     s.setflags(write=False)
     return s
 
 
-def apply_map(kind: str, x) -> np.ndarray:
+def apply_map(m: PositiveMap, x) -> np.ndarray:
     """The map applied to a d x d matrix, or to each matrix of a stack.
 
     The superoperator times the row-major vec of each matrix.
     """
     x = linalg.as_stack(x)
     d = linalg.require_square(x, "map argument")
-    s = superoperator(kind, d)
+    s = superoperator(m, d)
     return (x.reshape(x.shape[:-2] + (d * d,)) @ s.T).reshape(x.shape)
 
 
@@ -157,7 +167,7 @@ def apply_witness(w: Witness, rho) -> np.ndarray:
     when it has a negative eigenvalue.
     """
     x = rho.mat.reshape((-1,) + rho.dims * 2).transpose(_TO_END[w.side])
-    y = apply_map(w.kind, x.reshape((-1,) + x.shape[-2:])).reshape(x.shape)
+    y = apply_map(w.map, x.reshape((-1,) + x.shape[-2:])).reshape(x.shape)
     return y.transpose(_BACK[w.side]).reshape(rho.mat.shape)
 
 

@@ -140,7 +140,7 @@ def apply_witness_per_matrix(w, rho):
     transpose from the right (side B), one matrix at a time, and regrouped
     back."""
     da, db = rho.dim_a, rho.dim_b
-    s = witness.superoperator(w.kind, da if w.side is witness.Side.A else db)
+    s = witness.superoperator(w.map, da if w.side is witness.Side.A else db)
     r = _regroup(rho.mat, da, db, da, db)
     r = s @ r if w.side is witness.Side.A else r @ s.T
     return _regroup(r, da, da, db, db)

@@ -67,7 +67,7 @@ def test_choi_window_edges_are_the_roots_of_two_cubics():
 
     # the minima change sign across each root +- 1e-6 (not at adjacent
     # floats, where eigh reads ~1e-17 and another LAPACK could flip it)
-    w = witness.Witness("choi-phi", witness.Side.A)
+    w = witness.Witness(witness.MAPS["choi-phi"], witness.Side.A)
 
     def minima(x, filtered):
         rho = catalog.rho_xt(np.array([x - 1e-6, x + 1e-6]), 0.05)

@@ -17,7 +17,7 @@ from boundfilter.filters import apply_filter, filter_to_json_dict
 from boundfilter.formats import fmt_num
 from boundfilter.states import state_from_json_dict, state_to_json_dict
 from boundfilter.tolerances import TOL_NEG
-from boundfilter.witness import apply_witness, parse_witness_spec
+from boundfilter.witness import MAPS, apply_witness, parse_witness_spec
 
 from .oracles import main_per_call, pt_b_loops
 
@@ -268,6 +268,12 @@ def test_detect_bell_transpose(capsys):
     assert payload["side"] == "B"
     assert payload["detected"] is True
     assert payload["min_eigenvalue"] == pytest.approx(-0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+def test_detect_prints_the_map_name_as_kind(capsys, name):
+    code, out, _ = run_cli(capsys, "detect", "rho-upb", f"{name}:A")
+    assert code == 0 and json.loads(out)["kind"] == name
 
 
 def test_detect_filtered_family_state(capsys):
@@ -546,6 +552,17 @@ def test_overflowing_t_prints_one_error_naming_t(capsys, argv, t):
     assert run_cli(capsys, *argv) == (
         2, "", f"error: t must keep 4 + 3/t + 4t finite, got {t}\n"
     )
+
+
+@pytest.mark.parametrize("t", ["inf", "nan", "-1", "0"])
+def test_scan_states_the_t_rule_as_the_family_label_does(capsys, t):
+    # catalog.require_t is scan's one rule for t, checked before the range
+    scan = run_cli(
+        capsys, "scan", "--t", t, *SCAN_RANGE, "--witness", "choi-phi:A"
+    )
+    detect = run_cli(capsys, "detect", f"rho-xt:0.5:{t}", "choi-phi:A")
+    assert scan == detect
+    assert scan[0] == 2 and scan[1] == "" and scan[2].startswith("error: t ")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 
 from boundfilter import catalog, linalg, witness
 from boundfilter.errors import (
-    BadParamError,
     DimensionMismatchError,
     NonSquareError,
     ParseError,
 )
 from boundfilter.filters import apply_filter, make_filter
 from boundfilter.states import DensityOperator
-from boundfilter.witness import TRANSPOSE_B, Side, Witness
+from boundfilter.witness import MAPS, TRANSPOSE_B, Side, Witness
 
 from .oracles import (
     apply_witness_per_matrix,
@@ -43,7 +42,7 @@ def max_entangled_3():
 
 def test_choi_maps_fix_identity():
     for kind in CHOI_KINDS:
-        out = witness.apply_map(kind, np.eye(3))
+        out = witness.apply_map(MAPS[kind], np.eye(3))
         assert np.abs(out - np.eye(3)).max() < 1e-15
 
 
@@ -53,14 +52,14 @@ def test_choi_maps_on_matrix_units():
     # first map feeds a11 into the second diagonal slot, second map into
     # the third
     assert np.allclose(
-        witness.apply_map("choi-phi", e00), np.diag([0.5, 0.5, 0.0])
+        witness.apply_map(MAPS["choi-phi"], e00), np.diag([0.5, 0.5, 0.0])
     )
     assert np.allclose(
-        witness.apply_map("choi-psi", e00), np.diag([0.5, 0.0, 0.5])
+        witness.apply_map(MAPS["choi-psi"], e00), np.diag([0.5, 0.0, 0.5])
     )
     e01 = np.zeros((3, 3))
     e01[0, 1] = 1.0
-    out = witness.apply_map("choi-phi", e01)
+    out = witness.apply_map(MAPS["choi-phi"], e01)
     assert out[0, 1] == -0.5
     assert np.count_nonzero(out) == 1
 
@@ -69,7 +68,7 @@ def test_choi_maps_preserve_trace_and_hermiticity():
     rng = np.random.default_rng(31)
     h = np.stack([random_herm(rng, 3) for _ in range(25)])
     for kind in CHOI_KINDS:
-        out = witness.apply_map(kind, h)
+        out = witness.apply_map(MAPS[kind], h)
         assert out.shape == h.shape
         tr = np.trace(out, axis1=1, axis2=2) - np.trace(h, axis1=1, axis2=2)
         assert np.abs(tr).max() < 1e-12
@@ -81,24 +80,24 @@ def test_choi_maps_positive_on_psd():
     for _ in range(50):
         psd = random_psd(rng, 3)
         for kind in CHOI_KINDS:
-            out = witness.apply_map(kind, psd)
+            out = witness.apply_map(MAPS[kind], psd)
             assert linalg.min_eigenvalue(out) > -1e-10
 
 
 def test_choi_maps_reject_wrong_shape():
     with pytest.raises(DimensionMismatchError):
-        witness.apply_map("choi-phi", np.eye(2))
+        witness.apply_map(MAPS["choi-phi"], np.eye(2))
     with pytest.raises(DimensionMismatchError):
-        witness.apply_map("choi-psi", np.eye(4))
+        witness.apply_map(MAPS["choi-psi"], np.eye(4))
     with pytest.raises(NonSquareError):
-        witness.apply_map("transpose", np.ones((2, 3)))
+        witness.apply_map(MAPS["transpose"], np.ones((2, 3)))
 
 
 def test_maps_not_completely_positive():
     # one-sided application drives the maximally entangled state to -1/6
     omega = max_entangled_3()
     for kind in CHOI_KINDS:
-        w = Witness(kind, Side.A)
+        w = Witness(MAPS[kind], Side.A)
         wmin = linalg.min_eigenvalue(witness.apply_witness(w, omega))
         assert wmin == pytest.approx(-1 / 6, abs=1e-12)
 
@@ -117,28 +116,31 @@ def test_witness_requires_dim_three_for_choi():
                 match=f"^{kind} requires a 3-dimensional side, "
                 "got local_dim=2$",
             ):
-                witness.apply_witness(Witness(kind, side), bell)
+                witness.apply_witness(Witness(MAPS[kind], side), bell)
     # the transpose acts on a side of any dimension; on side A it is the
     # full transpose of the partial transpose on B
-    out = witness.apply_witness(Witness("transpose", Side.A), bell)
+    out = witness.apply_witness(Witness(MAPS["transpose"], Side.A), bell)
     pt_b = witness.apply_witness(TRANSPOSE_B, bell)
     assert np.abs(out - pt_b.T).max() < 1e-15
 
 
 def test_witness_rejects_unknown_kind():
-    with pytest.raises(BadParamError, match="unknown witness kind 'bogus'"):
-        Witness("bogus", Side.A)
+    # parse_witness_spec is the one place a kind is checked
+    with pytest.raises(ParseError) as info:
+        witness.parse_witness_spec("bogus:A")
+    assert str(info.value) == (
+        "unknown witness kind 'bogus' (valid: choi-phi, choi-psi, transpose)"
+    )
 
 
 def test_apply_witness_dim_guard():
     # the side the witness acts on decides: 3 on A passes, 2 on B does not
     rng = np.random.default_rng(37)
     rho = DensityOperator(3, 2, random_density_mat(rng, 6))
-    assert witness.apply_witness(Witness("choi-phi", Side.A), rho).shape == (
-        6, 6
-    )
+    phi = MAPS["choi-phi"]
+    assert witness.apply_witness(Witness(phi, Side.A), rho).shape == (6, 6)
     with pytest.raises(DimensionMismatchError):
-        witness.apply_witness(Witness("choi-phi", Side.B), rho)
+        witness.apply_witness(Witness(phi, Side.B), rho)
 
 
 def test_transpose_witness_equals_partial_transpose():
@@ -146,7 +148,7 @@ def test_transpose_witness_equals_partial_transpose():
     m = random_density_mat(rng, 9)
     rho = DensityOperator(3, 3, m)
     out = witness.apply_witness(
-        Witness("transpose", Side.B), rho
+        Witness(MAPS["transpose"], Side.B), rho
     )
     assert np.abs(out - pt_b_loops(m, 3, 3)).max() < 1e-14
 
@@ -156,7 +158,7 @@ def test_transpose_witness_side_a():
     m = random_density_mat(rng, 6)
     rho = DensityOperator(2, 3, m)
     out = witness.apply_witness(
-        Witness("transpose", Side.A), rho
+        Witness(MAPS["transpose"], Side.A), rho
     )
     oracle = m.reshape(2, 3, 2, 3).transpose(2, 1, 0, 3).reshape(6, 6)
     assert np.abs(out - oracle).max() < 1e-14
@@ -174,7 +176,7 @@ def test_one_sided_choi_matches_kraus_oracle():
             ("choi-psi", Side.B, one_sided_psi_loops),
         ]
         for kind, side, oracle in pairs:
-            out = witness.apply_witness(Witness(kind, side), rho)
+            out = witness.apply_witness(Witness(MAPS[kind], side), rho)
             ref = oracle(m, side.value, 3)
             assert np.abs(out - ref).max() < 1e-13
 
@@ -205,7 +207,7 @@ def test_stacked_apply_witness_matches_kraus_oracle(
     da, db = (3, other) if side is Side.A else (other, 3)
     mats = np.stack([random_density_mat(rng, da * db) for _ in range(count)])
     out = witness.apply_witness(
-        Witness(kind, side), DensityOperator(da, db, mats)
+        Witness(MAPS[kind], side), DensityOperator(da, db, mats)
     )
     assert out.shape == mats.shape
     for m, got in zip(mats, out):
@@ -244,7 +246,7 @@ def test_apply_witness_is_the_per_matrix_product_byte_for_byte(
     # every superoperator row holds at most two entries in {-1/2, 1/2, 1}
     # (test_superoperator_rows_round_exactly), so on normal-range input the
     # shape of the product cannot move a bit, signs of zeros included
-    w = Witness(kind, side)
+    w = Witness(MAPS[kind], side)
     for name, stack in _byte_sources(dims):
         for mats in (stack[0], stack[:1], stack, stack[:0]):
             rho = DensityOperator(*dims, mats)
@@ -275,7 +277,7 @@ def test_apply_witness_on_subnormal_entries_equals_the_per_matrix_product(
     small = np.abs(mats[:, ~np.eye(9, dtype=bool)])
     assert (small < np.finfo(float).tiny).all() and small.any()
     rho = DensityOperator(3, 3, mats)
-    w = Witness(kind, side)
+    w = Witness(MAPS[kind], side)
     got = witness.apply_witness(w, rho)
     assert np.array_equal(got, apply_witness_per_matrix(w, rho))
 
@@ -287,11 +289,11 @@ def test_apply_witness_keeps_rows_and_columns_apart(monkeypatch):
     rng = np.random.default_rng(26)
     for side, dims in ((Side.A, (3, 2)), (Side.B, (2, 3))):
         s = np.kron(rng.standard_normal((3, 3)), np.eye(3))
-        monkeypatch.setattr(witness, "superoperator", lambda kind, d, s=s: s)
+        monkeypatch.setattr(witness, "superoperator", lambda m, d, s=s: s)
         mats = np.stack([random_density_mat(rng, 6) for _ in range(5)])
         for m in (mats, mats[0]):
             rho = DensityOperator(*dims, m)
-            w = Witness("transpose", side)
+            w = Witness(MAPS["transpose"], side)
             ref = apply_witness_per_matrix(w, rho)
             assert np.abs(witness.apply_witness(w, rho) - ref).max() < 1e-13
 
@@ -302,7 +304,7 @@ def test_apply_witness_keeps_rows_and_columns_apart(monkeypatch):
     + [("transpose", d) for d in range(1, 6)],
 )
 def test_superoperator_rows_round_exactly(kind, d):
-    s = witness.superoperator(kind, d)
+    s = witness.superoperator(MAPS[kind], d)
     assert (s.imag == 0).all()
     assert ((s != 0).sum(axis=1) <= 2).all()
     assert set(s.real[s != 0].tolist()) <= {-0.5, 0.5, 1.0}
@@ -315,8 +317,8 @@ def test_superoperator_rows_round_exactly(kind, d):
 def test_superoperator_matches_unit_build(kind, d):
     # byte for byte, signs of zeros included: LAPACK's Householder step
     # reads them, so equal values alone could move a printed last digit
-    s = witness.superoperator(kind, d)
-    assert s is witness.superoperator(kind, d)
+    s = witness.superoperator(MAPS[kind], d)
+    assert s is witness.superoperator(MAPS[kind], d)
     assert not s.flags.writeable
     assert s.tobytes() == superoperator_by_units(kind, d).tobytes()
 
@@ -327,7 +329,7 @@ def test_apply_witness_preserves_trace():
     rho = DensityOperator(3, 3, m)
     for kind in witness.MAPS:
         for side in Side:
-            out = witness.apply_witness(Witness(kind, side), rho)
+            out = witness.apply_witness(Witness(MAPS[kind], side), rho)
             assert abs(np.trace(out) - 1.0) < 1e-12
 
 
@@ -357,7 +359,7 @@ def test_opposite_factor_never_changes_a_verdict(seed, kind, side, mix):
         mix * np.outer(psi, psi.conj())
         + (1 - mix) * random_density_mat(rng, 9),
     )
-    w = Witness(kind, side)
+    w = Witness(MAPS[kind], side)
     near, far = _conditioned(rng, 10.0), _conditioned(rng, 10.0)
 
     def image(opposite):
@@ -375,13 +377,14 @@ def test_diagonal_filter_stays_in_the_choi_family(kind):
     # for D = diag(d), d > 0: D^-1 (1/2) Phi[C](D X D) D^-1 = (1/2)
     # (diag(C' x) - X) with C'_ij = C_ij d_j^2 / d_i^2, a generalized Choi
     # map whose C' is not circulant
-    a, b, c = witness.MAPS[kind]
+    m = MAPS[kind]
+    a, b, c = m.coef
     circ = np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=float)
     rng = np.random.default_rng(41)
     for _ in range(100):
         d = np.exp(rng.uniform(-1.5, 1.5, 3))
         x = random_herm(rng, 3)
-        got = witness.apply_map(kind, d[:, None] * x * d) / np.outer(d, d)
+        got = witness.apply_map(m, d[:, None] * x * d) / np.outer(d, d)
         c_prime = circ * d**2 / (d**2)[:, None]
         want = 0.5 * (np.diag(c_prime @ np.diagonal(x).real) - x)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -394,7 +397,7 @@ def test_diagonal_filter_stays_in_the_choi_family(kind):
 
 def test_family_state_in_window_is_undetected():
     rho = catalog.rho_xt(0.63, 0.05)
-    w = Witness("choi-phi", Side.A)
+    w = Witness(MAPS["choi-phi"], Side.A)
     report = witness.detect(w, rho)
     assert not report.detected
     assert report.min_eigenvalue == pytest.approx(3.746072556899412e-4, abs=1e-9)
@@ -403,7 +406,7 @@ def test_family_state_in_window_is_undetected():
 def test_family_state_detected_after_filter():
     rho = catalog.rho_xt(0.63, 0.05)
     filtered, _ = apply_filter(catalog.choi_example_filter(), rho)
-    w = Witness("choi-phi", Side.A)
+    w = Witness(MAPS["choi-phi"], Side.A)
     report = witness.detect(w, filtered)
     assert report.detected
     assert report.min_eigenvalue == pytest.approx(
@@ -413,7 +416,7 @@ def test_family_state_detected_after_filter():
 
 def test_tile_state_unfiltered_and_filtered():
     rho = catalog.rho_upb()
-    w = Witness("choi-psi", Side.B)
+    w = Witness(MAPS["choi-psi"], Side.B)
     assert not witness.detect(w, rho).detected
     filtered, _ = apply_filter(catalog.upb_rotation_filter(), rho)
     after = witness.detect(w, filtered)
@@ -425,7 +428,7 @@ def test_tile_state_unfiltered_and_filtered():
 
 def test_detection_report_csv():
     rho = catalog.rho_upb()
-    w = Witness("choi-psi", Side.B)
+    w = Witness(MAPS["choi-psi"], Side.B)
     report = witness.detect(w, rho)
     assert report == witness.DetectionReport(report.min_eigenvalue, False)
     assert report.min_eigenvalue == pytest.approx(
@@ -437,7 +440,7 @@ def test_detect_threshold_is_injectable(monkeypatch):
     # detect reads TOL_NEG when called, so patching it moves the verdict
     rho = catalog.rho_upb()
     filtered, _ = apply_filter(catalog.upb_rotation_filter(), rho)
-    w = Witness("choi-psi", Side.B)
+    w = Witness(MAPS["choi-psi"], Side.B)
     assert witness.detect(w, filtered).detected
     monkeypatch.setattr(witness, "TOL_NEG", 1e-2)
     assert not witness.detect(w, filtered).detected
@@ -450,11 +453,19 @@ def test_detect_threshold_is_injectable(monkeypatch):
 
 def test_parse_witness_spec():
     assert witness.parse_witness_spec("choi-phi:A") == Witness(
-        "choi-phi", Side.A
+        MAPS["choi-phi"], Side.A
     )
     assert witness.parse_witness_spec("transpose:B") == Witness(
-        "transpose", Side.B
+        MAPS["transpose"], Side.B
     )
+
+
+@pytest.mark.parametrize("name", list(MAPS))
+def test_every_map_name_round_trips_through_its_spec(name):
+    assert MAPS[name].name == name
+    for side in Side:
+        w = witness.parse_witness_spec(f"{name}:{side.value}")
+        assert w.map is MAPS[name] and w.side is side
 
 
 @pytest.mark.parametrize(
