@@ -81,9 +81,11 @@ def run_protocol(
 ) -> ProtocolRun:
     """Simulate `shots` copies and keep those passing all four outcomes.
 
-    Bit-identical for identical arguments: shot i consumes the four
-    counter-addressed uniforms 4i..4i+3 of the seeded stream and is accepted
-    iff each lies below the corresponding conditional branch probability.
+    Bit-identical for identical arguments, whatever the CPU count: shot i
+    consumes the four counter-addressed uniforms 4i..4i+3 of the seeded
+    stream and is accepted iff each lies below the corresponding conditional
+    branch probability, so the lottery may count ranges of shots on
+    separate threads and add the counts.
     Inputs are checked by check_run before any work.
     """
     check_run(f, rho, shots)

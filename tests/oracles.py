@@ -419,6 +419,12 @@ def uniform_block(seed, start, shots):
     return (_mix64_np(z) >> np.uint64(11)) * (1.0 / float(1 << 53))
 
 
+def block_count(seed, probs, shots, start=0):
+    """The accept count read off the materialized stream."""
+    u = uniform_block(seed, start, shots)
+    return int(np.all(u < np.asarray(probs)[None, :], axis=1).sum())
+
+
 def spy_solves(monkeypatch):
     """Record (name, shape) of every factorization and eigenvalue solve."""
     calls = []

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from boundfilter import kernels
 
-from .oracles import splitmix64_py, uniform_block, uniform_py
+from .oracles import block_count, splitmix64_py, uniform_block, uniform_py
 
 # probabilities at the edges of the integer threshold: never, the smallest
 # nonzero uniform, the largest uniform, just above 1 (skipped) and NaN
@@ -18,12 +20,8 @@ EDGE_PROBS = [
     1.0000000000000002,
     float("nan"),
 ]
-
-
-def block_count(seed, probs, shots, start=0):
-    """The accept count read off the materialized stream."""
-    u = uniform_block(seed, start, shots)
-    return int(np.all(u < np.asarray(probs)[None, :], axis=1).sum())
+# probabilities at which every draw rejects some shots
+SPLIT_PROBS = [0.9, 0.8, 0.7, 0.95]
 
 
 def test_uniform_block_matches_pure_python():
@@ -127,6 +125,18 @@ def test_accept_count_memory_is_bounded_by_the_block():
     assert peak < 8 * 2**20
 
 
+def test_two_workers_stay_within_the_memory_bound(monkeypatch):
+    # with two workers each range has its own block buffers
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
+    tracemalloc.start()
+    try:
+        kernels.accept_count(5, [0.9, 0.95, 0.99, 0.999], shots=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_small_calls_stay_below_one_block():
     # a 1000-shot call (the default simulate) sizes its buffers to the call,
     # not to LOTTERY_BLOCK
@@ -184,3 +194,86 @@ def test_seed_wraps_modulo_64_bits():
     a = kernels.accept_count(123, probs, 1000)
     b = kernels.accept_count(123 + (1 << 64), probs, 1000)
     assert a == b
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+def test_counts_do_not_depend_on_the_worker_count(monkeypatch, cpus):
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+    b = kernels.LOTTERY_BLOCK
+    for shots in (1, b, b + 1, 2 * b + 17, 5 * b - 3):
+        got = kernels.accept_count(2024, SPLIT_PROBS, shots)
+        assert got == block_count(2024, SPLIT_PROBS, shots)
+    # the second range starts past 2^63, and a seed one word short of 2^64
+    # wraps in both ranges
+    for seed, start in [(77, 2**63 - b - 5), ((1 << 64) - 3, 0)]:
+        got = kernels.accept_count(seed, SPLIT_PROBS, 2 * b + 17, start)
+        assert got == block_count(seed, SPLIT_PROBS, 2 * b + 17, start)
+    for block in (1, 3):
+        monkeypatch.setattr(kernels, "LOTTERY_BLOCK", block)
+        for shots in (1, 2, 3, 4, 7 * block + 2):
+            got = kernels.accept_count(9, SPLIT_PROBS, shots, start=11)
+            assert got == block_count(9, SPLIT_PROBS, shots, start=11)
+
+
+def test_many_workers_under_fast_switching_keep_the_count(monkeypatch):
+    # more workers than cores, and a switch interval short enough that a
+    # lost per-range count would show
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(kernels, "_MAX_WORKERS", 8)
+    monkeypatch.setattr(kernels, "LOTTERY_BLOCK", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for shots in (64 * 8, 64 * 8 + 1, 64 * 20 - 5):
+            got = kernels.accept_count(31, SPLIT_PROBS, shots)
+            assert got == block_count(31, SPLIT_PROBS, shots)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _ThreadSpy(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.mark.parametrize(
+    "shots, cpus",
+    [
+        (kernels.LOTTERY_BLOCK, None),
+        (3 * kernels.LOTTERY_BLOCK, 1),
+        (3 * kernels.LOTTERY_BLOCK, 2),
+    ],
+)
+def test_threads_start_only_for_a_split(monkeypatch, shots, cpus):
+    def query():
+        # a one-block call does not ask how many CPUs there are
+        assert cpus is not None
+        return cpus
+
+    monkeypatch.setattr(kernels, "_usable_cpus", query)
+    monkeypatch.setattr(_ThreadSpy, "started", 0)
+    monkeypatch.setattr(threading, "Thread", _ThreadSpy)
+    got = kernels.accept_count(5, SPLIT_PROBS, shots)
+    assert _ThreadSpy.started == (1 if cpus == 2 else 0)
+    assert got == block_count(5, SPLIT_PROBS, shots)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_an_error_in_either_range_reaches_the_caller(monkeypatch, failing):
+    real = kernels._mix64
+
+    def mix64(z, tmp):
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main == (failing == "caller"):
+            raise RuntimeError(f"{failing} failed")
+        return real(z, tmp)
+
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(kernels, "_mix64", mix64)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{failing} failed"):
+        kernels.accept_count(5, SPLIT_PROBS, 3 * kernels.LOTTERY_BLOCK)
+    assert threading.active_count() == before
