@@ -479,8 +479,8 @@ def check_projector_algebra() -> CheckResult:
         if kind != "filter" or label == "identity":
             continue
         f = catalog.from_label("filter", label)
-        diags.append(measure.rescaled_diag(f.svd_l)[0])
-        diags.append(measure.rescaled_diag(f.svd_m)[0])
+        diags.append(measure.rescaled_diag(f.svd_l))
+        diags.append(measure.rescaled_diag(f.svd_m))
     for _ in range(50):
         n = int(rng.integers(2, 6))
         diags.append(rng.uniform(0.02, 1.0, size=n))

@@ -38,7 +38,8 @@ class ZeroTraceError(InvariantViolationError):
 
 
 class SingularFilterError(BoundFilterError):
-    """A local filter factor is singular (smallest singular value ~ 0)."""
+    """A local filter factor is singular: its smallest singular value is at
+    most TOL_RANK times its largest, so the rule ignores the filter's scale."""
 
 
 class BadParamError(BoundFilterError):

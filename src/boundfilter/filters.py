@@ -2,7 +2,11 @@
 
 A filter maps rho to (L x M) rho (L x M)^dag, renormalized; the trace
 before renormalization is the yield, i.e. the success probability when the
-filter is realized as a local measurement.  Both factors carry their SVD
+filter is realized as a local measurement.  c L x M is therefore the same
+filter for every c > 0, with c^2 times the yield: scale is not a property
+of a filter.  So invertibility is decided relative to each factor's
+largest singular value, and the filter's one prescale (LocalFilter) keeps
+every rule downstream from seeing its scale.  Both factors carry their SVD
 from construction since the measurement realization consumes the factors
 U D V directly.  A LocalFilter holds one filter or a stack of N filters;
 a stack acts on a stack of N states (or kets) one to one, and on a single
@@ -34,9 +38,16 @@ class LocalFilter:
     """An invertible product operation with factors l (side A), m (side B).
 
     l and m have shapes (dA, dA) and (dB, dB) for one filter, or (N, dA, dA)
-    and (N, dB, dB) for a stack; svd_l, svd_m and product() (the Kronecker
-    product L x M, formed once at construction) follow the same leading
-    axis.  Build one with make_filter, which validates the factors.
+    and (N, dB, dB) for a stack; svd_l, svd_m and product() follow the same
+    leading axis.  Build one with make_filter, which validates the factors.
+
+    product() is the prescaled Kronecker product 2^-k (L x M), formed once
+    at construction: L and M are each scaled by the power of two that
+    brings their sigma_max into [1, 2), and k is the sum of those two
+    exponents (one per member of a stack).  A power of two is exact, so in
+    normal range every filtered state and ket is the unscaled product's
+    bit for bit; apply_filter scales only the yield back, by 2^2k.  Every
+    catalog filter has sigma_max = 1 on both sides, so k = 0.
     """
 
     l: np.ndarray
@@ -44,18 +55,32 @@ class LocalFilter:
     svd_l: linalg.SVDResult
     svd_m: linalg.SVDResult
     _prod: np.ndarray = field(init=False, repr=False)
+    _exp: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        prod = linalg.kron(self.l, self.m)
+        # sigma_max = f 2^(e + 1) with f in [0.5, 1): 2^-e takes it to
+        # [1, 2).  e has shape (..., 1, 1), one exponent per matrix
+        el = np.frexp(self.svd_l.d[..., :1, None])[1] - 1
+        em = np.frexp(self.svd_m.d[..., :1, None])[1] - 1
+        prod = linalg.kron(_ldexp(self.l, -el), _ldexp(self.m, -em))
         prod.setflags(write=False)
         object.__setattr__(self, "_prod", prod)
+        object.__setattr__(self, "_exp", (el + em)[..., 0, 0])
 
     @property
     def dims(self) -> tuple:
         return (self.l.shape[-1], self.m.shape[-1])
 
     def product(self) -> np.ndarray:
+        """The prescaled, read-only 2^-k (L x M): the filter, not its
+        yield."""
         return self._prod
+
+
+def _ldexp(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """a 2^k, exactly, with no overflow on the way: np.ldexp takes no
+    complex input, so this scales a's float view."""
+    return np.ldexp(a.view(np.float64), k).view(np.complex128)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -68,13 +93,14 @@ def make_filter(l, m) -> LocalFilter:
     """Validate and package the two local factors.
 
     l and m are single square matrices, or stacks of N each.  Raises
-    BadParamError if a factor has a NaN or infinite entry,
-    SingularFilterError if a factor has a singular value at or below
-    TOL_RANK: filters must be invertible so they never change the
-    entanglement class of the state they act on, and BadParamError if
-    sigma_max(L) sigma_max(M) exceeds NORM_LIMIT, so that filtering a state
-    cannot overflow.  In a stack the first offending factor is named by its
-    index, e.g. L[3].
+    BadParamError if a factor has a NaN or infinite entry, BadParamError if
+    sigma_max(L) sigma_max(M) exceeds NORM_LIMIT, so that a yield cannot
+    overflow, and SingularFilterError if a factor's smallest singular value
+    is at or below TOL_RANK times its largest: filters must be invertible so
+    they never change the entanglement class of the state they act on.
+    The rule is relative, so c L passes it exactly when L does, for every
+    c > 0.  In a stack the first offending factor is named by its index,
+    e.g. L[3].
     """
     lm = linalg.as_stack(l)
     mm = linalg.as_stack(m)
@@ -95,18 +121,10 @@ def make_filter(l, m) -> LocalFilter:
             raise BadParamError(
                 f"filter factor {name(side, bad)} has NaN or infinite entries"
             )
-    svd_l = linalg.svd(lm)
-    svd_m = linalg.svd(mm)
-    for side, s in (("L", svd_l), ("M", svd_m)):
-        smin = s.sigma_min
-        bad = smin <= TOL_RANK
-        if bad.any():
-            raise SingularFilterError(
-                f"filter factor {name(side, bad)} is singular "
-                f"(smallest singular value {np.asarray(smin)[bad][0]:.3e})"
-            )
+    svd_l, svd_m = linalg.svd(lm), linalg.svd(mm)
     # sigma_max(L) sigma_max(M) is the spectral norm of L (x) M; at most
-    # NORM_LIMIT, no entry or trace of a filtered unit-trace state overflows
+    # NORM_LIMIT, the yield of a unit-trace state cannot overflow.  Checked
+    # first, it leaves both sigma_max finite for the relative rule below
     with np.errstate(over="ignore"):
         norm = svd_l.sigma_max * svd_m.sigma_max
     bad = ~(norm <= NORM_LIMIT)  # also true for NaN
@@ -116,6 +134,14 @@ def make_filter(l, m) -> LocalFilter:
             f"large: sigma_max(L) * sigma_max(M) = "
             f"{float(np.asarray(norm)[bad][0])} exceeds {NORM_LIMIT}"
         )
+    for side, s in (("L", svd_l), ("M", svd_m)):
+        # by multiplication, not a ratio: an all-zero factor divides nothing
+        bad = s.sigma_min <= TOL_RANK * s.sigma_max
+        if bad.any():
+            raise SingularFilterError(
+                f"filter factor {name(side, bad)} is singular (smallest "
+                f"singular value {np.asarray(s.sigma_min)[bad][0]:.3e})"
+            )
     return LocalFilter(
         l=_readonly(lm), m=_readonly(mm), svd_l=svd_l, svd_m=svd_m
     )
@@ -153,17 +179,19 @@ def check_compatible(f: LocalFilter, state) -> None:
 def apply_filter(f: LocalFilter, rho: DensityOperator):
     """Filter a state; returns (filtered DensityOperator, yield).
 
-    yield = tr[(L x M) rho (L x M)^dag], the pre-normalization weight.  A
-    stack of states or of filters gives a stack of filtered states and one
+    yield = tr[(L x M) rho (L x M)^dag], the pre-normalization weight,
+    2^2k times the trace of the prescaled product's sandwich (LocalFilter).
+    A stack of states or of filters gives a stack of filtered states and one
     yield each.
     """
     check_compatible(f, rho)
-    sandwiched = linalg.sandwich(f.product(), rho.mat)
-    return normalize(sandwiched, rho.dim_a, rho.dim_b)
+    out, tr = normalize(linalg.sandwich(f.product(), rho.mat), *rho.dims)
+    return out, np.ldexp(tr, 2 * f._exp)
 
 
 def filtered_pure(f: LocalFilter, psi: PureState) -> PureState:
-    """Filter a ket and renormalize (invertibility keeps the norm nonzero).
+    """Filter a ket and renormalize (invertibility keeps the norm nonzero,
+    and the prescaled product keeps it free of the filter's scale).
 
     A stack of kets or of filters gives a stack of filtered kets.
     """

@@ -184,15 +184,10 @@ def postselect_diag(d, rho: np.ndarray):
     return block, (float(prob) if prob.ndim == 0 else prob)
 
 
-def rescaled_diag(svdres: linalg.SVDResult):
-    """Singular values scaled into (0, 1] by sigma_max; returns (d, scale).
-
-    For a stacked SVD both are stacked: d is (N, n) and scale is (N,).
-    """
-    smax = svdres.sigma_max
-    if (smax <= 0.0).any():
-        raise BadDiagonalError("cannot rescale an all-zero singular spectrum")
-    return svdres.d / svdres.d[..., :1], smax
+def rescaled_diag(svdres: linalg.SVDResult) -> np.ndarray:
+    """Singular values scaled into (0, 1] by sigma_max: (n,), or (N, n) for
+    a stacked SVD.  A LocalFilter factor's sigma_max is positive."""
+    return svdres.d / svdres.d[..., :1]
 
 
 def protocol_walk(f: LocalFilter, rho: DensityOperator):
@@ -220,8 +215,7 @@ def protocol_walk(f: LocalFilter, rho: DensityOperator):
     """
     check_compatible(f, rho)
     da, db = rho.dims
-    d1, _ = rescaled_diag(f.svd_l)
-    d2, _ = rescaled_diag(f.svd_m)
+    d1, d2 = rescaled_diag(f.svd_l), rescaled_diag(f.svd_m)
     state = linalg.sandwich(linalg.kron(f.svd_l.v, f.svd_m.v), rho.mat)
     weights = np.empty(state.shape[:-2] + (4,))
     # the diagonals of diag(d1) x I and I x diag(d2), for each d of a stack

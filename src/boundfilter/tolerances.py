@@ -20,5 +20,7 @@ TOL_RECON = 1e-10
 # eigenvalues above -TOL_NEG count as non-negative (PPT and witness verdicts)
 TOL_NEG = 1e-10
 
-# singular values at or below this count as zero (rank decisions)
+# singular values at or below this count as zero (rank decisions); a filter
+# factor's are measured against its largest singular value, since scaling a
+# filter changes only its yield
 TOL_RANK = 1e-12

@@ -319,8 +319,8 @@ def protocol_walk_matmul(f, rho):
     kron'd diagonal matrix, as the walk first ran them: (output
     DensityOperator, weights)."""
     da, db = rho.dims
-    d1, _ = measure.rescaled_diag(f.svd_l)
-    d2, _ = measure.rescaled_diag(f.svd_m)
+    d1 = measure.rescaled_diag(f.svd_l)
+    d2 = measure.rescaled_diag(f.svd_m)
     state = linalg.sandwich(linalg.kron(f.svd_l.v, f.svd_m.v), rho.mat)
     # np.eye(k) * d[..., None, :] is diag(d), for each d of a stack
     weights = []

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boundfilter import catalog, cli, linalg
+from boundfilter import catalog, cli, filters, linalg
 from boundfilter.cli import main
 from boundfilter.errors import BoundFilterError
 from boundfilter.filters import apply_filter, filter_to_json_dict
@@ -632,6 +632,42 @@ def test_filter_at_1e154_is_accepted(capsys, tmp_path):
     code, out, err = run_cli(capsys, "simulate", "bell", path, "--analytic")
     assert (code, err) == (0, "")
     assert json.loads(out)["total_prob"] == pytest.approx(1.0)
+
+
+def test_a_scaled_filter_prints_the_unscaled_output(capsys, tmp_path):
+    # 2^-60 choi-example is choi-example: only the label tells them apart
+    f = catalog.choi_example_filter()
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(filter_to_json_dict(
+        filters.make_filter(2.0**-60 * f.l, f.m)
+    )))
+    state = "rho-xt:0.63:0.05"
+    for argv in (
+        lambda filt: ["detect", state, "choi-phi:A", "--filter", filt],
+        lambda filt: ["simulate", state, filt, "--analytic"],
+    ):
+        code, out, err = run_cli(capsys, *argv(str(path)))
+        assert (code, err) == (0, "")
+        ref = run_cli(capsys, *argv("choi-example"))[1]
+        assert out == ref.replace("|choi-example", f"|{path}")
+
+
+def test_an_ill_conditioned_filter_file_exits_2(capsys, tmp_path):
+    # sigma_min 1e-11 is far above TOL_RANK but 1e-17 of sigma_max
+    def diag(v):
+        return [[[v[i] * (i == j), 0] for j in range(3)] for i in range(3)]
+
+    path = tmp_path / "cond.json"
+    path.write_text(
+        json.dumps({"L": diag([1e6, 1, 1e-11]), "M": diag([1, 1, 1])})
+    )
+    assert run_cli(
+        capsys, "detect", "rho-xt:0.63:0.05", "choi-phi:A", "--filter",
+        str(path),
+    ) == (
+        2, "", "error: filter factor L is singular (smallest singular value "
+        "1.000e-11)\n"
+    )
 
 
 def test_scan_rejects_a_filter_of_other_dims_before_the_header(capsys):

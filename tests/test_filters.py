@@ -10,7 +10,12 @@ from boundfilter.errors import (
     SingularFilterError,
 )
 from boundfilter.states import DensityOperator, is_ppt, pure, schmidt_rank
-from boundfilter.witness import TRANSPOSE_B, apply_witness
+from boundfilter.witness import (
+    TRANSPOSE_B,
+    apply_witness,
+    detect,
+    parse_witness_spec,
+)
 
 from .oracles import random_density_mat, random_unitary
 
@@ -345,6 +350,75 @@ def test_make_filter_bounds_the_norm_of_the_product():
         "filter factors L[1] and M[1] are too large: sigma_max(L) * "
         "sigma_max(M) = 1e+200 exceeds 1.3407807929942596e+154"
     )
+
+
+# ---------------------------------------------------------------------------
+# scale: c L x M is the same filter for every c > 0, with c^2 the yield
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("c", [2.0**-60, 2.0**-20, 2.0**20])
+def test_scaling_a_filter_by_a_power_of_two_changes_only_its_yield(c):
+    rng = np.random.default_rng(74)
+    rho = catalog.rho_xt(0.63, 0.05)
+    amps = rng.normal(size=9) + 1j * rng.normal(size=9)
+    psi = pure(amps, 3, 3, normalize_input=True)
+    drawn = [random_invertible(rng, 3) for _ in range(2)]
+    for base in (catalog.choi_example_filter(), filters.make_filter(*drawn)):
+        scaled = filters.make_filter(c * base.l, base.m)
+        out, y = filters.apply_filter(base, rho)
+        out_c, y_c = filters.apply_filter(scaled, rho)
+        assert np.array_equal(out_c.mat, out.mat) and y_c == c * c * y
+        assert np.array_equal(
+            filters.filtered_pure(scaled, psi).amps,
+            filters.filtered_pure(base, psi).amps,
+        )
+        walk, prob = measure.protocol_analytic(base, rho)
+        walk_c, prob_c = measure.protocol_analytic(scaled, rho)
+        assert np.array_equal(walk_c.mat, walk.mat) and prob_c == prob
+        # each member of a stack mixing the two scales comes out alone
+        mixed = filters.make_filter(
+            np.stack([base.l, scaled.l]), np.stack([base.m, base.m])
+        )
+        outs, ys = filters.apply_filter(mixed, rho)
+        kets = filters.filtered_pure(mixed, psi)
+        for k, one in enumerate((base, scaled)):
+            alone, y_one = filters.apply_filter(one, rho)
+            assert np.array_equal(outs.mat[k], alone.mat) and ys[k] == y_one
+            ket = filters.filtered_pure(one, psi)
+            assert np.array_equal(kets.amps[k], ket.amps)
+
+
+def test_a_tiny_filter_moves_the_state_by_rounding_alone():
+    # 1e-13 is no power of two: choi-example scaled by it differs only by
+    # the rounding of its factor's entries
+    w = parse_witness_spec("choi-phi:A")
+    base = catalog.choi_example_filter()
+    rho = catalog.rho_xt(0.63, 0.05)
+    out, _ = filters.apply_filter(base, rho)
+    tiny = filters.make_filter(1e-13 * base.l, base.m)
+    out_c, _ = filters.apply_filter(tiny, rho)
+    dev = np.abs(out_c.mat - out.mat).max() / np.abs(out.mat).max()
+    assert dev <= 1e-15
+    floor = detect(w, out).min_eigenvalue
+    assert abs(detect(w, out_c).min_eigenvalue - floor) <= 1e-15
+
+
+def test_make_filter_rule_is_relative_to_the_largest_singular_value():
+    # sigma_min 1e-11 sits far above TOL_RANK, but at 1e-17 of sigma_max
+    with pytest.raises(SingularFilterError) as err:
+        filters.make_filter(np.diag([1e6, 1.0, 1e-11]), np.eye(3))
+    assert str(err.value) == (
+        "filter factor L is singular (smallest singular value 1.000e-11)"
+    )
+    # cond 1e11 passes at any scale
+    for c in (1e-200, 1.0, 1e100):
+        filters.make_filter(c * np.diag([1.0, 1e-11]), np.eye(2))
+    # this factor's sigma_max overflows to inf, which would make any
+    # sigma_min pass as relatively singular: the norm rule comes first
+    big = np.array([[1.7e308, 1.7e308], [1.7e308, -1e300]])
+    with pytest.raises(BadParamError, match=r"^filter factors L and M are"):
+        filters.make_filter(big, np.eye(2))
 
 
 def test_filter_stack_length_must_match_state_stack():
