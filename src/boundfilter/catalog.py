@@ -54,19 +54,28 @@ def require_t(t) -> np.ndarray:
     return t
 
 
+def require_x(x) -> np.ndarray:
+    """x as an array; BadParamError names its first value that is not finite,
+    else its first value outside [0, 1]."""
+    x = np.asarray(x)
+    inside = (x >= 0) & (x <= 1)
+    for ok, need in ((np.isfinite(x), "be finite"), (inside, "lie in [0, 1]")):
+        if not ok.all():
+            raise BadParamError(f"x must {need}, got {x[~ok][0].item()!r}")
+    return x
+
+
 def rho_xt(x, t) -> DensityOperator:
     """Two-parameter 3x3-system family, normalization 1/(4 + 3/t + 4t).
 
     Diagonal pattern (1+t, t, 1/t | 1/t, 1+t, t | 1, 1/t, 1) and six
     symmetric off-diagonal couplings of strength x.  Requires a t that
-    require_t accepts and 0 <= x <= 1; positivity also needs x^2 <=
-    min(1, 1/t), which the DensityOperator invariants enforce.  x and t may
-    be arrays: they broadcast together into a stack of one state per pair.
+    require_t accepts, then an x that require_x accepts, as scan checks
+    them; positivity also needs x^2 <= min(1, 1/t), which the
+    DensityOperator invariants enforce.  x and t may be arrays: they
+    broadcast together into a stack of one state per pair.
     """
-    x, t = np.asarray(x), require_t(t)
-    bad = ~np.isfinite(x) | (x < 0) | (x > 1)
-    if bad.any():
-        raise BadParamError(f"x must lie in [0, 1], got {x[bad][0].item()!r}")
+    t, x = require_t(t), require_x(x)
     x, t = np.broadcast_arrays(x.astype(float), t.astype(float))
     k = 1.0 / (4.0 + 3.0 / t + 4.0 * t)
     m = np.zeros(x.shape + (9, 9))

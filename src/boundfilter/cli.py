@@ -13,7 +13,7 @@ parameters by catalog.from_label; anything with a path separator or a
 .json suffix is read as a JSON file.  BF_SEED overrides
 the default simulation seed; an explicit --seed beats both, and either must
 lie in [0, 2^64).  Exit codes: 0 success, 1 failed verification, 2 usage,
-parse or file errors.
+parse or file errors, and a stdout closed before the output was all written.
 
 main may be called repeatedly in one process: every call shares the one
 parser that build_parser makes on the first call, and dispatches to the
@@ -23,7 +23,6 @@ cmd_* function bound on this module at that moment.
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import warnings
@@ -34,10 +33,9 @@ from . import acceptance, catalog, linalg, mcsim
 from .errors import (
     BadParamError,
     BoundFilterError,
-    DimensionMismatchError,
     ParseError,
 )
-from .filters import apply_filter, filter_from_json_dict
+from .filters import apply_filter, check_compatible, filter_from_json_dict
 from .formats import dumps, fmt_num
 from .measure import protocol_analytic
 from .states import is_ppt, state_from_json_dict, state_to_json_dict
@@ -146,30 +144,22 @@ def _scan_rows(xs, t, w, filt) -> str:
 
 
 def cmd_scan(args) -> int:
+    # the family's own rules, worded as the rho-xt label words them
     catalog.require_t(args.t)
-    for name, value in (("x-min", args.x_min), ("x-max", args.x_max)):
-        if not math.isfinite(value):
-            raise BadParamError(f"{name} must be finite, got {value}")
+    catalog.require_x([args.x_min, args.x_max])
     if not args.x_max > args.x_min:
         raise BadParamError(
             f"need x-min < x-max, got {args.x_min} and {args.x_max}"
         )
     if args.steps < 2:
         raise BadParamError(f"steps must be >= 2, got {args.steps}")
-    if args.x_min < 0 or args.x_max > 1:
-        raise BadParamError(
-            "scan range outside the family domain (x in [0, 1], t > 0)"
-        )
     w = parse_witness_spec(args.witness)
     filt = None
     if args.filter is not None:
         filt = parse_filter_arg(args.filter, (3, 3))
-        # every row is a 3x3 rho-xt state: reject another size before the
-        # header is written
-        if filt.dims != (3, 3):
-            raise DimensionMismatchError(
-                f"filter dims {filt.dims} do not match state dims (3, 3)"
-            )
+        # every row is a 3x3 rho-xt state, as max_mixed is: reject another
+        # size by apply_filter's own rule before the header is written
+        check_compatible(filt, catalog.max_mixed())
     out = sys.stdout
     if filt is None:
         out.write("x,min_eig_unfiltered,ppt\n")
@@ -318,9 +308,20 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _plain_warning
         try:
-            return cmd(args)
-        except BoundFilterError as e:
-            print(f"error: {e}", file=sys.stderr)
+            try:
+                return cmd(args)
+            except BoundFilterError as e:
+                print(f"error: {e}", file=sys.stderr)
+                return 2
+            finally:
+                # flushed here, a pipe closed before the end raises below and
+                # not in the interpreter's exit flush
+                sys.stdout.flush()
+        except BrokenPipeError as e:
+            # the reader left: fd 1 goes to devnull so the interpreter's own
+            # exit flush of what is still buffered cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: stdout closed early: {e.strerror}", file=sys.stderr)
             return 2
 
 

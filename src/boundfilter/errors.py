@@ -34,7 +34,7 @@ class NotPSDError(InvariantViolationError):
 
 
 class ZeroTraceError(InvariantViolationError):
-    """Trace too small to normalize by."""
+    """Trace (or norm) not positive, so there is nothing to normalize by."""
 
 
 class SingularFilterError(BoundFilterError):

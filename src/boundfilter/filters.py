@@ -5,8 +5,10 @@ before renormalization is the yield, i.e. the success probability when the
 filter is realized as a local measurement.  c L x M is therefore the same
 filter for every c > 0, with c^2 times the yield: scale is not a property
 of a filter.  So invertibility is decided relative to each factor's
-largest singular value, and the filter's one prescale (LocalFilter) keeps
-every rule downstream from seeing its scale.  Both factors carry their SVD
+largest singular value, in make_filter alone: no rule downstream reads a
+filter's scale, and normalization refuses only a trace or norm that is not
+positive.  The filter's one prescale (LocalFilter) keeps every filtered
+state, ket and yield exact at any scale.  Both factors carry their SVD
 from construction since the measurement realization consumes the factors
 U D V directly.  A LocalFilter holds one filter or a stack of N filters;
 a stack acts on a stack of N states (or kets) one to one, and on a single
@@ -46,8 +48,10 @@ class LocalFilter:
     brings their sigma_max into [1, 2), and k is the sum of those two
     exponents (one per member of a stack).  A power of two is exact, so in
     normal range every filtered state and ket is the unscaled product's
-    bit for bit; apply_filter scales only the yield back, by 2^2k.  Every
-    catalog filter has sigma_max = 1 on both sides, so k = 0.
+    bit for bit; apply_filter scales only the yield back, by 2^2k.  The
+    prescale's one job is that exactness, at any scale: no threshold
+    downstream depends on it.  Every catalog filter has sigma_max = 1 on
+    both sides, so k = 0.
     """
 
     l: np.ndarray
@@ -190,8 +194,8 @@ def apply_filter(f: LocalFilter, rho: DensityOperator):
 
 
 def filtered_pure(f: LocalFilter, psi: PureState) -> PureState:
-    """Filter a ket and renormalize (invertibility keeps the norm nonzero,
-    and the prescaled product keeps it free of the filter's scale).
+    """Filter a ket and renormalize (invertibility keeps the norm positive,
+    and the prescaled product keeps the ket exact at any filter scale).
 
     A stack of kets or of filters gives a stack of filtered kets.
     """

@@ -35,7 +35,6 @@ class ProtocolRun:
     total_prob: float
     estimated_state: Optional[np.ndarray]
     reference: DensityOperator
-    generator: str = GENERATOR_NAME
 
     def frobenius_to_reference(self) -> float:
         if self.estimated_state is None:
@@ -52,7 +51,7 @@ class ProtocolRun:
             "accepted": self.accepted,
             "acceptance_rate": self.acceptance_rate,
             "frobenius_to_reference": None if math.isnan(fro) else fro,
-            "generator": self.generator,
+            "generator": GENERATOR_NAME,
         }
 
 

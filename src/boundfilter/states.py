@@ -115,7 +115,7 @@ class PureState:
                 f"amplitudes have shape {a.shape}, expected ({n},) or (N, {n})"
             )
         nrm = np.linalg.norm(a, axis=-1)
-        bad = np.abs(nrm - 1.0) > TOL_RECON
+        bad = ~(np.abs(nrm - 1.0) <= TOL_RECON)  # also true for NaN
         if bad.any():
             which = f"[{np.flatnonzero(bad)[0]}]" if a.ndim == 2 else ""
             raise InvariantViolationError(
@@ -145,11 +145,16 @@ class PureState:
 
 def pure(amps, dim_a: int, dim_b: int, normalize_input: bool = False) -> PureState:
     """A PureState from amplitudes (n,) or a stack (N, n); normalize_input
-    divides each ket by its norm first."""
+    divides each ket by its norm first.
+
+    Only a norm that is not positive is refused (ZeroTraceError): any
+    positive norm divides out, however small, since a ket's scale is not
+    part of the state.  A NaN norm reaches the PureState gate.
+    """
     a = np.asarray(amps, dtype=np.complex128)
     if normalize_input:
         nrm = np.linalg.norm(a, axis=-1, keepdims=True)
-        bad = nrm <= TOL_RANK
+        bad = nrm <= 0.0
         if bad.any():
             raise ZeroTraceError("cannot normalize a ~zero amplitude vector")
         a = a / nrm
@@ -202,7 +207,11 @@ def normalize(mat, dim_a: int, dim_b: int):
 
     weight is the trace divided out; callers use it as the filtering yield.
     A stack of matrices gives a stack of states and one weight per matrix.
-    Raises NotPSDError / ZeroTraceError when the input cannot be a state.
+    Raises ZeroTraceError for a trace that is not positive, and the
+    DensityOperator gate's error (NotPSDError, ...) for anything else that
+    cannot be a state: a NaN trace reaches the gate.  Any positive trace
+    divides out, however small, so no threshold here depends on the scale
+    of the matrix (a filter's yield, for instance).
     """
     m = linalg.as_stack(mat)
     n = dim_a * dim_b
@@ -211,7 +220,7 @@ def normalize(mat, dim_a: int, dim_b: int):
             f"shape {m.shape} does not match dims ({dim_a}, {dim_b})"
         )
     tr = np.trace(m, axis1=-2, axis2=-1).real
-    bad = tr <= TOL_RANK
+    bad = tr <= 0.0
     if bad.any():
         raise ZeroTraceError(
             f"cannot normalize: trace = {tr[bad][0].item()!r}"

@@ -20,7 +20,8 @@ TOL_RECON = 1e-10
 # eigenvalues above -TOL_NEG count as non-negative (PPT and witness verdicts)
 TOL_NEG = 1e-10
 
-# singular values at or below this count as zero (rank decisions); a filter
-# factor's are measured against its largest singular value, since scaling a
-# filter changes only its yield
+# singular values at or below this count as zero: rank and invertibility
+# decisions only.  A filter factor's are measured against its largest
+# singular value, since scaling a filter changes only its yield; no trace or
+# norm is compared with it
 TOL_RANK = 1e-12

@@ -67,6 +67,26 @@ def test_rho_xt_param_guards():
             catalog.rho_xt(0.5, float(t))
 
 
+def test_require_x_names_the_first_value_of_the_first_broken_rule():
+    for x, message in (
+        (np.nan, "x must be finite, got nan"),
+        (-np.inf, "x must be finite, got -inf"),
+        (-0.5, "x must lie in [0, 1], got -0.5"),
+        (1.5, "x must lie in [0, 1], got 1.5"),
+        # finiteness is checked on every value before the range
+        ([1.5, np.inf], "x must be finite, got inf"),
+        ([0.0, 2.0, -1.0], "x must lie in [0, 1], got 2.0"),
+    ):
+        with pytest.raises(BadParamError, match=f"^{re.escape(message)}$"):
+            catalog.require_x(x)
+        with pytest.raises(BadParamError, match=f"^{re.escape(message)}$"):
+            catalog.rho_xt(x, 0.05)
+    assert np.array_equal(catalog.require_x([0.0, 1.0]), [0.0, 1.0])
+    # the t rule comes first, as in scan
+    with pytest.raises(BadParamError, match=r"^t must be positive"):
+        catalog.rho_xt(np.nan, -1.0)
+
+
 def test_rho_xt_stack_matches_points():
     xs = np.linspace(0.0, 1.0, 7)
     for t in (0.05, np.full(7, 0.5)):

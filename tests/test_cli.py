@@ -14,7 +14,7 @@ from boundfilter import catalog, cli, filters, linalg
 from boundfilter.cli import main
 from boundfilter.errors import BoundFilterError
 from boundfilter.filters import apply_filter, filter_to_json_dict
-from boundfilter.formats import fmt_num
+from boundfilter.formats import fmt_num, matrix_to_pairs
 from boundfilter.states import state_from_json_dict, state_to_json_dict
 from boundfilter.tolerances import TOL_NEG
 from boundfilter.witness import MAPS, apply_witness, parse_witness_spec
@@ -235,6 +235,9 @@ def test_scan_memory_does_not_grow_with_steps(monkeypatch):
     class Sink:
         def write(self, text):
             return len(text)
+
+        def flush(self):
+            pass
 
     monkeypatch.setattr(sys, "stdout", Sink())
 
@@ -565,6 +568,23 @@ def test_scan_states_the_t_rule_as_the_family_label_does(capsys, t):
     assert scan[0] == 2 and scan[1] == "" and scan[2].startswith("error: t ")
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "-0.5", "1.5"])
+def test_scan_states_the_x_rule_as_the_family_label_does(capsys, x):
+    # catalog.require_x is scan's one rule for x, checked right after t and
+    # before the order of the range
+    detect = run_cli(capsys, "detect", f"rho-xt:{x}:0.05", "choi-phi:A")
+    need = "be finite" if x in ("nan", "inf") else "lie in [0, 1]"
+    assert detect == (2, "", f"error: x must {need}, got {float(x)!r}\n")
+    for bounds in (
+        [f"--x-min={x}", "--x-max=0.5"], ["--x-min=0", f"--x-max={x}"]
+    ):
+        scan = run_cli(
+            capsys, "scan", "--t", "0.05", *bounds, "--steps", "3",
+            "--witness", "choi-phi:A",
+        )
+        assert scan == detect, bounds
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_t_inside_the_rule_gives_a_verdict(capsys):
     for t in ("1e306", "4e307", "2e-308", "1e-306"):
@@ -668,6 +688,32 @@ def test_an_ill_conditioned_filter_file_exits_2(capsys, tmp_path):
         2, "", "error: filter factor L is singular (smallest singular value "
         "1.000e-11)\n"
     )
+
+
+def test_an_accepted_filter_filters_its_weak_direction(capsys, tmp_path):
+    # cond 1e7 passes make_filter's rule; on |1,0><1,0| the yield is 1e-14,
+    # and no threshold downstream reads it
+    mat = np.zeros((9, 9))
+    mat[3, 3] = 1.0
+    state = tmp_path / "state.json"
+    state.write_text(
+        json.dumps({"dimA": 3, "dimB": 3, "matrix": matrix_to_pairs(mat)})
+    )
+    filt = tmp_path / "cond.json"
+    filt.write_text(json.dumps(filter_to_json_dict(
+        filters.make_filter(np.diag([1.0, 1e-7, 1.0]), np.eye(3))
+    )))
+    code, out, err = run_cli(
+        capsys, "detect", str(state), "choi-phi:A", "--filter", str(filt)
+    )
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(
+        capsys, "simulate", str(state), str(filt), "--analytic"
+    )
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["total_prob"] == 9.999999999999998e-15
+    assert np.array_equal(state_from_json_dict(payload["state"]).mat, mat)
 
 
 def test_scan_rejects_a_filter_of_other_dims_before_the_header(capsys):
@@ -999,3 +1045,22 @@ def test_warm_requests_print_what_a_fresh_process_prints(capsys, monkeypatch):
             assert out.encode() == fresh[i], argv
             extra = PARAMETRIC_REQUESTS[i % len(PARAMETRIC_REQUESTS)]
             assert run_cli(capsys, *extra)[0] == 0, extra
+
+
+def test_a_closed_stdout_exits_2_with_one_error_line():
+    # the reader takes the header and leaves; the sweep's next write, or the
+    # final flush, meets a closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "boundfilter", "scan", "--t", "0.05",
+         "--x-min", "0", "--x-max", "0.98", "--steps", "20000",
+         "--witness", "choi-phi:A"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"x,min_eig_unfiltered,ppt\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -431,3 +431,19 @@ def test_filter_stack_length_must_match_state_stack():
     psi = pure(np.eye(9)[:3], 3, 3)
     with pytest.raises(DimensionMismatchError, match="stack of 3 states"):
         filters.filtered_pure(f, psi)
+
+
+def test_an_accepted_filter_filters_a_state_in_its_weak_direction():
+    # cond 1e7 passes make_filter's relative rule; the yield 1e-14 is the
+    # filter's scale in that direction, and no threshold downstream reads it
+    weak = np.diag([1.0, 1e-7, 1.0])
+    rho = pure(np.eye(9)[3], 3, 3).projector()  # |1,0><1,0|
+    f = filters.make_filter(weak, np.eye(3))
+    out, y = filters.apply_filter(f, rho)
+    assert np.array_equal(out.mat, rho.mat) and y == 9.999999999999998e-15
+    walk, prob = measure.protocol_analytic(f, rho)
+    assert np.array_equal(walk.mat, rho.mat) and prob == y
+    # both sides weak: the ket's norm is 1e-14 before renormalization
+    psi = pure(np.eye(9)[4], 3, 3)  # |1,1>
+    both = filters.make_filter(weak, weak)
+    assert np.array_equal(filters.filtered_pure(both, psi).amps, psi.amps)

@@ -578,6 +578,37 @@ def test_normalize_rejects_bad_dims():
         states.normalize(np.eye(4), 3, 3)
 
 
+def test_normalize_refuses_only_a_trace_that_is_not_positive():
+    # a positive trace divides out however small it is
+    e00 = np.diag([1.0, 0.0, 0.0, 0.0])
+    for tr in (1e-14, 1e-48, 2.0**-1000):
+        rho, w = states.normalize(tr * e00, 2, 2)
+        assert w == tr and np.abs(rho.mat - e00).max() <= 1e-16
+    with pytest.raises(ZeroTraceError, match=r"^cannot normalize: trace = -1\.0$"):
+        states.normalize(np.diag([-1.0, 0.0, 0.0, 0.0]), 2, 2)
+    # a tiny positive trace no longer hides what else is wrong
+    with pytest.raises(NotPSDError):
+        states.normalize(np.diag([1e-13, -1e-14, 0.0, 0.0]), 2, 2)
+    # a NaN trace reaches the DensityOperator gate
+    with np.errstate(invalid="ignore"), pytest.raises(
+        InvariantViolationError, match="^finiteness invariant failed"
+    ):
+        states.normalize(np.full((4, 4), np.nan), 2, 2)
+
+
+def test_pure_normalizes_any_positive_norm():
+    for nrm in (1e-24, 2.0**-500):
+        psi = states.pure([0, nrm, 0, 0], 2, 2, normalize_input=True)
+        assert np.abs(psi.amps - [0, 1, 0, 0]).max() <= 1e-16
+    with pytest.raises(ZeroTraceError):
+        states.pure(np.zeros(4), 2, 2, normalize_input=True)
+    # a NaN norm reaches the PureState gate, which refuses it
+    with np.errstate(invalid="ignore"), pytest.raises(
+        InvariantViolationError, match=r"^norm invariant failed: \|psi\| = nan$"
+    ):
+        states.pure([np.nan, 0, 0, 0], 2, 2, normalize_input=True)
+
+
 def test_raw_density_bypasses_validation():
     # the unchecked route exists for tests: downstream code still works on
     # the stored matrix
