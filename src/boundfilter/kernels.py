@@ -25,21 +25,30 @@ a count does not depend on how many CPUs the process has.  A one-block call
 starts no thread and does not ask for the CPU count.
 
 Each range allocates its working buffers once, at min(shots, LOTTERY_BLOCK)
-words (about 0.6 MB at 2^15), and every block of the range reuses them: the
-finalizer runs in place with a scratch buffer, and the words of a block are
-one shared arange(size) * 4 * GAMMA plus a scalar per draw.  Every draw
-that can reject is computed over the whole block and its pass mask is ANDed
-into one running boolean mask; the block's count is that mask's count.
+words (about 0.6 MB at 2^15), and makes their full-size views once; only a
+short last block slices them again.  The finalizer runs in place with a
+scratch buffer.  The words of a block are one shared arange(size) * 4 *
+GAMMA plus one word per draw; a range keeps its draws' words in one uint64
+array, and one in-place add advances them all, mod 2^64, after each block.
+Every draw that can reject is computed over the whole block and its pass
+mask is ANDed into one running boolean mask; the block's count is that
+mask's count.
 
-The split pays because the uint64 ufuncs of the hash release the GIL,
-while the Python steps between them hold it: two workers cut a 2*10^6-shot
-call by 4-26%, not by half.  The block stays 2^15 shots.  With two
-workers, 2^14 ran about twice as slow, because the threads handed the GIL
-back and forth twice as often, and 2^16 was 8-18% faster but raised the
-peak RSS of a 2*10^6-shot simulate by a further 1.5 MB (5%).  The cap
-is two workers: each one adds a range's buffers, the GIL-bound steps keep
-the gain of a second well short of 2x, and a third has not been measured
-on a host with more than two CPUs.
+The split pays because the uint64 ufuncs of the hash release the GIL, but
+each call holds it while numpy dispatches it, and a block makes eleven
+calls per draw.  Three cuts keep that held time short.  Every operand is an
+array: a shift or multiply by a read-only 0-d uint64 array dispatches in
+0.3-0.4 us, against 0.6-0.8 us by an np.uint64 scalar.  Nothing is sliced
+or allocated between the calls of a block.  And one add after a block
+advances every draw's word, so no word is built from Python ints per draw.
+On a 2*10^6-shot call the three cuts save 13-18% of the time on two workers
+and 2-7% on one, and two workers now cut the call by 18-38% against one.
+The block stays 2^15 shots.  With two workers, 2^14 ran 1.5-1.6x slower,
+because the threads handed the GIL back and forth twice as often, and 2^16
+was 9-12% faster but raised the peak RSS of a 2*10^6-shot simulate by a
+further 1.3 MB (4%).  The cap is two workers: each one adds a range's
+buffers, the GIL-bound dispatch keeps the gain of a second well short of
+2x, and a third has not been measured on a host with more than two CPUs.
 """
 
 import math
@@ -54,25 +63,35 @@ LOTTERY_BLOCK = 1 << 15
 _MAX_WORKERS = 2
 
 _GAMMA_INT = 0x9E3779B97F4A7C15
+
+
+def _const(value: int) -> np.ndarray:
+    """A read-only 0-d uint64 array holding value mod 2^64: a cheaper ufunc
+    operand than an np.uint64 scalar, and safe to share between threads."""
+    c = np.array(value & MASK64, dtype=np.uint64)
+    c.flags.writeable = False
+    return c
+
+
 # one shot advances the stream by four draws
-_SHOT_STRIDE = np.uint64((4 * _GAMMA_INT) & MASK64)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
+_SHOT_STRIDE = _const(4 * _GAMMA_INT)
+_MIX1 = _const(0xBF58476D1CE4E5B9)
+_MIX2 = _const(0x94D049BB133111EB)
+_S30 = _const(30)
+_S27 = _const(27)
+_S31 = _const(31)
 
 
 def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer, applied in place to a uint64 array; `tmp`
     is a scratch buffer of the same shape."""
-    np.right_shift(z, _S30, out=tmp)
+    np.right_shift(z, _S30, tmp)
     z ^= tmp
     z *= _MIX1
-    np.right_shift(z, _S27, out=tmp)
+    np.right_shift(z, _S27, tmp)
     z ^= tmp
     z *= _MIX2
-    np.right_shift(z, _S31, out=tmp)
+    np.right_shift(z, _S31, tmp)
     z ^= tmp
     return z
 
@@ -93,22 +112,32 @@ def _count(seed: int, draws, stride: np.ndarray, lo: int, hi: int) -> int:
     tmp = np.empty(size, dtype=np.uint64)
     passed = np.empty(size, dtype=np.bool_)
     running = np.empty(size, dtype=np.bool_)
-
-    def draw(b, m, k, threshold, out):
-        """Mask (a view of `out`) of the block's m shots that pass draw k."""
-        word = np.uint64((seed + (4 * b + k + 1) * _GAMMA_INT) & MASK64)
-        np.add(stride[:m], word, out=z[:m])
-        _mix64(z[:m], tmp[:m])
-        return np.less(z[:m], threshold, out=out[:m])
-
-    first, *rest = draws
+    # the word of draw k at block b is seed + (4b + k + 1) * GAMMA: one
+    # array of this range's words, each draw reading a 0-d view of its own,
+    # advanced in place by one block's worth of draws after every block
+    words = np.array(
+        [(seed + (4 * lo + k + 1) * _GAMMA_INT) & MASK64 for k, _ in draws],
+        dtype=np.uint64,
+    )
+    step = _const(4 * size * _GAMMA_INT)
+    (word, threshold), *rest = [
+        (words[i, ...], t) for i, (_, t) in enumerate(draws)
+    ]
     count = 0
     for b in range(lo, hi, size):
-        m = min(size, hi - b)
-        mask = draw(b, m, *first, running)
-        for k, threshold in rest:
-            mask &= draw(b, m, k, threshold, passed)
-        count += int(np.count_nonzero(mask))
+        if hi - b < size:  # the range's short last block
+            m = hi - b
+            stride, z, tmp, passed, running = (
+                stride[:m], z[:m], tmp[:m], passed[:m], running[:m]
+            )
+        np.add(stride, word, z)
+        np.less(_mix64(z, tmp), threshold, running)
+        for w, t in rest:
+            np.add(stride, w, z)
+            np.less(_mix64(z, tmp), t, passed)
+            running &= passed
+        count += int(np.count_nonzero(running))
+        np.add(words, step, words)
     return count
 
 
@@ -127,7 +156,7 @@ def accept_count(seed: int, probs, shots: int, start: int = 0) -> int:
         return 0
     # (k, integer threshold) of every draw that can reject a shot
     draws = [
-        (k, np.uint64(math.ceil(pk * (1 << 53)) << 11))
+        (k, _const(math.ceil(pk * (1 << 53)) << 11))
         for k, pk in enumerate(p)
         if pk < 1.0
     ]

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,34 @@ def test_counts_do_not_depend_on_the_worker_count(monkeypatch, cpus):
         for shots in (1, 2, 3, 4, 7 * block + 2):
             got = kernels.accept_count(9, SPLIT_PROBS, shots, start=11)
             assert got == block_count(9, SPLIT_PROBS, shots, start=11)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_range_words_wrap_past_two_to_the_64(monkeypatch, cpus):
+    # each range advances its draw words in place after every block; from
+    # seed 2^64 - 1 and a start near 2^63 every word passes 2^64 at least
+    # once, and the add must wrap without a warning
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+    seed, start = (1 << 64) - 1, 2**63 - 5
+    shots = 3 * kernels.LOTTERY_BLOCK + 5
+    for probs in ([0.7, 1.0, 0.8, 1.0], SPLIT_PROBS):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernels.accept_count(seed, probs, shots, start)
+        assert got == block_count(seed, probs, shots, start)
+    # the shared 0-d operands are read-only, so no range can change them
+    shared = [
+        kernels._SHOT_STRIDE,
+        kernels._MIX1,
+        kernels._MIX2,
+        kernels._S30,
+        kernels._S27,
+        kernels._S31,
+    ]
+    for c in shared:
+        assert c.shape == () and c.dtype == np.uint64
+        with pytest.raises(ValueError, match="read-only"):
+            c += 1
 
 
 def test_many_workers_under_fast_switching_keep_the_count(monkeypatch):
