@@ -66,7 +66,9 @@ class LocalFilter:
         # [1, 2).  e has shape (..., 1, 1), one exponent per matrix
         el = np.frexp(self.svd_l.d[..., :1, None])[1] - 1
         em = np.frexp(self.svd_m.d[..., :1, None])[1] - 1
-        prod = linalg.kron(_ldexp(self.l, -el), _ldexp(self.m, -em))
+        prod = linalg.kron(
+            linalg.ldexp(self.l, -el), linalg.ldexp(self.m, -em)
+        )
         prod.setflags(write=False)
         object.__setattr__(self, "_prod", prod)
         object.__setattr__(self, "_exp", (el + em)[..., 0, 0])
@@ -79,12 +81,6 @@ class LocalFilter:
         """The prescaled, read-only 2^-k (L x M): the filter, not its
         yield."""
         return self._prod
-
-
-def _ldexp(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """a 2^k, exactly, with no overflow on the way: np.ldexp takes no
-    complex input, so this scales a's float view."""
-    return np.ldexp(a.view(np.float64), k).view(np.complex128)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -105,6 +101,14 @@ def make_filter(l, m) -> LocalFilter:
     The rule is relative, so c L passes it exactly when L does, for every
     c > 0.  In a stack the first offending factor is named by its index,
     e.g. L[3].
+
+    Accuracy: apply_filter forms the sandwich P rho P^dag of a dense factor
+    as it stands, so its Hermiticity defect and negative eigenvalues are
+    about 0.1 eps cond^2 of the trace, cond = sigma_max / sigma_min.  On a
+    state along the weak axis of a randomly rotated diag(1, 1e-5, 1), that
+    fails the state gate's TOL_HERM, although the rule above accepts the
+    factor.  A diagonal factor multiplies entrywise and stays exact at any
+    condition number the rule accepts.
     """
     lm = linalg.as_stack(l)
     mm = linalg.as_stack(m)

@@ -61,6 +61,15 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
+def ldexp(a, k) -> np.ndarray:
+    """Complex a 2^k, exactly, with no overflow on the way: np.ldexp takes
+    no complex input, so this scales a's float view, whose last axis is
+    twice a's and against which k broadcasts."""
+    return np.ldexp(np.ascontiguousarray(a).view(np.float64), k).view(
+        np.complex128
+    )
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two vectors, or of two matrices.
 

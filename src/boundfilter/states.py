@@ -148,11 +148,16 @@ def pure(amps, dim_a: int, dim_b: int, normalize_input: bool = False) -> PureSta
     divides each ket by its norm first.
 
     Only a norm that is not positive is refused (ZeroTraceError): any
-    positive norm divides out, however small, since a ket's scale is not
-    part of the state.  A NaN norm reaches the PureState gate.
+    positive norm divides out, however small or large, since a ket's scale
+    is not part of the state.  A NaN norm reaches the PureState gate.
     """
     a = np.asarray(amps, dtype=np.complex128)
     if normalize_input:
+        # a power of two takes each ket's largest part into [1/2, 1), so its
+        # norm neither underflows nor overflows; it is exact, so a ket of
+        # normal-range entries divides to the bits it gives unscaled
+        top = np.maximum(abs(a.real), abs(a.imag)).max(axis=-1, keepdims=True)
+        a = linalg.ldexp(a, -np.frexp(top)[1])
         nrm = np.linalg.norm(a, axis=-1, keepdims=True)
         bad = nrm <= 0.0
         if bad.any():

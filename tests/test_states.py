@@ -609,6 +609,28 @@ def test_pure_normalizes_any_positive_norm():
         states.pure([np.nan, 0, 0, 0], 2, 2, normalize_input=True)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pure_normalizes_kets_whose_norm_leaves_float_range():
+    # the squared norm of 1e-160 underflows, of 3e-200 to zero, and of 1e200
+    # overflows; a power of two first keeps each within range
+    unit = np.array([0.6, 0.8j, 0, 0])
+    for nrm in (1e-160, 3e-200, 1e200):
+        psi = states.pure(nrm * unit, 2, 2, normalize_input=True)
+        assert np.abs(psi.amps - unit).max() <= 2.0**-52, nrm
+    stack = states.pure(
+        [1e-160 * unit, 3e-200 * unit, 1e200 * unit], 2, 2,
+        normalize_input=True,
+    )
+    assert np.abs(stack.amps - unit).max() <= 2.0**-52
+    # kets of normal-range entries keep the bits of the unscaled division
+    rng = np.random.default_rng(3)
+    amps = rng.standard_normal((20, 9)) + 1j * rng.standard_normal((20, 9))
+    psi = states.pure(amps, 3, 3, normalize_input=True)
+    assert np.array_equal(
+        psi.amps, amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+    )
+
+
 def test_raw_density_bypasses_validation():
     # the unchecked route exists for tests: downstream code still works on
     # the stored matrix
