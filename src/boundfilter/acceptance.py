@@ -3,8 +3,9 @@
 Each check returns a CheckResult row (name, expected, observed, pass); the
 suite is deterministic, uses fixed seeds, and prints no timings, so two
 runs with the same build produce byte-identical reports.  The detection
-checks compare witness minima with tolerances.TOL_NEG as it stands when
-they run.
+checks compare witness minima with TOL_NEG as this module and witness bound
+it at import: patching acceptance.TOL_NEG and witness.TOL_NEG moves them,
+patching tolerances.TOL_NEG does not.
 
 The randomized checks draw all their cases first, from fixed seeds in a
 fixed order, and evaluate them as stacks.  There is one draw path: the

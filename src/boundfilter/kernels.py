@@ -169,8 +169,6 @@ def accept_count(seed: int, probs, shots: int, start: int = 0) -> int:
     # this one arange plus a scalar per draw
     stride = np.arange(size, dtype=np.uint64)
     stride *= _SHOT_STRIDE
-    if workers == 1:
-        return _count(seed, draws, stride, start, start + shots)
     # contiguous whole-block ranges, one per worker; the last may end short
     cuts = [start + blocks * w // workers * size for w in range(workers)]
     cuts.append(start + shots)

@@ -15,13 +15,13 @@ factorization of a whole stack proves every matrix above the edge.  When
 it fails, one test vector v proves each matrix with v^dag H v clear below
 the edge below it (Courant-Fischer: lambda_min <= v^dag H v for a unit v;
 the form's rounding, about 2 n^2 eps max |H_ij|, lies far inside the
-margin EDGE_MARGIN * max(1, max |H_ij|)), and the matrices left are
-factored once more.  Whatever neither certificate decides takes one
-values-only solve of each whole matrix, and a minimum near the edge is
-re-solved with eigh.  A lone (n, n) matrix, the DensityOperator gate's
-case for a single state, never becomes a stack: its verdict is one
-values-only solve of shape (n, n).  eigvalsh, the plain values-only solve
-of whole matrices, words the errors those verdicts raise.
+margin EDGE_MARGIN * max(1, max |H_ij|)).  Whatever neither certificate
+decides takes one values-only solve of each whole matrix, and a minimum
+near the edge is re-solved with eigh.  A stack of one takes the same
+ladder.  A lone (n, n) matrix, the DensityOperator gate's case for a
+single state, never becomes a stack: its verdict is one values-only solve
+of shape (n, n).  eigvalsh, the plain values-only solve of whole matrices,
+words the errors those verdicts raise.
 """
 
 from dataclasses import dataclass
@@ -232,7 +232,7 @@ def min_at_least(h, edge: float, what: str = "matrix is not Hermitian"):
     check (at TOL_HERM) and symmetrization as eigh; the error message
     starts with `what`.  Each matrix has the scale s = max(1, max |H_ii|).
 
-    A stack of several matrices is first tried with one Cholesky
+    A stack, of any length, is first tried with one Cholesky
     factorization, each matrix shifted down by edge + EDGE_MARGIN * s.  Its
     backward error is about n^2 eps s (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., Thm 10.5), far inside EDGE_MARGIN * s,
@@ -243,19 +243,18 @@ def min_at_least(h, edge: float, what: str = "matrix is not Hermitian"):
     Courant-Fischer lambda_min <= v^dag H v for a unit v, and the form's
     rounding (about 2 n^2 eps max |H_ij|, 2e-14 max |H_ij| at n = 9) and
     eigh's backward error lie far inside that margin, so each such verdict
-    is eigh's.  If v proves some but leaves several, one Cholesky
-    factorization of those is tried.  What remains takes one values-only
-    solve of each whole matrix, and a minimum within EDGE_MARGIN * s of
-    edge is re-solved with eigh.
+    is eigh's.  What v leaves takes one values-only solve of each whole
+    matrix, and a minimum within EDGE_MARGIN * s of edge is re-solved with
+    eigh.
 
-    A stack of one takes that values-only solve and re-solve directly, and
-    a lone (n, n) matrix the same with a solve of shape (n, n), whole-matrix
-    reductions and a scalar margin: one solve costs about what one
-    factorization does.  That lone branch, with those of _hermitian_part
-    and _values, pays: with a lone matrix taken as a stack of one,
-    protocol-mix req_per_s read 5.8% lower, in 4 of 5 pairs (BENCH_24.json,
-    ablation).  A matrix whose Hermitian part is not finite (its entries
-    overflow) gets a NaN minimum, and fails.
+    A lone (n, n) matrix takes only that values-only solve and re-solve,
+    with a solve of shape (n, n), whole-matrix reductions and a scalar
+    margin: one solve costs about what one factorization does.  That lone
+    branch, with those of _hermitian_part and _values, pays: with a lone
+    matrix taken as a stack of one, protocol-mix req_per_s read 5.8% lower,
+    in 4 of 5 pairs (BENCH_24.json, ablation).  A matrix whose Hermitian
+    part is not finite (its entries overflow) gets a NaN minimum, and
+    fails.
     """
     herm = _hermitian_part(h, what)
     if herm.ndim == 2:
@@ -266,17 +265,11 @@ def min_at_least(h, edge: float, what: str = "matrix is not Hermitian"):
         return bool(wmin >= edge)
     diag = herm.diagonal(0, -2, -1).real
     margin = EDGE_MARGIN * np.abs(diag).max(axis=-1, initial=1.0)
-    if len(herm) < 2:
-        return _solved(herm, edge, margin)
     if _certified(herm, edge + margin):
         return np.ones(len(herm), dtype=bool)
     ok = np.zeros(len(herm), dtype=bool)
     rest = np.flatnonzero(~_below(herm, edge))
-    if 1 < len(rest) < len(herm) and _certified(
-        herm[rest], edge + margin[rest]
-    ):
-        ok[rest] = True
-    elif len(rest):
+    if len(rest):
         ok[rest] = _solved(herm[rest], edge, margin[rest])
     return ok
 

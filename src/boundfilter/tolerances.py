@@ -1,8 +1,10 @@
 """Numerical thresholds used across the package.
 
 Single source of truth: every module imports these instead of hard-coding
-its own epsilon, so the whole pipeline can be tightened or loosened in one
-place.
+its own epsilon, so an edit here tightens or loosens the whole pipeline in
+one place.  Each module binds the values it imports when it is imported,
+so a runtime patch must be made on the module that reads the value (for
+example witness.TOL_NEG), not here.
 """
 
 # max absolute deviation from A == A.conj().T accepted on "Hermitian" input

@@ -34,8 +34,9 @@ is invertible, so by Sylvester's law of inertia both sides have the same
 number of negative eigenvalues, and the yield is a positive scale.  The
 opposite factor sets only the depth of the floor and the yield.
 
-detect reads the negativity threshold tolerances.TOL_NEG when it is
-called.
+detect compares with this module's TOL_NEG, bound from tolerances at
+import: patching witness.TOL_NEG moves its verdicts, patching
+tolerances.TOL_NEG does not.
 """
 
 import enum

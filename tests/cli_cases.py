@@ -121,6 +121,16 @@ CASES = [
     Case("boundary", "scan --t 4 --x-min 0.3 --x-max 0.7 --steps 101 "
          "--witness choi-phi:B --filter choi-example", cross_tree=True,
          rc=2, err=one_error_line("positivity invariant failed: ")),
+    # 65 points: the 65th sits alone in the last block, so its gate sees a
+    # stack of one, inside the PSD region and, at t = 4, just past its edge
+    # x = 0.5
+    Case("lone-block", "scan --t 0.05 --x-min 0 --x-max 0.64 --steps 65 "
+         "--witness choi-phi:A --filter choi-example", cross_tree=True, rc=0,
+         err=""),
+    Case("lone-block-boundary", "scan --t 4 --x-min 0.49 --x-max 0.5001 "
+         "--steps 65 --witness choi-phi:B --filter choi-example",
+         cross_tree=True, rc=2, out=lambda out: out.count("\n") == 65,
+         err=one_error_line("positivity invariant failed: ")),
     # malformed copies of the state: the decoder's error for the first bad
     # row or cell
     Case("bad-true", "detect {tmp}/bad-true.json transpose:B",

@@ -217,19 +217,19 @@ def test_min_at_least_certifies_a_positive_stack_without_solving(monkeypatch):
     assert list(linalg.min_at_least(np.stack([np.diag([1, 2e-12])] * 2), 0)) \
         == [True, True]
     assert calls == [("cholesky", (8, 9, 9)), ("cholesky", (2, 2, 2))]
-    # one solve costs what one factorization does: a lone matrix and a
-    # stack of one are solved
+    # one solve costs what one factorization does: a lone matrix is solved,
+    # and a stack of one is factored like any other stack
     calls.clear()
     assert linalg.min_at_least(stack[3], -1e-10) is True
     assert list(linalg.min_at_least(stack[3:4], -1e-10)) == [True]
-    assert calls == [("eigvalsh", (9, 9)), ("eigvalsh", (1, 9, 9))]
+    assert calls == [("eigvalsh", (9, 9)), ("cholesky", (1, 9, 9))]
 
 
 def test_min_at_least_falls_back_for_the_whole_stack(monkeypatch):
     # one matrix below the edge fails the stack's factorization.  The test
     # vector proves only its own matrix below (the others' eigenvectors are
-    # unrelated), the other negative matrix fails the second factorization,
-    # and every verdict left comes from the solve and equals the lone verdict
+    # unrelated), and every verdict left comes from the solve and equals
+    # the lone verdict
     rng = np.random.default_rng(18)
     w = np.linspace(0.1, 1.0, 9)
     stack = np.stack([_with_spectrum(rng, w) for _ in range(5)])
@@ -239,8 +239,7 @@ def test_min_at_least_falls_back_for_the_whole_stack(monkeypatch):
     ok = linalg.min_at_least(stack, -1e-10)
     assert list(ok) == [True, True, False, True, False]
     assert calls == [
-        ("cholesky", (5, 9, 9)), ("eigh", (9, 9)), ("cholesky", (4, 9, 9)),
-        ("eigvalsh", (4, 9, 9)),
+        ("cholesky", (5, 9, 9)), ("eigh", (9, 9)), ("eigvalsh", (4, 9, 9)),
     ]
     assert [linalg.min_at_least(m, -1e-10) for m in stack] == list(ok)
     with pytest.raises(NotHermitianError, match="^gate: "):
@@ -263,6 +262,11 @@ def test_min_at_least_fails_an_overflowing_matrix(monkeypatch):
         split = np.stack([np.eye(4), np.eye(4)])
         split[1, 0, 1] = split[1, 1, 0] = 1e308
         assert list(linalg.min_at_least(split, 0.5)) == [True, False]
+        # and as a stack of one, which takes the certificate path
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for one in (off[None], big[None], np.full((1, 3, 3), np.nan)):
+                assert list(linalg.min_at_least(one, -1e-10)) == [False]
     # a factor that is not finite is no certificate, on any LAPACK
     monkeypatch.setattr(
         np.linalg, "cholesky", lambda a: np.full(a.shape, np.nan, complex)
