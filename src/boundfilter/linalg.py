@@ -19,9 +19,12 @@ margin EDGE_MARGIN * max(1, max |H_ij|)).  Whatever neither certificate
 decides takes one values-only solve of each whole matrix, and a minimum
 near the edge is re-solved with eigh.  A stack of one takes the same
 ladder.  A lone (n, n) matrix, the DensityOperator gate's case for a
-single state, never becomes a stack: its verdict is one values-only solve
-of shape (n, n).  eigvalsh, the plain values-only solve of whole matrices,
-words the errors those verdicts raise.
+single state, is linalg's one lone-matrix fork: min_at_least skips the
+certificates and decides it with one values-only solve of shape (n, n)
+and a scalar margin.  Everything else, the Hermiticity and finiteness
+tests included, runs one path for a lone matrix and a stack.  eigvalsh,
+the plain values-only solve of whole matrices, words the errors those
+verdicts raise.
 """
 
 from dataclasses import dataclass
@@ -58,7 +61,7 @@ def require_square(a: np.ndarray, what: str = "matrix") -> int:
 
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return np.swapaxes(a.conj(), -1, -2)
+    return a.conj().swapaxes(-1, -2)
 
 
 def ldexp(a, k) -> np.ndarray:
@@ -102,24 +105,22 @@ def _hermitian_part(h, what: str) -> np.ndarray:
     """(h + h^dag) / 2 of each matrix, after checking its Hermiticity.
 
     Raises NotHermitianError, prefixed by `what`, for the first matrix whose
-    defect exceeds TOL_HERM; the sub-tolerance skew part is discarded.
+    defect exceeds TOL_HERM; the sub-tolerance skew part is discarded.  A
+    matrix whose defect is NaN is never named.  One whole-array reduction
+    decides the common case, for a lone matrix and a stack alike; only when
+    it fails (or is NaN) is the defect taken matrix by matrix.
     """
     h = as_stack(h)
     require_square(h, "Hermitian argument")
-    if h.ndim == 2:
-        # one matrix: a whole-matrix reduction and a scalar test
-        h_dag = h.conj().T
-        defect = np.abs(h - h_dag).max()
-        if defect > TOL_HERM:
-            raise NotHermitianError(f"{what}: max |a - a^dag| = {defect:.3e}")
-        return 0.5 * (h + h_dag)
     h_dag = adjoint(h)
-    defect = np.abs(h - h_dag).max(axis=(-2, -1))
-    bad = defect > TOL_HERM
-    if bad.any():
-        raise NotHermitianError(
-            f"{what}: max |a - a^dag| = {defect[bad][0]:.3e}"
-        )
+    defect = np.abs(h - h_dag)
+    if not defect.max(initial=0.0) <= TOL_HERM:
+        defect = defect.max(axis=(-2, -1))
+        bad = defect > TOL_HERM
+        if bad.any():
+            raise NotHermitianError(
+                f"{what}: max |a - a^dag| = {defect[bad][0]:.3e}"
+            )
     return 0.5 * (h + h_dag)
 
 
@@ -153,13 +154,9 @@ def _values(herm):
     """np.linalg.eigvalsh of each matrix, with NaN values for a matrix whose
     entries are not finite: LAPACK may not converge on it.  Those matrices
     are never solved, and a stack with no finite matrix takes no solve."""
-    if herm.ndim == 2:
-        if np.isfinite(herm).all():
-            return np.linalg.eigvalsh(herm)
-        return np.full(herm.shape[-1], np.nan)
-    finite = np.isfinite(herm).all(axis=(-2, -1))
-    if finite.all():
+    if np.isfinite(herm).all():
         return np.linalg.eigvalsh(herm)
+    finite = np.isfinite(herm).all(axis=(-2, -1))
     w = np.full(herm.shape[:-1], np.nan)
     if finite.any():
         w[finite] = np.linalg.eigvalsh(herm[finite])
@@ -247,14 +244,14 @@ def min_at_least(h, edge: float, what: str = "matrix is not Hermitian"):
     matrix, and a minimum within EDGE_MARGIN * s of edge is re-solved with
     eigh.
 
-    A lone (n, n) matrix takes only that values-only solve and re-solve,
-    with a solve of shape (n, n), whole-matrix reductions and a scalar
-    margin: one solve costs about what one factorization does.  That lone
-    branch, with those of _hermitian_part and _values, pays: with a lone
-    matrix taken as a stack of one, protocol-mix req_per_s read 5.8% lower,
-    in 4 of 5 pairs (BENCH_24.json, ablation).  A matrix whose Hermitian
-    part is not finite (its entries overflow) gets a NaN minimum, and
-    fails.
+    A lone (n, n) matrix, linalg's one lone-matrix fork, skips both
+    certificates: it takes only that values-only solve and re-solve, of
+    shape (n, n), with a scalar margin, since one solve costs about what
+    one factorization does.  Its Hermiticity and finiteness tests are the
+    whole-array reductions a stack takes too.  The fork pays: without it
+    and the whole-array tests, protocol-mix req_per_s read 3.0% lower, in
+    5 of 6 pairs (ROADMAP, Settled).  A matrix whose Hermitian part is
+    not finite (its entries overflow) gets a NaN minimum, and fails.
     """
     herm = _hermitian_part(h, what)
     if herm.ndim == 2:

@@ -215,8 +215,9 @@ def normalize(mat, dim_a: int, dim_b: int):
     Raises ZeroTraceError for a trace that is not positive, and the
     DensityOperator gate's error (NotPSDError, ...) for anything else that
     cannot be a state: a NaN trace reaches the gate.  Any positive trace
-    divides out, however small, so no threshold here depends on the scale
-    of the matrix (a filter's yield, for instance).
+    divides out, however small (a subnormal one without overflow), so no
+    threshold here depends on the scale of the matrix (a filter's yield,
+    for instance).
     """
     m = linalg.as_stack(mat)
     n = dim_a * dim_b
@@ -230,9 +231,17 @@ def normalize(mat, dim_a: int, dim_b: int):
         raise ZeroTraceError(
             f"cannot normalize: trace = {tr[bad][0].item()!r}"
         )
+    div = tr
+    small = tr < 2.0**-1022
+    if small.any():
+        # a subnormal trace's reciprocal overflows: a power of two takes
+        # each such matrix and its trace into the normal range, exactly,
+        # and leaves every other matrix of the stack as it is
+        k = np.where(small, -np.frexp(tr)[1], 0)
+        m, div = linalg.ldexp(m, k[..., None, None]), np.ldexp(tr, k)
     # hermiticity and positivity are re-checked by the constructor and
     # surface as NotHermitianError / NotPSDError from here
-    return DensityOperator(dim_a, dim_b, m / tr[..., None, None]), tr
+    return DensityOperator(dim_a, dim_b, m / div[..., None, None]), tr
 
 
 # ---------------------------------------------------------------------------

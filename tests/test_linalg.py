@@ -97,6 +97,11 @@ def test_eigh_checks_each_matrix_of_a_stack():
     stack = np.stack([np.eye(2), np.array([[0, 0.5], [0, 0]]), np.eye(2)])
     with pytest.raises(NotHermitianError, match="5.000e-01"):
         linalg.eigh(stack)
+    # a NaN defect ahead of it does not hide it from the whole-stack test
+    nan = np.full((2, 2), np.nan)
+    stack = np.stack([nan, np.array([[0, 0.5], [0, 0]]), np.eye(2)])
+    with pytest.raises(NotHermitianError, match="5.000e-01"):
+        linalg.eigh(stack)
     with pytest.raises(DimensionMismatchError):
         linalg.eigh(np.zeros((2, 2, 2, 2)))
 
@@ -257,6 +262,7 @@ def test_min_at_least_fails_an_overflowing_matrix(monkeypatch):
         ok = linalg.min_at_least(np.stack([np.eye(2), off, np.eye(2)]), 0.5)
         assert list(ok) == [True, False, True]
         assert np.isnan(linalg.eigvalsh(off)).all()
+        assert linalg.eigvalsh(off).shape == (2,)
         assert np.isnan(linalg.eigvalsh(big)).all()
         # also within a stack that fails the factorization
         split = np.stack([np.eye(4), np.eye(4)])
@@ -466,6 +472,10 @@ def test_kron_rejects_vector_with_matrix():
 def test_adjoint():
     m = np.array([[1 + 2j, 3], [4, 5 - 1j]])
     assert np.array_equal(linalg.adjoint(m), m.conj().T)
+    stack = np.stack([m, 2j * m])
+    assert linalg.adjoint(stack).shape == (2, 2, 2)
+    for a, b in zip(linalg.adjoint(stack), stack):
+        assert np.array_equal(a, b.conj().T)
 
 
 def test_herm_defect():

@@ -582,6 +582,21 @@ def test_normalize_refuses_only_a_trace_that_is_not_positive():
     for tr in (1e-14, 1e-48, 2.0**-1000):
         rho, w = states.normalize(tr * e00, 2, 2)
         assert w == tr and np.abs(rho.mat - e00).max() <= 1e-16
+    # a subnormal trace divides out without overflow, and a stack's members
+    # take the bits they take alone; 1e-320 reads 1 - 2^-53 at [0, 0], the
+    # rounding of m * (1 / tr) (ROADMAP item 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tr in (5e-324, 3e-310, 1e-320):
+            rho, w = states.normalize(tr * e00, 2, 2)
+            assert w == tr and np.abs(rho.mat - e00).max() <= 2.0**-52, tr
+        for tr in (5e-324, 3e-310):
+            assert np.array_equal(states.normalize(tr * e00, 2, 2)[0].mat, e00)
+        trs = [5e-324, 1e-300, 0.25]
+        stack, ws = states.normalize(np.stack([t * e00 for t in trs]), 2, 2)
+        for i, tr in enumerate(trs):
+            rho, w = states.normalize(tr * e00, 2, 2)
+            assert ws[i] == w and np.array_equal(stack.mat[i], rho.mat)
     with pytest.raises(ZeroTraceError, match=r"^cannot normalize: trace = -1\.0$"):
         states.normalize(np.diag([-1.0, 0.0, 0.0, 0.0]), 2, 2)
     # a tiny positive trace no longer hides what else is wrong
