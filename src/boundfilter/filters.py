@@ -7,16 +7,17 @@ filter for every c > 0, with c^2 times the yield: scale is not a property
 of a filter.  So invertibility is decided relative to each factor's
 largest singular value, in make_filter alone: no rule downstream reads a
 filter's scale, and normalization refuses only a trace or norm that is not
-positive.  The filter's one prescale (LocalFilter) keeps every filtered
-state, ket and yield exact at any scale.  Both factors carry their SVD
-from construction since the measurement realization consumes the factors
-U D V directly.  A LocalFilter holds one filter or a stack of N filters;
-a stack acts on a stack of N states (or kets) one to one, and on a single
-state as N different filterings of it.
+positive.  make_filter's one prescale, kept as the filter's prod and exp,
+keeps every filtered state, ket and yield exact at any scale.  Both
+factors carry their SVD from construction since the measurement
+realization consumes the factors U D V directly.  A LocalFilter holds
+one filter or a stack of N filters; a stack acts on a stack of N states
+(or kets) one to one, and on a single state as N different filterings of
+it.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,53 +41,22 @@ class LocalFilter:
     """An invertible product operation with factors l (side A), m (side B).
 
     l and m have shapes (dA, dA) and (dB, dB) for one filter, or (N, dA, dA)
-    and (N, dB, dB) for a stack; svd_l, svd_m and product() follow the same
-    leading axis.  Build one with make_filter, which validates the factors.
-
-    product() is the prescaled Kronecker product 2^-k (L x M), formed once
-    at construction: L and M are each scaled by the power of two that
-    brings their sigma_max into [1, 2), and k is the sum of those two
-    exponents (one per member of a stack).  A power of two is exact, so in
-    normal range every filtered state and ket is the unscaled product's
-    bit for bit; apply_filter scales only the yield back, by 2^2k.  The
-    prescale's one job is that exactness, at any scale: no threshold
-    downstream depends on it.  Every catalog filter has sigma_max = 1 on
-    both sides, so k = 0.
+    and (N, dB, dB) for a stack; svd_l, svd_m, prod and exp follow the same
+    leading axis.  prod is the prescaled 2^-exp (L x M), the filter but not
+    its yield.  Build one with make_filter, which validates the factors and
+    computes every field; each array is read-only.
     """
 
     l: np.ndarray
     m: np.ndarray
     svd_l: linalg.SVDResult
     svd_m: linalg.SVDResult
-    _prod: np.ndarray = field(init=False, repr=False)
-    _exp: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # sigma_max = f 2^(e + 1) with f in [0.5, 1): 2^-e takes it to
-        # [1, 2).  e has shape (..., 1, 1), one exponent per matrix
-        el = np.frexp(self.svd_l.d[..., :1, None])[1] - 1
-        em = np.frexp(self.svd_m.d[..., :1, None])[1] - 1
-        prod = linalg.kron(
-            linalg.ldexp(self.l, -el), linalg.ldexp(self.m, -em)
-        )
-        prod.setflags(write=False)
-        object.__setattr__(self, "_prod", prod)
-        object.__setattr__(self, "_exp", (el + em)[..., 0, 0])
+    prod: np.ndarray
+    exp: np.ndarray
 
     @property
     def dims(self) -> tuple:
         return (self.l.shape[-1], self.m.shape[-1])
-
-    def product(self) -> np.ndarray:
-        """The prescaled, read-only 2^-k (L x M): the filter, not its
-        yield."""
-        return self._prod
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
-    a.setflags(write=False)
-    return a
 
 
 def make_filter(l, m) -> LocalFilter:
@@ -109,9 +79,19 @@ def make_filter(l, m) -> LocalFilter:
     fails the state gate's TOL_HERM, although the rule above accepts the
     factor.  A diagonal factor multiplies entrywise and stays exact at any
     condition number the rule accepts.
+
+    Prescale: prod = 2^-exp (L x M), formed once here.  L and M are each
+    scaled by the power of two that brings their sigma_max into [1, 2),
+    and exp is the sum of those two exponents (one per member of a stack).
+    A power of two is exact, so in normal range every filtered state and
+    ket is the unscaled product's bit for bit; apply_filter scales only the
+    yield back, by 2^(2 exp).  The prescale's one job is that exactness, at
+    any scale: no threshold downstream depends on it.  Every catalog filter
+    has sigma_max = 1 on both sides, so exp = 0.
     """
-    lm = linalg.as_stack(l)
-    mm = linalg.as_stack(m)
+    # copied once, so that no later write by the caller reaches the filter
+    lm = linalg.as_stack(l).copy()
+    mm = linalg.as_stack(m).copy()
     linalg.require_square(lm, "filter factor L")
     linalg.require_square(mm, "filter factor M")
     if lm.shape[:-2] != mm.shape[:-2]:
@@ -150,8 +130,16 @@ def make_filter(l, m) -> LocalFilter:
                 f"filter factor {name(side, bad)} is singular (smallest "
                 f"singular value {np.asarray(s.sigma_min)[bad][0]:.3e})"
             )
+    # sigma_max = f 2^(e + 1) with f in [0.5, 1): 2^-e takes it to [1, 2).
+    # e has shape (..., 1, 1), one exponent per matrix
+    el = np.frexp(svd_l.d[..., :1, None])[1] - 1
+    em = np.frexp(svd_m.d[..., :1, None])[1] - 1
+    prod = linalg.kron(linalg.ldexp(lm, -el), linalg.ldexp(mm, -em))
+    exp = (el + em)[..., 0, 0]
+    for a in (lm, mm, prod, exp):
+        a.setflags(write=False)
     return LocalFilter(
-        l=_readonly(lm), m=_readonly(mm), svd_l=svd_l, svd_m=svd_m
+        l=lm, m=mm, svd_l=svd_l, svd_m=svd_m, prod=prod, exp=exp
     )
 
 
@@ -188,13 +176,13 @@ def apply_filter(f: LocalFilter, rho: DensityOperator):
     """Filter a state; returns (filtered DensityOperator, yield).
 
     yield = tr[(L x M) rho (L x M)^dag], the pre-normalization weight,
-    2^2k times the trace of the prescaled product's sandwich (LocalFilter).
-    A stack of states or of filters gives a stack of filtered states and one
-    yield each.
+    2^(2 exp) times the trace of the sandwich of prod, the product that
+    make_filter prescaled by 2^-exp.  A stack of states or of filters gives
+    a stack of filtered states and one yield each.
     """
     check_compatible(f, rho)
-    out, tr = normalize(linalg.sandwich(f.product(), rho.mat), *rho.dims)
-    return out, np.ldexp(tr, 2 * f._exp)
+    out, tr = normalize(linalg.sandwich(f.prod, rho.mat), *rho.dims)
+    return out, np.ldexp(tr, 2 * f.exp)
 
 
 def filtered_pure(f: LocalFilter, psi: PureState) -> PureState:
@@ -204,7 +192,7 @@ def filtered_pure(f: LocalFilter, psi: PureState) -> PureState:
     A stack of kets or of filters gives a stack of filtered kets.
     """
     check_compatible(f, psi)
-    amps = (f.product() @ psi.amps[..., None])[..., 0]
+    amps = (f.prod @ psi.amps[..., None])[..., 0]
     return pure(amps, psi.dim_a, psi.dim_b, normalize_input=True)
 
 

@@ -170,14 +170,11 @@ def postselect_diag(d, rho: np.ndarray):
             rho, -TOL_NEG, what="postselection input not Hermitian"
         )
         if not np.all(ok):
-            if rho.ndim == 2:
-                which, first = "", rho
-            else:
-                k = np.flatnonzero(~ok)[0]
-                which, first = f" {k}", rho[k]
+            k = np.argmin(ok)
+            which = f" {k}" if rho.ndim == 3 else ""
             raise NotPSDError(
                 f"postselection input{which} not PSD: min eigenvalue "
-                f"{linalg.eigvalsh(first)[0]:.6e}"
+                f"{linalg.eigvalsh(rho.reshape(-1, n, n)[k])[0]:.6e}"
             )
     block = postselect_intermediate(d, rho)[..., :n, :n]
     prob = np.trace(block, axis1=-2, axis2=-1).real

@@ -73,9 +73,11 @@ class DensityOperator:
                 raise InvariantViolationError(
                     f"trace invariant failed: trace = {tr[bad][0].item()!r}"
                 )
-            # a matrix whose Hermitian part overflowed fails too
+            # a matrix whose Hermitian part overflowed fails too.  A lone
+            # verdict is a bool, read as it is: np.all would cost each lone
+            # state a reduction
             if not (psd if m.ndim == 2 else psd.all()):
-                first = m if m.ndim == 2 else m[np.flatnonzero(~psd)[0]]
+                first = m.reshape(-1, n, n)[np.argmin(psd)]
                 raise NotPSDError(
                     f"positivity invariant failed: min eigenvalue = "
                     f"{linalg.eigvalsh(first)[0]:.6e}"

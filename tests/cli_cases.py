@@ -183,6 +183,13 @@ CASES = [
          err="error: state matrix row 0 col 0: entry is NaN or infinite\n"),
     Case("zero-trace", "detect {tmp}/zero.json transpose:A", rc=2, out="",
          err="error: trace invariant failed: trace = 0.0\n"),
+    Case("negative-dims", "detect {tmp}/neg.json transpose:B", rc=2, out="",
+         err="error: invalid local dimensions (-1, -1)\n"),
+    # a JSON list where a state or a filter object belongs
+    Case("state-not-an-object", "detect {tmp}/list.json transpose:B", rc=2,
+         out="", err="error: state: expected a JSON object\n"),
+    Case("filter-not-an-object", "simulate bell {tmp}/list.json --analytic",
+         rc=2, out="", err="error: filter: expected a JSON object\n"),
     # finite entries whose eigensolve overflows: the error line alone,
     # without numpy's warnings
     Case("overflowing-solve", "detect {tmp}/off.json transpose:A", rc=2,
@@ -262,6 +269,8 @@ def write_inputs(directory) -> None:
                                 "M": diag([1, 1, 1])})
     dump("big.json", {"dimA": 1, "dimB": 1, "matrix": [[[10**400, 0]]]})
     dump("zero.json", {"dimA": 1, "dimB": 1, "matrix": [[[0.0, 0.0]]]})
+    dump("neg.json", {"dimA": -1, "dimB": -1, "matrix": [[[1, 0]]]})
+    dump("list.json", [1, 2])
     dump("off.json", {"dimA": 2, "dimB": 1,
                       "matrix": [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]})
     dump("huge-filter.json", {"L": diag([1e308, 1e308]), "M": diag([1, 1])})

@@ -305,7 +305,7 @@ def test_shared_objects_cannot_be_written():
         if kind == "state":
             arrays = [obj.mat]
         else:
-            arrays = [obj.l, obj.m, obj.product()] + [
+            arrays = [obj.l, obj.m, obj.prod, obj.exp] + [
                 getattr(s, k) for s in (obj.svd_l, obj.svd_m) for k in "udv"
             ]
         for a in arrays:

@@ -37,7 +37,7 @@ def test_make_filter_carries_svd():
     assert np.allclose(f.svd_l.reconstruct(), f.l)
     assert np.allclose(f.svd_m.reconstruct(), f.m)
     assert f.dims == (3, 3)
-    assert np.allclose(f.product(), np.kron(f.l, f.m))
+    assert np.allclose(f.prod, np.kron(f.l, f.m))
 
 
 def test_make_filter_rejects_singular_factor():
@@ -261,8 +261,8 @@ def test_make_filter_stack_matches_one_at_a_time():
     ls = np.stack([random_invertible(rng, 3) for _ in range(6)])
     ms = np.stack([random_invertible(rng, 3) for _ in range(6)])
     f = filters.make_filter(ls, ms)
-    assert f.dims == (3, 3) and f.product().shape == (6, 9, 9)
-    assert not f.product().flags.writeable
+    assert f.dims == (3, 3) and f.prod.shape == (6, 9, 9)
+    assert not f.prod.flags.writeable
     rho = DensityOperator(
         3, 3, np.stack([random_density_mat(rng, 9) for _ in range(6)])
     )
@@ -274,7 +274,7 @@ def test_make_filter_stack_matches_one_at_a_time():
                 assert np.array_equal(
                     getattr(stacked, field)[k], getattr(single, field)
                 )
-        assert np.array_equal(f.product()[k], one.product())
+        assert np.array_equal(f.prod[k], one.prod)
         out, y = filters.apply_filter(one, DensityOperator(3, 3, rho.mat[k]))
         assert np.array_equal(filtered.mat[k], out.mat) and yields[k] == y
 
