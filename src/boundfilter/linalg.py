@@ -73,6 +73,13 @@ def ldexp(a, k) -> np.ndarray:
     )
 
 
+def real_divide(a, r) -> np.ndarray:
+    """Complex a / r for a real r that broadcasts against a's float view, as
+    ldexp's k does: each part is divided once and correctly rounded, where
+    numpy's complex a / r computes a * (1 / r), which misrounds."""
+    return (np.ascontiguousarray(a).view(np.float64) / r).view(np.complex128)
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product of two vectors, or of two matrices.
 

@@ -150,8 +150,9 @@ def pure(amps, dim_a: int, dim_b: int, normalize_input: bool = False) -> PureSta
     divides each ket by its norm first.
 
     Only a norm that is not positive is refused (ZeroTraceError): any
-    positive norm divides out, however small or large, since a ket's scale
-    is not part of the state.  A NaN norm reaches the PureState gate.
+    positive norm, however small or large, divides out of each real and
+    imaginary part, so a ket with one nonzero entry normalizes to exactly 1.
+    A NaN norm reaches the PureState gate.
     """
     a = np.asarray(amps, dtype=np.complex128)
     if normalize_input:
@@ -164,7 +165,7 @@ def pure(amps, dim_a: int, dim_b: int, normalize_input: bool = False) -> PureSta
         bad = nrm <= 0.0
         if bad.any():
             raise ZeroTraceError("cannot normalize a ~zero amplitude vector")
-        a = a / nrm
+        a = linalg.real_divide(a, nrm)
     return PureState(dim_a, dim_b, a)
 
 
@@ -217,9 +218,9 @@ def normalize(mat, dim_a: int, dim_b: int):
     Raises ZeroTraceError for a trace that is not positive, and the
     DensityOperator gate's error (NotPSDError, ...) for anything else that
     cannot be a state: a NaN trace reaches the gate.  Any positive trace
-    divides out, however small (a subnormal one without overflow), so no
-    threshold here depends on the scale of the matrix (a filter's yield,
-    for instance).
+    divides out of each real and imaginary part, so a matrix with one
+    nonzero entry normalizes to exactly 1 at any positive trace, and no
+    threshold here depends on the matrix's scale (a filter's yield, say).
     """
     m = linalg.as_stack(mat)
     n = dim_a * dim_b
@@ -233,17 +234,8 @@ def normalize(mat, dim_a: int, dim_b: int):
         raise ZeroTraceError(
             f"cannot normalize: trace = {tr[bad][0].item()!r}"
         )
-    div = tr
-    small = tr < 2.0**-1022
-    if small.any():
-        # a subnormal trace's reciprocal overflows: a power of two takes
-        # each such matrix and its trace into the normal range, exactly,
-        # and leaves every other matrix of the stack as it is
-        k = np.where(small, -np.frexp(tr)[1], 0)
-        m, div = linalg.ldexp(m, k[..., None, None]), np.ldexp(tr, k)
-    # hermiticity and positivity are re-checked by the constructor and
-    # surface as NotHermitianError / NotPSDError from here
-    return DensityOperator(dim_a, dim_b, m / div[..., None, None]), tr
+    rho = linalg.real_divide(m, tr[..., None, None])
+    return DensityOperator(dim_a, dim_b, rho), tr
 
 
 # ---------------------------------------------------------------------------

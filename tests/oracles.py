@@ -379,6 +379,15 @@ def pairs_to_matrix_loop(obj, what="matrix"):
     return np.array(rows, dtype=np.complex128)
 
 
+def divide_parts(a, r):
+    """Complex a / r for a real r: the real and imaginary parts divided
+    apart, with no complex division."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(r)), complex)
+    out.real = a.real / r
+    out.imag = a.imag / r
+    return out
+
+
 def raw_density(mat, da, db) -> DensityOperator:
     """DensityOperator without invariant validation (tests only)."""
     obj = object.__new__(DensityOperator)

